@@ -34,7 +34,6 @@ from .curves import (
 from .fields import (
     BinaryField,
     BinaryFieldElement,
-    Fp,
     Fp2,
     element_from_bits,
     element_to_bits,

@@ -1,19 +1,22 @@
 """Command-line surface: deal shares to files, recover from share files,
 and audit parameters.
 
-Exit codes: 0 ok, 2 invalid config/params, 3 I/O failure, 4 not enough
-shares, 5 digest mismatch, 6 corrupted share or codeword.
+Exit codes: 0 ok, 2 invalid config, params, input file or share set, 3 I/O
+failure, 4 not enough shares, 5 digest mismatch, 6 corrupted share or
+codeword.
 """
 
 import argparse
 import hashlib
-import itertools
 import os
+import string
 import sys
 
+from .codec import bits_to_int, int_to_bits
 from .codes import BinaryExpandedCode, hyperoval_code, subfield_code
 from .curves import CurveSpec, j_invariant, random_point_of_order
 from .errors import (
+    DuplicateShare,
     Inconsistent,
     InvalidEncoding,
     InvalidParams,
@@ -30,6 +33,7 @@ from .scheme import (
     admissible_t_interval,
     attack_cost_bits,
     burst_recover,
+    burst_violations,
     recover_isogeny_path,
     share_isogeny_path,
     validate_params,
@@ -45,6 +49,10 @@ EXIT_NOT_ENOUGH = 4
 EXIT_DIGEST = 5
 EXIT_CORRUPT = 6
 
+# Config keys that may be left out, with their values.
+CONFIG_DEFAULTS = {"lambda": "128", "code.m": "0"}
+HEX_DIGITS = frozenset(string.hexdigits)
+
 
 class CliError(Exception):
     def __init__(self, code, message):
@@ -55,33 +63,36 @@ class CliError(Exception):
 def bits_to_hex(bits) -> str:
     """MSB-first nibble packing, zero fill in the final nibble."""
     bits = tuple(bits)
-    padded = bits + (0,) * (-len(bits) % 4)
+    bits += (0,) * (-len(bits) % 4)
     return "".join(
-        f"{int(''.join(map(str, padded[i:i + 4])), 2):x}"
-        for i in range(0, len(padded), 4)
+        f"{bits_to_int(bits[i:i + 4]):x}" for i in range(0, len(bits), 4)
     )
 
 
 def hex_to_bits(text: str, nbits: int) -> tuple[int, ...]:
-    if len(text) != -(-nbits // 4):
-        raise ValueError(f"expected {-(-nbits // 4)} hex digits")
-    bits = []
-    for ch in text:
-        v = int(ch, 16)
-        bits.extend((v >> i) & 1 for i in (3, 2, 1, 0))
+    digits = -(-nbits // 4)
+    if len(text) != digits or not HEX_DIGITS.issuperset(text):
+        raise ValueError(f"expected {digits} hex digits")
+    bits = tuple(b for ch in text for b in int_to_bits(int(ch, 16), 4))
     if any(bits[nbits:]):
         raise ValueError("nonzero fill bits")
-    return tuple(bits[:nbits])
+    return bits[:nbits]
+
+
+def read_lines(path: str) -> list[str]:
+    """The lines of an input file; unreadable is exit 3, not UTF-8 exit 2."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except OSError as ex:
+        raise CliError(EXIT_IO, f"cannot read {path}: {ex}") from ex
+    except UnicodeDecodeError as ex:
+        raise CliError(EXIT_INVALID, f"{path}: not UTF-8 text: {ex}") from ex
 
 
 def parse_config(path: str) -> dict[str, str]:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as ex:
-        raise CliError(EXIT_IO, f"cannot read config: {ex}") from ex
-    config = {}
-    for lineno, line in enumerate(lines, 1):
+    config = dict(CONFIG_DEFAULTS)
+    for lineno, line in enumerate(read_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -93,47 +104,42 @@ def parse_config(path: str) -> dict[str, str]:
 
 
 def _fp2(text: str, p: int) -> Fp2:
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) == 1:
-        parts.append("0")
-    return Fp2(int(parts[0]), int(parts[1]), p)
+    """`c0,c1` or `c0` alone as an element of GF(p^2)."""
+    c0, comma, c1 = text.partition(",")
+    return Fp2(int(c0), int(c1) if comma else 0, p)
 
 
 def _fp2_str(el: Fp2) -> str:
     return f"{el.c0},{el.c1}"
 
 
-def build_code(kind: str, config: dict[str, str]):
+def build_code(kind: str, fields: dict[str, str]):
     if kind == "binary-expanded-rs":
         return BinaryExpandedCode(
-            int(config["code.r"]),
-            int(config["code.d"]),
-            int(config.get("code.m", "0")),
+            int(fields["code.r"]), int(fields["code.d"]), int(fields["code.m"])
         )
     if kind == "subfield-hyperoval":
-        return subfield_code(hyperoval_code(int(config["code.r"])))
-    raise CliError(EXIT_INVALID, f"unknown code.kind {kind!r}")
+        return subfield_code(hyperoval_code(int(fields["code.r"])))
+    raise ValueError(f"unknown code.kind {kind!r}")
 
 
-def params_from_config(config: dict[str, str]) -> SchemeParams:
+def build_params(fields: dict[str, str], source: str) -> SchemeParams:
+    """The scheme parameters named by a config or a public file."""
     try:
-        p = int(config["p"])
-        curve = CurveSpec(_fp2(config["a"], p), _fp2(config["b"], p), p)
+        p = int(fields["p"])
         return SchemeParams(
-            n=int(config["n"]),
-            t=int(config["t"]),
-            gamma=int(config["gamma"]),
-            curve=curve,
-            torsion_order=int(config["N"]),
-            ell_iso=int(config["ell_iso"]),
-            e_iso=int(config["e_iso"]),
-            code=build_code(config["code.kind"], config),
-            security_bits=int(config.get("lambda", "128")),
+            n=int(fields["n"]),
+            t=int(fields["t"]),
+            gamma=int(fields["gamma"]),
+            curve=CurveSpec(_fp2(fields["a"], p), _fp2(fields["b"], p), p),
+            torsion_order=int(fields["N"]),
+            ell_iso=int(fields["ell_iso"]),
+            e_iso=int(fields["e_iso"]),
+            code=build_code(fields["code.kind"], fields),
+            security_bits=int(fields["lambda"]),
         )
-    except CliError:
-        raise
     except (KeyError, ValueError, IsoshareError) as ex:
-        raise CliError(EXIT_INVALID, f"bad config: {ex}") from ex
+        raise CliError(EXIT_INVALID, f"{source}: bad parameters: {ex}") from ex
 
 
 def _context_lines(params: SchemeParams, e1: CurveSpec) -> list[str]:
@@ -176,12 +182,9 @@ def _atomic_write(path: str, text: str) -> None:
         raise CliError(EXIT_IO, f"cannot write {path}: {ex}") from ex
 
 
-def _parse_kv_file(path: str, magic: str) -> dict[str, str]:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as ex:
-        raise CliError(EXIT_IO, f"cannot read {path}: {ex}") from ex
+def _parse_kv_file(path: str, magic: str) -> tuple[dict[str, str], list[str]]:
+    """The `key value` fields of a share or public file, and its lines."""
+    lines = read_lines(path)
     if not lines or lines[0] != magic:
         raise CliError(EXIT_INVALID, f"{path}: missing {magic!r} header")
     fields = {}
@@ -190,12 +193,12 @@ def _parse_kv_file(path: str, magic: str) -> dict[str, str]:
             continue
         key, _, value = line.partition(" ")
         fields[key] = value.strip()
-    return fields
+    return fields, lines
 
 
 def cmd_deal(args) -> int:
     config = parse_config(args.config)
-    params = params_from_config(config)
+    params = build_params(config, args.config)
     report = validate_params(params)
     for warning in report.warnings:
         print(f"warning: {warning}")
@@ -207,9 +210,12 @@ def cmd_deal(args) -> int:
     seed = args.seed or config.get("seed", "0")
     walk_seed = hashlib.sha256(f"{seed}/walk".encode()).hexdigest()
     point_seed = hashlib.sha256(f"{seed}/point".encode()).hexdigest()
-    secret = random_walk(params.curve, params.ell_iso, params.e_iso, walk_seed)
-    point = random_point_of_order(params.curve, params.torsion_order, point_seed)
-    deal = share_isogeny_path(secret, point, params, force=args.force)
+    try:
+        secret = random_walk(params.curve, params.ell_iso, params.e_iso, walk_seed)
+        point = random_point_of_order(params.curve, params.torsion_order, point_seed)
+        deal = share_isogeny_path(secret, point, params, force=args.force)
+    except IsoshareError as ex:
+        raise CliError(EXIT_INVALID, f"cannot deal: {ex}") from ex
     context = _context_lines(params, deal.e1)
     digest = context_digest(context)
     try:
@@ -239,32 +245,23 @@ def cmd_deal(args) -> int:
 
 
 def load_public(path: str):
-    fields = _parse_kv_file(path, PUBLIC_MAGIC)
-    try:
-        p = int(fields["p"])
-        curve = CurveSpec(_fp2(fields["a"], p), _fp2(fields["b"], p), p)
-        e1 = CurveSpec(_fp2(fields["e1_a"], p), _fp2(fields["e1_b"], p), p)
-        params = SchemeParams(
-            n=int(fields["n"]),
-            t=int(fields["t"]),
-            gamma=int(fields["gamma"]),
-            curve=curve,
-            torsion_order=int(fields["N"]),
-            ell_iso=int(fields["ell_iso"]),
-            e_iso=int(fields["e_iso"]),
-            code=build_code(fields["code.kind"], fields),
-            security_bits=int(fields["lambda"]),
-        )
-    except (KeyError, ValueError, IsoshareError) as ex:
-        raise CliError(EXIT_INVALID, f"bad public file: {ex}") from ex
+    fields, lines = _parse_kv_file(path, PUBLIC_MAGIC)
+    # The digest covers the context lines after the header and digest lines
+    # as written, so a tampered file is refused before anything is built.
     digest = fields.get("digest", "")
-    if context_digest(_context_lines(params, e1)) != digest:
+    if context_digest([line for line in lines[2:] if line.strip()]) != digest:
         raise CliError(EXIT_DIGEST, "public file digest does not match its contents")
+    params = build_params(fields, path)
+    p = params.curve.p
+    try:
+        e1 = CurveSpec(_fp2(fields["e1_a"], p), _fp2(fields["e1_b"], p), p)
+    except (KeyError, ValueError, IsoshareError) as ex:
+        raise CliError(EXIT_INVALID, f"{path}: bad E1: {ex}") from ex
     return params, e1, digest
 
 
 def load_share(path: str, digest: str, gamma: int) -> Share:
-    fields = _parse_kv_file(path, SHARE_MAGIC)
+    fields, _ = _parse_kv_file(path, SHARE_MAGIC)
     if fields.get("digest", "") != digest:
         raise CliError(EXIT_DIGEST, f"{path}: digest does not match public context")
     try:
@@ -278,23 +275,16 @@ def load_share(path: str, digest: str, gamma: int) -> Share:
     return Share(index, bits)
 
 
-def _burst_applicable(params: SchemeParams) -> bool:
-    code = params.code
-    return (
-        isinstance(code, BinaryExpandedCode)
-        and code.r > params.gamma - 2
-        and code.base.d >= 2 * (params.n - params.t) + 1
-    )
-
-
 def cmd_recover(args) -> int:
     params, e1, digest = load_public(args.public)
     shares = [load_share(path, digest, params.gamma) for path in args.shares]
     try:
-        if _burst_applicable(params):
-            result = burst_recover(shares, params, e1)
-        else:
+        if burst_violations(params):
             result = recover_isogeny_path(shares, params, e1)
+        else:
+            result = burst_recover(shares, params, e1)
+    except (InvalidParams, DuplicateShare) as ex:
+        raise CliError(EXIT_INVALID, f"bad share set: {ex}") from ex
     except NotEnoughShares as ex:
         raise CliError(EXIT_NOT_ENOUGH, f"not enough shares: {ex}") from ex
     except (Inconsistent, NotACodeword, InvalidEncoding, NoIsogenyFound) as ex:
@@ -315,8 +305,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = parse_config(args.config)
-    params = params_from_config(config)
+    params = build_params(parse_config(args.config), args.config)
     report = validate_params(params)
     lower, upper = report.t_interval
     if lower > upper:
@@ -332,11 +321,11 @@ def cmd_check(args) -> int:
         )
         print(f"subfield_t_interval: [{slo}, {shi}]" if slo <= shi
               else "subfield_t_interval: none")
-    if isinstance(code, BinaryExpandedCode):
-        width_ok = code.r > params.gamma - 2
-        dist_ok = code.base.d >= 2 * (params.n - params.t) + 1
-        print(f"burst_width_condition: {'ok' if width_ok else 'violated'}")
-        print(f"burst_distance_condition: {'ok' if dist_ok else 'violated'}")
+    burst = burst_violations(params)
+    if "code" not in burst:
+        for condition in ("width", "distance"):
+            print(f"burst_{condition}_condition: "
+                  f"{'violated' if condition in burst else 'ok'}")
     for warning in report.warnings:
         print(f"warning: {warning}")
     for violation in report.violations:

@@ -65,29 +65,6 @@ def bits_to_int(bits) -> int:
     return value
 
 
-def pack_bits(bits) -> bytes:
-    """MSB-first packing with zero fill in the final byte."""
-    bits = tuple(bits)
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        chunk = bits[i : i + 8]
-        chunk = chunk + (0,) * (8 - len(chunk))
-        out.append(bits_to_int(chunk))
-    return bytes(out)
-
-
-def unpack_bits(data: bytes, nbits: int) -> tuple[int, ...]:
-    if len(data) * 8 < nbits:
-        raise ValueError("not enough bytes")
-    bits = []
-    for byte in data:
-        for i in range(7, -1, -1):
-            bits.append((byte >> i) & 1)
-    if any(bits[nbits:]):
-        raise ValueError("nonzero fill bits")
-    return tuple(bits[:nbits])
-
-
 def encode_point(e: CurveSpec, pt: CurvePoint, length: int) -> PointBits:
     if pt.is_infinity:
         raise IdentityNotEncodable("the identity has no affine encoding")

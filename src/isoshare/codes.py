@@ -9,7 +9,14 @@ d - 1 bound.
 """
 
 from . import linalg
-from .errors import Ambiguous, BadDistance, Inconsistent, NotACodeword, TooLarge
+from .errors import (
+    Ambiguous,
+    BadDistance,
+    Inconsistent,
+    LengthMismatch,
+    NotACodeword,
+    TooLarge,
+)
 from .fields import GF2, BinaryField, element_from_bits, element_to_bits
 
 ERASED = None
@@ -99,8 +106,6 @@ class LinearCode:
         """Systematic encoding of a length-k message."""
         msg = list(msg)
         if len(msg) != self.dimension:
-            from .errors import LengthMismatch
-
             raise LengthMismatch(
                 f"message length {len(msg)} != dimension {self.dimension}"
             )
@@ -127,8 +132,6 @@ class LinearCode:
         """The unique codeword agreeing with `word` off its ERASED slots."""
         word = list(word)
         if len(word) != self.length:
-            from .errors import LengthMismatch
-
             raise LengthMismatch(f"word length {len(word)} != {self.length}")
         unknown = [j for j, s in enumerate(word) if s is ERASED]
         known = [j for j, s in enumerate(word) if s is not ERASED]
@@ -248,8 +251,6 @@ def contract_binary(base: ReedSolomonCode, word):
     r = base.r
     block = r + 1
     word = list(word)
-    from .errors import LengthMismatch
-
     if len(word) != block * base.length:
         raise LengthMismatch(
             f"binary word length {len(word)} != {block * base.length}"

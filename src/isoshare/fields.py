@@ -1,4 +1,4 @@
-"""Exact arithmetic over GF(p), GF(p^2) = GF(p)(i), and GF(2^r).
+"""Exact arithmetic over GF(p^2) = GF(p)(i) and GF(2^r).
 
 GF(p^2) is always realized as GF(p) adjoined i with i^2 = -1, which forces
 p = 3 (mod 4).  GF(2^r) uses a fixed primitive polynomial per degree so the
@@ -51,54 +51,6 @@ def check_field_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
     if p % 4 != 3:
         raise ValueError(f"p = {p} must be 3 (mod 4)")
-
-
-class Fp:
-    """An element of GF(p)."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.p = p
-        self.v = v % p
-
-    def __add__(self, other):
-        return Fp(self.v + other.v, self.p)
-
-    def __sub__(self, other):
-        return Fp(self.v - other.v, self.p)
-
-    def __mul__(self, other):
-        return Fp(self.v * other.v, self.p)
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __pow__(self, e: int):
-        return Fp(pow(self.v, e, self.p), self.p)
-
-    def inverse(self):
-        if self.v == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return Fp(pow(self.v, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        return isinstance(other, Fp) and self.v == other.v and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __int__(self):
-        return self.v
-
-    def __repr__(self):
-        return f"Fp({self.v} mod {self.p})"
 
 
 def sqrt_mod_p(u: int, p: int):

@@ -148,13 +148,19 @@ def _canonical_generator(e: CurveSpec, gen: CurvePoint, ell: int) -> CurvePoint:
     return best
 
 
+def require_rational_ell(p: int, ell: int) -> None:
+    """Reject a step degree that is not a prime dividing p+1."""
+    # Divisibility first: it bounds ell by p+1 before the primality test.
+    if ell < 2 or (p + 1) % ell or not is_prime(ell):
+        raise NoSuchOrder(f"ell = {ell} is not a prime dividing p+1 = {p + 1}")
+
+
 def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
     """Canonical generators of the ell+1 cyclic subgroups of E[ell], sorted.
 
     Requires ell | p+1 so that E[ell] is rational with (Z/ell)^2 structure.
     """
-    if (e.p + 1) % ell != 0:
-        raise NoSuchOrder(f"{ell} does not divide p+1")
+    require_rational_ell(e.p, ell)
     rng = random.Random(("torsion", e.key(), ell).__repr__())
     cofactor = (e.p + 1) // ell
     # (p+1)^2 / ell^2 torsion still leaves points of order ell * something
@@ -195,8 +201,7 @@ def _other_subgroup_point(subgroups, chosen: CurvePoint) -> CurvePoint:
 
 def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
     """Non-backtracking walk of e steps of degree ell, deterministic per seed."""
-    if (e0.p + 1) % ell != 0:
-        raise NoSuchOrder(f"{ell} does not divide p+1")
+    require_rational_ell(e0.p, ell)
     rng = random.Random(("walk", repr(seed)).__repr__())
     chain = IsogenyChain(e0)
     forbidden = None

@@ -42,11 +42,6 @@ def rref(rows, ncols, pivot_order=None):
     return rows[:top], pivots
 
 
-def rank(rows, ncols):
-    reduced, _ = rref(rows, ncols)
-    return len(reduced)
-
-
 def nullspace(rows, ncols, field):
     """Basis of {x : rows . x = 0} as a list of vectors."""
     reduced, pivots = rref(rows, ncols)

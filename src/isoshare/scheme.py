@@ -17,16 +17,17 @@ from .codec import (
     min_encoding_length,
 )
 from .codes import ERASED, BinaryExpandedCode, LinearCode, contract_binary, expand_binary
-from .curves import CurvePoint, CurveSpec, is_supersingular, point_order
+from .curves import CurvePoint, CurveSpec, factorize, is_supersingular, point_order
 from .errors import (
     Ambiguous,
     DuplicateShare,
     InvalidParams,
     LengthMismatch,
+    NoSuchOrder,
     NotEnoughShares,
 )
 from .fields import GF2
-from .isogeny import IsogenyChain, evaluate_chain, recover_isogeny
+from .isogeny import IsogenyChain, evaluate_chain, recover_isogeny, require_rational_ell
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,16 @@ class SchemeParams:
     e_iso: int
     code: LinearCode
     security_bits: int = 128
+
+    def __post_init__(self):
+        # Values the arithmetic cannot run on at all; everything else is
+        # reported by validate_params.
+        if self.gamma < 1:
+            raise InvalidParams(f"gamma = {self.gamma} must be positive")
+        if self.torsion_order < 1:
+            raise InvalidParams(f"torsion order {self.torsion_order} must be positive")
+        if self.e_iso < 0:
+            raise InvalidParams(f"e_iso = {self.e_iso} must be nonnegative")
 
     @property
     def isogeny_degree(self) -> int:
@@ -94,17 +105,6 @@ def attack_cost_bits(params: SchemeParams, shares_held: int) -> int:
     return params.gamma * (params.n - shares_held)
 
 
-def _largest_square_divisor(n: int) -> int:
-    best = 1
-    d = 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            best *= d * d
-            n //= d * d
-        d += 1
-    return best
-
-
 def _erasure_capability_ok(params: SchemeParams) -> bool:
     """Can the code fill in n - t missing gamma-bit blocks?"""
     missing = params.n - params.t
@@ -155,6 +155,15 @@ def validate_params(params: SchemeParams) -> ValidationReport:
         report.violations.append(
             f"torsion order {params.torsion_order} does not divide p+1"
         )
+    elif all(e == 1 for e in factorize(params.torsion_order).values()):
+        report.warnings.append(
+            "torsion order has no nontrivial square factor; the polynomial "
+            "recovery algorithm this oracle stands in for needs one"
+        )
+    try:
+        require_rational_ell(params.curve.p, params.ell_iso)
+    except NoSuchOrder as ex:
+        report.violations.append(str(ex))
     if k % 2 != 0 or k // 2 < min_encoding_length(params.curve.p):
         report.violations.append(
             f"code dimension {k} cannot carry two point encodings of "
@@ -162,12 +171,28 @@ def validate_params(params: SchemeParams) -> ValidationReport:
         )
     if not is_supersingular(params.curve):
         report.violations.append("starting curve is not supersingular")
-    if _largest_square_divisor(params.torsion_order) == 1:
-        report.warnings.append(
-            "torsion order has no nontrivial square factor; the polynomial "
-            "recovery algorithm this oracle stands in for needs one"
-        )
     return report
+
+
+def burst_violations(params: SchemeParams) -> dict[str, str]:
+    """Why symbol-level burst recovery is not sure to succeed, keyed "code",
+    "width" or "distance"; empty when it is.
+
+    Width r > gamma - 2 keeps each missing block within a short run of RS
+    symbols, and distance d >= 2(n - t) + 1 lets the base code fill the
+    runs of all n - t missing blocks.
+    """
+    code = params.code
+    if not isinstance(code, BinaryExpandedCode):
+        return {"code": "burst recovery needs a binary-expanded RS code"}
+    violations = {}
+    floor = params.gamma - 2
+    if code.r <= floor:
+        violations["width"] = f"symbol width r = {code.r} must exceed gamma - 2 = {floor}"
+    need = 2 * (params.n - params.t) + 1
+    if code.base.d < need:
+        violations["distance"] = f"base distance {code.base.d} < 2(n - t) + 1 = {need}"
+    return violations
 
 
 def distribute_bits(bits, gamma: int, n: int) -> tuple[Share, ...]:
@@ -272,20 +297,10 @@ def burst_recover(
     Each missing gamma-bit block erases a bounded run of adjacent RS
     symbols; decoding happens at symbol level, then the word is re-expanded.
     """
+    violations = burst_violations(params)
+    if "code" in violations or (enforce_conditions and violations):
+        raise InvalidParams("; ".join(violations.values()))
     code = params.code
-    if not isinstance(code, BinaryExpandedCode):
-        raise InvalidParams("burst recovery needs a binary-expanded RS code")
-    if enforce_conditions:
-        if code.r <= params.gamma - 2:
-            raise InvalidParams(
-                f"symbol width r = {code.r} must exceed gamma - 2 = "
-                f"{params.gamma - 2}"
-            )
-        if code.base.d < 2 * (params.n - params.t) + 1:
-            raise InvalidParams(
-                f"base distance {code.base.d} < 2(n - t) + 1 = "
-                f"{2 * (params.n - params.t) + 1}"
-            )
     by_index = _check_shares(shares, params)
     word = _erasure_word(by_index, params)
     symbols = contract_binary(code.base, word)

@@ -1,7 +1,15 @@
+import contextlib
 import filecmp
+import io
 import os
+import subprocess
+import sys
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoshare.cli import (
     EXIT_CORRUPT,
@@ -54,6 +62,11 @@ def test_hex_packing_roundtrip():
         hex_to_bits("fff", 9)  # nonzero fill bits
     with pytest.raises(ValueError):
         hex_to_bits("zz", 8)
+    with pytest.raises(ValueError):
+        hex_to_bits("01", 7)  # nonzero fill bit in the final nibble
+    for text in ("+f", "0x", " f", "\u0661\u0662"):  # not hex digits
+        with pytest.raises(ValueError):
+            hex_to_bits(text, 8)
 
 
 def test_check_reports_interval_and_costs(config_path, capsys):
@@ -179,3 +192,151 @@ def test_deal_refuses_invalid_params_without_force(tmp_path, capsys):
     outdir = str(tmp_path / "deal")
     assert main(["deal", "-c", str(path), "-o", outdir]) == EXIT_INVALID
     assert not os.path.exists(os.path.join(outdir, "public.isoshare"))
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture(scope="module")
+def dealt(tmp_path_factory):
+    """The README demo deal: a directory with public.isoshare and 3 shares."""
+    root = tmp_path_factory.mktemp("dealt")
+    config = root / "demo.cfg"
+    config.write_text(CONFIG)
+    outdir = str(root / "deal")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["deal", "-c", str(config), "-o", outdir]) == EXIT_OK
+    return outdir
+
+
+def _config(tmp_path, old, new):
+    assert old in CONFIG
+    path = tmp_path / "case.cfg"
+    path.write_text(CONFIG.replace(old, new))
+    return str(path)
+
+
+def _edited(path, tmp_path, old, new):
+    text = Path(path).read_text()
+    assert old in text
+    edited = tmp_path / ("edited_" + os.path.basename(path))
+    edited.write_text(text.replace(old, new))
+    return str(edited)
+
+
+def _recover(dealt, *shares):
+    return ["recover", "-p", os.path.join(dealt, "public.isoshare"), *shares]
+
+
+def _share(dealt, i):
+    return os.path.join(dealt, f"share_{i}.isoshare")
+
+
+def _non_utf8(tmp_path):
+    path = tmp_path / "binary.isoshare"
+    path.write_bytes(b"ISOSHARE 1\n\xff\xfe\x00\n")
+    return str(path)
+
+
+# Malformed inputs: argv from (dealt, tmp_path), documented exit code, and a
+# line stdout must hold.  Each runs in a fresh process under a timeout, so an
+# input that makes the program loop fails the test instead of hanging it.
+MALFORMED = {
+    "share-index-7": (
+        lambda d, tmp: _recover(d, _share(d, 0), _edited(
+            _share(d, 1), tmp, "\nindex 1\n", "\nindex 7\n")),
+        EXIT_INVALID, None),
+    "share-index-negative": (
+        lambda d, tmp: _recover(d, _share(d, 0), _edited(
+            _share(d, 1), tmp, "\nindex 1\n", "\nindex -1\n")),
+        EXIT_INVALID, None),
+    "same-share-twice": (
+        lambda d, tmp: _recover(d, _share(d, 0), _share(d, 0)),
+        EXIT_INVALID, None),
+    "non-utf8-share": (
+        lambda d, tmp: _recover(d, _share(d, 0), _non_utf8(tmp)),
+        EXIT_INVALID, None),
+    "tampered-public-code-r-8": (
+        lambda d, tmp: ["recover", "-p", _edited(
+            os.path.join(d, "public.isoshare"), tmp, "\ncode.r 4\n", "\ncode.r 8\n"),
+            _share(d, 0), _share(d, 1)],
+        EXIT_DIGEST, None),
+    "three-component-coefficient": (
+        lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"),
+                        "-c", _config(tmp, "a = 1", "a = 1,2,3")],
+        EXIT_INVALID, None),
+    "gamma-0": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "gamma = 25", "gamma = 0")],
+        EXIT_INVALID, None),
+    "torsion-order-0": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "N = 16", "N = 0")],
+        EXIT_INVALID, None),
+    "e-iso-negative": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "e_iso = 2", "e_iso = -1")],
+        EXIT_INVALID, None),
+    "ell-5-check": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "ell_iso = 3", "ell_iso = 5")],
+        EXIT_OK, "valid: no"),
+    "ell-5-deal-force": (
+        lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"),
+                        "-c", _config(tmp, "ell_iso = 3", "ell_iso = 5")],
+        EXIT_INVALID, None),
+    "ell-1-check": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "ell_iso = 3", "ell_iso = 1")],
+        EXIT_OK, "valid: no"),
+    "ell-1-deal": (
+        lambda d, tmp: ["deal", "-o", str(tmp / "out"),
+                        "-c", _config(tmp, "ell_iso = 3", "ell_iso = 1")],
+        EXIT_INVALID, None),
+    "ell-1-deal-force": (
+        lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"),
+                        "-c", _config(tmp, "ell_iso = 3", "ell_iso = 1")],
+        EXIT_INVALID, None),
+    "hyperoval-deal-force": (
+        lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"), "-c", _config(
+            tmp, "code.kind = binary-expanded-rs", "code.kind = subfield-hyperoval")],
+        EXIT_INVALID, None),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_exit_codes(case, dealt, tmp_path):
+    build_argv, expected, stdout_line = MALFORMED[case]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "isoshare.cli", *build_argv(dealt, tmp_path)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if stdout_line is not None:
+        assert stdout_line in proc.stdout.splitlines()
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=10), derandomize=True,
+          database=None)
+@given(data=st.data())
+def test_mutated_share_bytes_end_in_documented_exit(dealt, data):
+    """Any byte-level damage to a share file ends in exit 0 or 2..6."""
+    raw = bytearray(Path(_share(dealt, 1)).read_bytes())
+    body = raw.index(b"\nindex ") + 1  # after the header and digest lines
+    position = st.integers(0, len(raw) - 1) | st.integers(body, len(raw) - 1)
+    edits = data.draw(st.lists(
+        st.tuples(st.sampled_from("rdi"), position, st.integers(0, 255)),
+        min_size=1, max_size=4,
+    ))
+    for op, pos, byte in edits:
+        pos = min(pos, len(raw) - 1)
+        if op == "r":
+            raw[pos] = byte
+        elif op == "d":
+            del raw[pos]
+        else:
+            raw.insert(pos, byte)
+    mutated = os.path.join(os.path.dirname(dealt), "mutated.isoshare")
+    Path(mutated).write_bytes(raw)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(_recover(dealt, _share(dealt, 0), mutated))
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_IO, EXIT_NOT_ENOUGH,
+                    EXIT_DIGEST, EXIT_CORRUPT)

@@ -10,8 +10,6 @@ from isoshare.codec import (
     encode_point,
     int_to_bits,
     min_encoding_length,
-    pack_bits,
-    unpack_bits,
 )
 from isoshare.curves import INFINITY, random_point
 from isoshare.errors import (
@@ -34,11 +32,6 @@ def test_int_bit_helpers():
     assert bits_to_int((0, 1, 0, 1)) == 5
     with pytest.raises(ValueError):
         int_to_bits(16, 4)
-    assert unpack_bits(pack_bits((1, 0, 1, 1, 0, 0, 1, 0, 1)), 9) == (
-        1, 0, 1, 1, 0, 0, 1, 0, 1,
-    )
-    with pytest.raises(ValueError):
-        unpack_bits(b"\x01", 7)  # nonzero fill
 
 
 def test_roundtrip_random_points(e0):

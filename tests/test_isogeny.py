@@ -96,8 +96,10 @@ def test_torsion_subgroup_enumeration(e0):
         assert len(set(spans)) == ell + 1
         for g in gens:
             assert point_order(e0, g) == ell
-    with pytest.raises(NoSuchOrder):
-        ell_torsion_subgroups(e0, 5)
+    # 5 does not divide p+1 = 432; 4 divides it but is not prime.
+    for ell in (5, 4):
+        with pytest.raises(NoSuchOrder):
+            ell_torsion_subgroups(e0, ell)
 
 
 def test_random_walk_shape_and_determinism(e0):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -103,6 +104,18 @@ def test_validate_rejects_non_coprime_torsion(e0):
     )
     report = validate_params(params)
     assert any("coprime" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("field, value", [("gamma", 0), ("torsion_order", 0), ("e_iso", -1)])
+def test_params_the_arithmetic_cannot_use_are_refused(e0, field, value):
+    with pytest.raises(InvalidParams):
+        dataclasses.replace(_params(e0, 3, 2, 25, 6), **{field: value})
+
+
+@pytest.mark.parametrize("ell", [1, 4, 5])
+def test_validate_rejects_ell_not_a_prime_dividing_p_plus_1(e0, ell):
+    report = validate_params(dataclasses.replace(_params(e0, 3, 2, 25, 6), ell_iso=ell))
+    assert any(f"ell = {ell} " in v for v in report.violations)
 
 
 def test_validate_warns_on_squarefree_torsion(e0):
