@@ -7,7 +7,7 @@ exponent is p+1; order computations strip prime factors from p+1.
 import random
 
 from .errors import NoSuchOrder, NotOnCurve, SingularCurve
-from .fields import Fp2, check_field_prime, fp2_from_int, fp2_sqrt
+from .fields import Fp2, check_field_prime, factorize, fp2_from_int, fp2_sqrt
 
 
 class CurveSpec:
@@ -126,19 +126,6 @@ def scalar_mul(e: CurveSpec, k: int, pt: CurvePoint) -> CurvePoint:
     return result
 
 
-def factorize(n: int) -> dict[int, int]:
-    fs: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            fs[d] = fs.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        fs[n] = fs.get(n, 0) + 1
-    return fs
-
-
 def point_order(e: CurveSpec, pt: CurvePoint) -> int:
     """Exact multiplicative order, stripping prime factors from p+1."""
     _require_on_curve(e, pt)
@@ -188,51 +175,49 @@ def j_invariant(e: CurveSpec) -> Fp2:
     return fp2_from_int(1728, p) * a3 / (a3 + fp2_from_int(27, p) * e.b * e.b)
 
 
-_square_sets: dict[int, frozenset] = {}
-
-
-def _squares(p: int) -> frozenset:
-    """All (c0, c1) keys of squares in GF(p^2); cached per modulus."""
-    if p not in _square_sets:
-        seen = set()
-        for c0 in range(p):
-            for c1 in range(p):
-                el = Fp2(c0, c1, p)
-                seen.add((el * el).key())
-        _square_sets[p] = frozenset(seen)
-    return _square_sets[p]
-
-
 _supersingular_cache: dict[tuple, bool] = {}
 
 
-def count_points(e: CurveSpec) -> int:
-    """#E(GF(p^2)) by exhaustion; quadratic in p, desk scale only."""
-    squares = _squares(e.p)
-    total = 1
-    for c0 in range(e.p):
-        for c1 in range(e.p):
-            rhs = e.rhs(Fp2(c0, c1, e.p))
-            if not rhs:
-                total += 1
-            elif rhs.key() in squares:
-                total += 2
-    return total
+def is_supersingular(e: CurveSpec) -> bool:
+    """True iff #E(GF(p^2)) = (p+1)^2; exact for every p, cached per curve.
 
-
-def is_supersingular(e: CurveSpec, trials: int = 40) -> bool:
-    """True iff #E(GF(p^2)) = (p+1)^2.
-
-    Exact count for p <= 1000; Monte-Carlo exponent check above that.
+    The verdict is a group-structure certificate over points drawn from a
+    fixed-seed RNG.  A point P with (p+1)P != O proves False, since
+    #E = (p+1)^2 forces E = (Z/(p+1))^2.  For each prime power q^f || p+1,
+    two samples whose ((p+1)/q)-multiples R, R' span E[q] give points
+    A1, A2 of order q^f for which (x, y) -> x*A1 + y*A2 is injective on
+    (Z/q^f)^2, so q^(2f) | #E.  Once every q is certified, (p+1)^2 | #E,
+    and Hasse's bound #E <= (p+1)^2 forces equality.  The loop ends: for
+    p >= 7 an exponent dividing p+1 already forces #E = (p+1)^2, because
+    every smaller divisor of (p+1)^2 lies below Hasse's floor (p-1)^2.
     """
     key = e.key()
     if key not in _supersingular_cache:
-        if e.p <= 1000:
-            _supersingular_cache[key] = count_points(e) == (e.p + 1) ** 2
-        else:
-            rng = random.Random(0x5517)
-            _supersingular_cache[key] = all(
-                scalar_mul(e, e.p + 1, random_point(e, rng)).is_infinity
-                for _ in range(trials)
-            )
+        _supersingular_cache[key] = _certify_supersingular(e)
     return _supersingular_cache[key]
+
+
+def _certify_supersingular(e: CurveSpec) -> bool:
+    p = e.p
+    if p == 3:
+        # Hasse's floor (p-1)^2 = 4 admits #E = 4 or 8 with an exponent
+        # dividing p+1 = 4, so count the points over the nine x-values.
+        roots = [fp2_sqrt(e.rhs(Fp2(c0, c1, p))) for c0 in range(p) for c1 in range(p)]
+        return 1 + sum(2 if r else 1 for r in roots if r is not None) == (p + 1) ** 2
+    m = p + 1
+    rng = random.Random(0x5517)
+    # Prime q of p+1 -> the span <R> of its first nonzero R, or None.
+    spans: dict[int, set | None] = dict.fromkeys(factorize(m))
+    while spans:
+        pt = random_point(e, rng)
+        if not scalar_mul(e, m, pt).is_infinity:
+            return False
+        for q, span in list(spans.items()):
+            r = scalar_mul(e, m // q, pt)
+            if r.is_infinity:
+                continue
+            if span is None:
+                spans[q] = {scalar_mul(e, i, r) for i in range(q)}
+            elif r not in span:
+                del spans[q]
+    return True

@@ -1,9 +1,12 @@
-"""Exact arithmetic over GF(p^2) = GF(p)(i) and GF(2^r).
+"""Exact arithmetic over GF(p^2) = GF(p)(i) and GF(2^r), and the integer
+primality and factorization under them.
 
 GF(p^2) is always realized as GF(p) adjoined i with i^2 = -1, which forces
 p = 3 (mod 4).  GF(2^r) uses a fixed primitive polynomial per degree so the
 designated generator tau is reproducible across runs.
 """
+
+import math
 
 from .errors import LengthMismatch
 
@@ -29,28 +32,98 @@ PRIMITIVE_POLY = {
 }
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# for every n below MILLER_RABIN_LIMIT (Sorenson and Webster, 2015).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; fine for desk-scale moduli."""
+    """Deterministic Miller-Rabin primality test.
+
+    Exact for every n < MILLER_RABIN_LIMIT (about 3.3e24); above that it
+    raises ValueError rather than return a probabilistic verdict.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"{n} is not below {MILLER_RABIN_LIMIT}, the bound up to which "
+            "primality is decided exactly"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization in increasing order ({} for n < 2).
+
+    Small primes go by trial division and the rest by Pollard's rho; every
+    factor is confirmed by is_prime.
+    """
+    if n < 2:
+        return {}
+    fs: dict[int, int] = {}
+    for q in _SMALL_PRIMES:
+        while n % q == 0:
+            fs[q] = fs.get(q, 0) + 1
+            n //= q
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            fs[m] = fs.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            pending += [d, m // d]
+    return dict(sorted(fs.items()))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n (Pollard's rho, Floyd cycles)."""
+    c = 1
+    while True:
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+        c += 1
+
+
+# Moduli check_field_prime has accepted, so each p pays for one test.
+_field_primes: set[int] = set()
 
 
 def check_field_prime(p: int) -> None:
     """Reject moduli where GF(p)(i) with i^2 = -1 is not a field."""
+    if p in _field_primes:
+        return
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % 4 != 3:
         raise ValueError(f"p = {p} must be 3 (mod 4)")
+    _field_primes.add(p)
 
 
 def sqrt_mod_p(u: int, p: int):

@@ -15,6 +15,7 @@ from .curves import (
     CurvePoint,
     CurveSpec,
     is_on_curve,
+    is_supersingular,
     j_invariant,
     point_add,
     random_point,
@@ -163,22 +164,23 @@ def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
     require_rational_ell(e.p, ell)
     rng = random.Random(("torsion", e.key(), ell).__repr__())
     cofactor = (e.p + 1) // ell
-    # (p+1)^2 / ell^2 torsion still leaves points of order ell * something
-    # when ell^2 | p+1; strip the remaining ell-power.
-    extra = 1
-    m = cofactor
-    while m % ell == 0:
-        m //= ell
-        extra *= ell
+    valuation = 1
+    while cofactor % ell ** valuation == 0:
+        valuation += 1
 
     def sample() -> CurvePoint:
         while True:
             q = scalar_mul(e, cofactor, random_point(e, rng))
             if q.is_infinity:
                 continue
-            while not scalar_mul(e, ell, q).is_infinity:
-                q = scalar_mul(e, ell, q)
-            return q
+            # ell * q = (p+1) * P = O at once when the exponent divides
+            # p+1; on any other curve, strip at most v_ell(p+1) factors.
+            for _ in range(valuation):
+                q_ell = scalar_mul(e, ell, q)
+                if q_ell.is_infinity:
+                    return q
+                q = q_ell
+            raise NoSuchOrder(f"{e} has points whose order does not divide p+1")
 
     g1 = sample()
     g1_span = {scalar_mul(e, i, g1) for i in range(ell)}
@@ -202,6 +204,9 @@ def _other_subgroup_point(subgroups, chosen: CurvePoint) -> CurvePoint:
 def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
     """Non-backtracking walk of e steps of degree ell, deterministic per seed."""
     require_rational_ell(e0.p, ell)
+    if not is_supersingular(e0):
+        # Isogenous curves share the point count, so one check covers the walk.
+        raise NoSuchOrder(f"{e0} is not supersingular")
     rng = random.Random(("walk", repr(seed)).__repr__())
     chain = IsogenyChain(e0)
     forbidden = None
@@ -257,19 +262,37 @@ def isomorphism_scales(src: CurveSpec, dst: CurveSpec) -> list[Fp2]:
     return result
 
 
-_cube_root_tables: dict[int, dict] = {}
-
-
 def _cube_roots(c: Fp2) -> list[Fp2]:
+    """All x in GF(p^2) with x^3 = c, sorted (Adleman-Manders-Miller, r = 3)."""
     p = c.p
-    if p not in _cube_root_tables:
-        table: dict[tuple, list] = {}
-        for c0 in range(p):
-            for c1 in range(p):
-                v = Fp2(c0, c1, p)
-                table.setdefault((v * v * v).key(), []).append(v)
-        _cube_root_tables[p] = table
-    return _cube_root_tables[p].get(c.key(), [])
+    order = p * p - 1
+    if not c:
+        return [c]
+    if order % 3:
+        # Cubing permutes GF(p^2)*, so the root is unique.
+        return [c ** pow(3, -1, order)]
+    one = fp2_from_int(1, p)
+    if c ** (order // 3) != one:
+        return []
+    s, t = 0, order
+    while t % 3 == 0:
+        s, t = s + 1, t // 3
+    # g generates the 3-Sylow subgroup of GF(p^2)*, of order 3^s, and w is
+    # a primitive cube root of unity.
+    z = next(z for z in (Fp2(k, 1, p) for k in range(p)) if z ** (order // 3) != one)
+    g = z**t
+    w = g ** (3 ** (s - 1))
+    # x^3 = c * b, where b = c^(3u - 1) lies in <g> as 3u = 1 (mod t).
+    u = pow(3, -1, t)
+    x = c**u
+    b = c ** (3 * u - 1)
+    # b = g^k by base-3 digits (Pohlig-Hellman); 3 | k as c is a cube.
+    k = 0
+    for i in range(s):
+        h = (b * g ** (-k)) ** (3 ** (s - 1 - i))
+        k += (0 if h == one else 1 if h == w else 2) * 3**i
+    root = x * g ** (-(k // 3))
+    return sorted((root, root * w, root * w * w), key=Fp2.key)
 
 
 def _walks(e0: CurveSpec, ell: int, e: int):

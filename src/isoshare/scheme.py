@@ -17,7 +17,7 @@ from .codec import (
     min_encoding_length,
 )
 from .codes import ERASED, BinaryExpandedCode, LinearCode, contract_binary, expand_binary
-from .curves import CurvePoint, CurveSpec, factorize, is_supersingular, point_order
+from .curves import CurvePoint, CurveSpec, is_supersingular, point_order
 from .errors import (
     Ambiguous,
     DuplicateShare,
@@ -26,7 +26,7 @@ from .errors import (
     NoSuchOrder,
     NotEnoughShares,
 )
-from .fields import GF2
+from .fields import GF2, factorize
 from .isogeny import IsogenyChain, evaluate_chain, recover_isogeny, require_rational_ell
 
 
@@ -146,10 +146,11 @@ def validate_params(params: SchemeParams) -> ValidationReport:
             f"code cannot correct {gamma * (n - t)} erased bits from "
             f"{n - t} missing blocks"
         )
-    if math.gcd(params.torsion_order, params.isogeny_degree) != 1:
+    # The degree ell^e is coprime to N iff ell is, unless e = 0 (degree 1).
+    if params.e_iso >= 1 and math.gcd(params.torsion_order, params.ell_iso) != 1:
         report.violations.append(
             f"torsion order {params.torsion_order} not coprime to isogeny "
-            f"degree {params.isogeny_degree}"
+            f"degree {params.ell_iso}^{params.e_iso}"
         )
     if (params.curve.p + 1) % params.torsion_order != 0:
         report.violations.append(

@@ -238,8 +238,8 @@ def _non_utf8(tmp_path):
     return str(path)
 
 
-# Malformed inputs: argv from (dealt, tmp_path), documented exit code, and a
-# line stdout must hold.  Each runs in a fresh process under a timeout, so an
+# Malformed or outsized inputs: argv from (dealt, tmp_path), documented exit
+# code, and a line stdout must hold.  Each runs in a fresh process under a timeout, so an
 # input that makes the program loop fails the test instead of hanging it.
 MALFORMED = {
     "share-index-7": (
@@ -291,6 +291,19 @@ MALFORMED = {
     "ell-1-deal-force": (
         lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"),
                         "-c", _config(tmp, "ell_iso = 3", "ell_iso = 1")],
+        EXIT_INVALID, None),
+    "non-supersingular-deal-force": (
+        lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"),
+                        "-c", _config(tmp, "b = 0", "b = 0,1")],
+        EXIT_INVALID, None),
+    "e-iso-1e8-check": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "e_iso = 2", "e_iso = 100000000")],
+        EXIT_OK, "valid: yes"),
+    "p-mersenne-61-check": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "p = 431", f"p = {2**61 - 1}")],
+        EXIT_OK, "valid: no"),
+    "p-beyond-exact-primality": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "p = 431", f"p = {2**89 - 1}")],
         EXIT_INVALID, None),
     "hyperoval-deal-force": (
         lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"), "-c", _config(

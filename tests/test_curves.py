@@ -1,13 +1,15 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
+from oracles import count_points
 
+from isoshare import curves
 from isoshare.curves import (
     INFINITY,
     CurvePoint,
     CurveSpec,
-    count_points,
-    factorize,
     is_on_curve,
     is_supersingular,
     j_invariant,
@@ -19,7 +21,7 @@ from isoshare.curves import (
     scalar_mul,
 )
 from isoshare.errors import NoSuchOrder, NotOnCurve, SingularCurve
-from isoshare.fields import Fp2, fp2_from_int
+from isoshare.fields import Fp2, factorize, fp2_from_int
 
 P = 431
 
@@ -123,10 +125,69 @@ def test_count_points_supersingular(e0):
 
 def test_ordinary_curve_detected():
     # Scan a few curves; most over GF(p^2) are ordinary.
-    found = False
+    found = None
     for c0 in range(1, 6):
         e = CurveSpec(Fp2(c0, 1, P), fp2_from_int(1, P), P)
         if not is_supersingular(e):
-            found = True
+            found = e
             break
-    assert found
+    assert found is not None
+    assert count_points(found) != (P + 1) ** 2
+
+
+def _curves(p, values):
+    """Every nonsingular y^2 = x^3 + a*x + b with a, b drawn from values."""
+    for a in values:
+        for b in values:
+            try:
+                yield CurveSpec(a, b, p)
+            except SingularCurve:
+                continue
+
+
+@pytest.mark.parametrize("p", [7, 11, 19, 23, 31, 43])
+def test_is_supersingular_matches_point_count(p):
+    values = [Fp2(c0, c1, p) for c0 in (0, 1, 2, 3, p - 1) for c1 in (0, 1, 2)]
+    verdicts = []
+    for e in _curves(p, values):
+        verdicts.append(is_supersingular(e))
+        assert verdicts[-1] == (count_points(e) == (p + 1) ** 2), e
+    # The grid holds both kinds of curve: j = 1728 over GF(p) is supersingular.
+    assert any(verdicts) and not all(verdicts)
+
+
+@contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_is_supersingular_every_curve_over_p_3():
+    # Over GF(9) a curve can have #E = 4 or 8 while its exponent divides
+    # p+1 = 4, so no sampled point refutes it; the verdict must still end.
+    values = [Fp2(c0, c1, 3) for c0 in range(3) for c1 in range(3)]
+    counts = set()
+    for e in _curves(3, values):
+        with _time_limit(1):
+            verdict = is_supersingular(e)
+        counts.add(count_points(e))
+        assert verdict == (count_points(e) == 16), e
+    assert {4, 16} <= counts
+
+
+def test_is_supersingular_repeats_across_fresh_caches(monkeypatch):
+    values = [Fp2(c0, c1, 19) for c0 in (0, 1, 5) for c1 in (0, 1)]
+    grid = list(_curves(19, values)) + [CurveSpec(fp2_from_int(1, P), fp2_from_int(0, P), P)]
+    first = [is_supersingular(e) for e in grid]
+    for _ in range(2):
+        monkeypatch.setattr(curves, "_supersingular_cache", {})
+        assert [is_supersingular(e) for e in grid] == first
+

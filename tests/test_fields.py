@@ -4,10 +4,13 @@ import pytest
 
 from isoshare.errors import LengthMismatch
 from isoshare.fields import (
+    MILLER_RABIN_LIMIT,
     PRIMITIVE_POLY,
     BinaryField,
     Fp2,
     check_field_prime,
+    factorize,
+    is_prime,
     element_from_bits,
     element_to_bits,
     fp2_sqrt,
@@ -157,3 +160,57 @@ def test_check_field_prime():
         check_field_prime(433)  # 1 mod 4
     with pytest.raises(ValueError):
         check_field_prime(435)  # composite
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    for n in range(10000):
+        assert is_prime(n) == trial(n), n
+
+
+def test_is_prime_large_and_strong_pseudoprimes():
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) * (2**19 - 1))
+    # Composites that pass Miller-Rabin to every prime base up to 7, 23 and
+    # 37 in turn; the 13 bases used here still reject each of them.
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_exact_range():
+    # The limit is itself a composite that passes all 13 bases.
+    big = MILLER_RABIN_LIMIT
+    with pytest.raises(ValueError, match="decided exactly"):
+        is_prime(big)
+    with pytest.raises(ValueError, match="decided exactly"):
+        check_field_prime(big)
+    assert not is_prime(MILLER_RABIN_LIMIT + 1)  # even: exact at any size
+
+
+def _trial_division(n):
+    fs = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            fs[d] = fs.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        fs[n] = fs.get(n, 0) + 1
+    return fs
+
+
+def test_factorize_matches_trial_division():
+    for n in range(5000):
+        assert factorize(n) == _trial_division(n), n
+    # Factors past the trial-division primes go to Pollard's rho.
+    big = {43: 2, 47: 3, 1000003: 1, 2147483647: 1}
+    n = 1
+    for q, f in big.items():
+        n *= q**f
+    assert factorize(n) == big
+    assert factorize(2**61) == {2: 61}
+    assert factorize(2**61 - 1) == {2**61 - 1: 1}

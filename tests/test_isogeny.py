@@ -1,7 +1,9 @@
 import pytest
+from oracles import cube_table
 
 from isoshare.curves import (
     INFINITY,
+    CurveSpec,
     is_on_curve,
     j_invariant,
     point_add,
@@ -10,8 +12,10 @@ from isoshare.curves import (
     scalar_mul,
 )
 from isoshare.errors import BadKernel, NoIsogenyFound, NoSuchOrder
+from isoshare.fields import Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
+    _cube_roots,
     ell_torsion_subgroups,
     evaluate_chain,
     isomorphism_scales,
@@ -140,6 +144,41 @@ def test_isomorphism_scales_roundtrip(e0):
     one = [u for u in scales if u.c0 == 1 and u.c1 == 0]
     assert one
     assert isomorphism_scales(e0, e0)  # j = 1728 branch
+
+
+def test_isomorphism_scales_j0():
+    p = 431
+    e = CurveSpec(fp2_from_int(0, p), fp2_from_int(1, p), p)
+    scales = isomorphism_scales(e, e)
+    # The automorphisms of y^2 = x^3 + 1 are the six u with u^6 = 1.
+    assert len(scales) == 6
+    assert scales == sorted(scales, key=Fp2.key)
+    assert all(u**6 == fp2_from_int(1, p) for u in scales)
+    u = Fp2(5, 7, p)
+    twisted = CurveSpec(fp2_from_int(0, p), u**6, p)
+    assert u in isomorphism_scales(e, twisted)
+
+
+# p = 3: cubing is a bijection; 19 and 71: the 3-Sylow subgroup of
+# GF(p^2)* has order 9; 23 = 11 (mod 12): it has order 3.
+@pytest.mark.parametrize("p", [3, 19, 23, 71])
+def test_cube_roots_match_brute_force(p):
+    table = cube_table(p)
+    for c0 in range(p):
+        for c1 in range(p):
+            c = Fp2(c0, c1, p)
+            assert _cube_roots(c) == table.get(c.key(), []), c
+
+
+def test_nonsupersingular_curve_refused_in_bounded_time():
+    p = 431
+    ordinary = CurveSpec(fp2_from_int(1, p), Fp2(0, 1, p), p)
+    with pytest.raises(NoSuchOrder):
+        random_walk(ordinary, 3, 2, "walk")
+    # Its cofactored points may have orders with primes other than 3, so
+    # stripping factors of 3 must stop instead of spinning.
+    with pytest.raises(NoSuchOrder):
+        ell_torsion_subgroups(ordinary, 3)
 
 
 def test_recover_identity_chain(e0):

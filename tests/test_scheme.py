@@ -106,6 +106,17 @@ def test_validate_rejects_non_coprime_torsion(e0):
     assert any("coprime" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("e_iso, flagged", [(0, False), (1, True), (10**8, True)])
+def test_coprimality_decided_by_ell(e0, e_iso, flagged):
+    # Degree 3^e_iso against N = 27: coprime only for the degree-1 chain.
+    params = SchemeParams(
+        n=3, t=2, gamma=25, curve=e0, torsion_order=27, ell_iso=3, e_iso=e_iso,
+        code=BinaryExpandedCode(4, 6), security_bits=8,
+    )
+    report = validate_params(params)
+    assert any("coprime" in v for v in report.violations) == flagged
+
+
 @pytest.mark.parametrize("field, value", [("gamma", 0), ("torsion_order", 0), ("e_iso", -1)])
 def test_params_the_arithmetic_cannot_use_are_refused(e0, field, value):
     with pytest.raises(InvalidParams):
