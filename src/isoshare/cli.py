@@ -22,6 +22,7 @@ from .errors import (
     InvalidParams,
     IsoshareError,
     NoIsogenyFound,
+    NoSuchOrder,
     NotACodeword,
     NotEnoughShares,
 )
@@ -285,6 +286,8 @@ def cmd_recover(args) -> int:
             result = burst_recover(shares, params, e1)
     except (InvalidParams, DuplicateShare) as ex:
         raise CliError(EXIT_INVALID, f"bad share set: {ex}") from ex
+    except NoSuchOrder as ex:
+        raise CliError(EXIT_INVALID, f"bad public parameters: {ex}") from ex
     except NotEnoughShares as ex:
         raise CliError(EXIT_NOT_ENOUGH, f"not enough shares: {ex}") from ex
     except (Inconsistent, NotACodeword, InvalidEncoding, NoIsogenyFound) as ex:

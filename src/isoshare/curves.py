@@ -190,6 +190,7 @@ def is_supersingular(e: CurveSpec) -> bool:
     and Hasse's bound #E <= (p+1)^2 forces equality.  The loop ends: for
     p >= 7 an exponent dividing p+1 already forces #E = (p+1)^2, because
     every smaller divisor of (p+1)^2 lies below Hasse's floor (p-1)^2.
+    At p = 3, where it does not, the nine x-values are counted instead.
     """
     key = e.key()
     if key not in _supersingular_cache:
@@ -201,7 +202,7 @@ def _certify_supersingular(e: CurveSpec) -> bool:
     p = e.p
     if p == 3:
         # Hasse's floor (p-1)^2 = 4 admits #E = 4 or 8 with an exponent
-        # dividing p+1 = 4, so count the points over the nine x-values.
+        # dividing p+1 = 4, which no sample could refute.
         roots = [fp2_sqrt(e.rhs(Fp2(c0, c1, p))) for c0 in range(p) for c1 in range(p)]
         return 1 + sum(2 if r else 1 for r in roots if r is not None) == (p + 1) ** 2
     m = p + 1

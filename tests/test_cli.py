@@ -19,6 +19,7 @@ from isoshare.cli import (
     EXIT_NOT_ENOUGH,
     EXIT_OK,
     bits_to_hex,
+    context_digest,
     hex_to_bits,
     main,
 )
@@ -224,6 +225,25 @@ def _edited(path, tmp_path, old, new):
     return str(edited)
 
 
+def _redigested(dealt, tmp_path, old, new):
+    """Public and share paths of the deal with one public line edited and
+    every digest recomputed, as a forger would."""
+    public = Path(dealt, "public.isoshare").read_text()
+    assert old in public
+    lines = public.replace(old, new).splitlines()
+    digest = lines[1].split()[1]
+    fresh = context_digest([line for line in lines[2:] if line.strip()])
+    paths = []
+    for name in ("public.isoshare", "share_0.isoshare", "share_1.isoshare"):
+        path = tmp_path / ("redigested_" + name)
+        text = Path(dealt, name).read_text()
+        if name == "public.isoshare":
+            text = text.replace(old, new)
+        path.write_text(text.replace(digest, fresh))
+        paths.append(str(path))
+    return ["recover", "-p", *paths]
+
+
 def _recover(dealt, *shares):
     return ["recover", "-p", os.path.join(dealt, "public.isoshare"), *shares]
 
@@ -261,6 +281,9 @@ MALFORMED = {
             os.path.join(d, "public.isoshare"), tmp, "\ncode.r 4\n", "\ncode.r 8\n"),
             _share(d, 0), _share(d, 1)],
         EXIT_DIGEST, None),
+    "redigested-public-ordinary-e0": (
+        lambda d, tmp: _redigested(d, tmp, "\nb 0,0\n", "\nb 2,0\n"),
+        EXIT_INVALID, None),
     "three-component-coefficient": (
         lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"),
                         "-c", _config(tmp, "a = 1", "a = 1,2,3")],
