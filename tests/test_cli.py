@@ -259,8 +259,9 @@ def _non_utf8(tmp_path):
 
 
 # Malformed or outsized inputs: argv from (dealt, tmp_path), documented exit
-# code, and a line stdout must hold.  Each runs in a fresh process under a timeout, so an
-# input that makes the program loop fails the test instead of hanging it.
+# code, and a line stdout must hold.  Each runs in a fresh process under a
+# timeout, so an input that makes the program loop fails the test instead of
+# hanging it.
 MALFORMED = {
     "share-index-7": (
         lambda d, tmp: _recover(d, _share(d, 0), _edited(
