@@ -114,7 +114,13 @@ class IsogenyChain:
         return d
 
     def extended(self, step: IsogenyStep) -> "IsogenyChain":
-        return IsogenyChain(self.domain, self.steps + (step,))
+        # The earlier steps already chain, so only the new link is checked.
+        if step.domain != self.codomain:
+            raise NotOnCurve("consecutive steps do not chain")
+        chain = object.__new__(IsogenyChain)
+        chain.domain = self.domain
+        chain.steps = self.steps + (step,)
+        return chain
 
     def sort_key(self):
         return tuple(step.kernel_key() for step in self.steps)
@@ -138,15 +144,21 @@ def velu_step(e: CurveSpec, kernel: CurvePoint, ell: int) -> IsogenyStep:
     return IsogenyStep(e, kernel, ell)
 
 
+def _multiples(e: CurveSpec, gen: CurvePoint, ell: int) -> list[CurvePoint]:
+    """The ell-1 nonzero points gen, 2gen, ..., (ell-1)gen of <gen>."""
+    pts = [gen]
+    for _ in range(ell - 2):
+        pts.append(point_add(e, pts[-1], gen))
+    return pts
+
+
+def _smallest(pts) -> CurvePoint:
+    return min(pts, key=CurvePoint.key)
+
+
 def _canonical_generator(e: CurveSpec, gen: CurvePoint, ell: int) -> CurvePoint:
     """Smallest-serialization generator of <gen>."""
-    best = gen
-    q = gen
-    for _ in range(ell - 2):
-        q = point_add(e, q, gen)
-        if q.key() < best.key():
-            best = q
-    return best
+    return _smallest(_multiples(e, gen, ell))
 
 
 def require_rational_ell(p: int, ell: int) -> None:
@@ -156,12 +168,43 @@ def require_rational_ell(p: int, ell: int) -> None:
         raise NoSuchOrder(f"ell = {ell} is not a prime dividing p+1 = {p + 1}")
 
 
+# (p, ell, j) -> (the first model of that j-invariant that was sampled, the
+# ell-1 nonzero points of each of its ell+1 cyclic subgroups of E[ell]).
+_torsion_cache: dict[tuple, tuple[CurveSpec, list[list[CurvePoint]]]] = {}
+
+
 def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
     """Canonical generators of the ell+1 cyclic subgroups of E[ell], sorted.
 
     Requires ell | p+1 so that E[ell] is rational with (Z/ell)^2 structure.
+    The subgroups, and the smallest point of each, depend on the model
+    alone.  So E[ell] is sampled once per j-invariant, and another model of
+    that j gets it through the isomorphism (x, y) -> (u^2 x, u^3 y) from the
+    sampled one, which maps subgroups onto subgroups.  A model with that j
+    but no isomorphism over GF(p^2) (a twist) is sampled itself.
     """
     require_rational_ell(e.p, ell)
+    key = (e.p, ell, j_invariant(e).key())
+    entry = _torsion_cache.get(key)
+    if entry is None:
+        subgroups = _sample_subgroups(e, ell)
+        _torsion_cache[key] = (e, subgroups)
+    else:
+        model, subgroups = entry
+        scales = isomorphism_scales(model, e)
+        if scales:
+            u2 = scales[0] * scales[0]
+            u3 = u2 * scales[0]
+            subgroups = [
+                [CurvePoint(u2 * q.x, u3 * q.y) for q in pts] for pts in subgroups
+            ]
+        else:
+            subgroups = _sample_subgroups(e, ell)
+    return sorted((_smallest(pts) for pts in subgroups), key=CurvePoint.key)
+
+
+def _sample_subgroups(e: CurveSpec, ell: int) -> list[list[CurvePoint]]:
+    """The nonzero points of each cyclic subgroup of E[ell], from random points."""
     rng = random.Random(("torsion", e.key(), ell).__repr__())
     cofactor = (e.p + 1) // ell
     valuation = 1
@@ -182,16 +225,13 @@ def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
                 q = q_ell
             raise NoSuchOrder(f"{e} has points whose order does not divide p+1")
 
-    g1 = sample()
-    g1_span = {scalar_mul(e, i, g1) for i in range(ell)}
+    g1 = _multiples(e, sample(), ell)
     while True:
         g2 = sample()
-        if g2 not in g1_span:
+        if g2 not in g1:
             break
-    gens = [g1] + [point_add(e, g2, scalar_mul(e, i, g1)) for i in range(ell)]
-    canonical = [_canonical_generator(e, g, ell) for g in gens]
-    canonical.sort(key=lambda q: q.key())
-    return canonical
+    gens = [g2] + [point_add(e, g2, q) for q in g1]
+    return [g1] + [_multiples(e, g, ell) for g in gens]
 
 
 def _other_subgroup_point(subgroups, chosen: CurvePoint) -> CurvePoint:
@@ -213,11 +253,10 @@ def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
     current = e0
     for _ in range(e):
         subgroups = ell_torsion_subgroups(current, ell)
-        if forbidden is not None:
-            subgroups = [g for g in subgroups if g != forbidden]
-        kernel = subgroups[rng.randrange(len(subgroups))]
+        allowed = [g for g in subgroups if g != forbidden]
+        kernel = allowed[rng.randrange(len(allowed))]
         step = velu_step(current, kernel, ell)
-        aux = _other_subgroup_point(ell_torsion_subgroups(current, ell), kernel)
+        aux = _other_subgroup_point(subgroups, kernel)
         forbidden = _canonical_generator(step.codomain, step.evaluate(aux), ell)
         chain = chain.extended(step)
         current = step.codomain

@@ -3,7 +3,14 @@ the closed-form arithmetic in isoshare."""
 
 import functools
 
-from isoshare.curves import CurveSpec
+from isoshare.curves import (
+    INFINITY,
+    CurvePoint,
+    CurveSpec,
+    point_add,
+    random_point_of_order,
+    scalar_mul,
+)
 from isoshare.fields import Fp2
 
 
@@ -36,3 +43,21 @@ def cube_table(p: int) -> dict[tuple, list[Fp2]]:
     for v in _elements(p):
         table.setdefault((v * v * v).key(), []).append(v)
     return table
+
+
+def torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
+    """Smallest point of each cyclic subgroup of E[ell], sorted, by listing
+    E[ell] = {a*P + b*Q} from two independent points P, Q of order ell."""
+    p1 = random_point_of_order(e, ell, "oracle-0")
+    span = {scalar_mul(e, i, p1) for i in range(ell)}
+    attempt = 1
+    while (p2 := random_point_of_order(e, ell, f"oracle-{attempt}")) in span:
+        attempt += 1
+    subgroups = set()
+    for a in range(ell):
+        for b in range(ell):
+            r = point_add(e, scalar_mul(e, a, p1), scalar_mul(e, b, p2))
+            if r != INFINITY:
+                subgroups.add(frozenset(scalar_mul(e, i, r) for i in range(1, ell)))
+    assert len(subgroups) == ell + 1
+    return sorted((min(s, key=CurvePoint.key) for s in subgroups), key=CurvePoint.key)

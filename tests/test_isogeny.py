@@ -1,5 +1,5 @@
 import pytest
-from oracles import cube_table
+from oracles import cube_table, torsion_subgroups
 
 from isoshare.curves import (
     INFINITY,
@@ -11,11 +11,12 @@ from isoshare.curves import (
     random_point_of_order,
     scalar_mul,
 )
-from isoshare.errors import BadKernel, NoIsogenyFound, NoSuchOrder
+from isoshare.errors import BadKernel, NoIsogenyFound, NoSuchOrder, NotOnCurve
 from isoshare.fields import Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
     _cube_roots,
+    _torsion_cache,
     ell_torsion_subgroups,
     evaluate_chain,
     isomorphism_scales,
@@ -104,6 +105,68 @@ def test_torsion_subgroup_enumeration(e0):
     for ell in (5, 4):
         with pytest.raises(NoSuchOrder):
             ell_torsion_subgroups(e0, ell)
+
+
+def _one_model_per_j(e0, ell, depth):
+    """First model of each j-invariant that ell-walks of length <= depth reach."""
+    models = {j_invariant(e0).key(): e0}
+    frontier = [e0]
+    for _ in range(depth):
+        reached = []
+        for e in frontier:
+            for kernel in ell_torsion_subgroups(e, ell):
+                codomain = velu_step(e, kernel, ell).codomain
+                if models.setdefault(j_invariant(codomain).key(), codomain) is codomain:
+                    reached.append(codomain)
+        frontier = reached
+    return models
+
+
+def _scaled(e, u):
+    u2 = u * u
+    return CurveSpec(u2 * u2 * e.a, u2 * u2 * u2 * e.b, e.p)
+
+
+def test_transported_torsion_matches_sampling(e0):
+    models = _one_model_per_j(e0, 3, 6)
+    p = e0.p
+    # p = 431 has 37 supersingular j-invariants; 3-walks reach them all.
+    assert len(models) == 37
+    assert fp2_from_int(0, p).key() in models
+    assert fp2_from_int(1728, p).key() in models
+    scales = [Fp2(1, 1, p), Fp2(5, 7, p), Fp2(2, 0, p), Fp2(0, 3, p)]
+    for ell in (2, 3):
+        for rep in models.values():
+            for u in scales:
+                model = _scaled(rep, u)
+                assert isomorphism_scales(rep, model)
+                _torsion_cache.clear()
+                sampled = ell_torsion_subgroups(model, ell)
+                _torsion_cache.clear()
+                ell_torsion_subgroups(rep, ell)
+                transported = ell_torsion_subgroups(model, ell)
+                assert _torsion_cache[(p, ell, j_invariant(model).key())][0] is rep
+                assert transported == sampled, (ell, model)
+            assert ell_torsion_subgroups(rep, ell) == torsion_subgroups(rep, ell)
+
+
+def test_twist_of_cached_j_still_refused(e0):
+    p = e0.p
+    twist = CurveSpec(Fp2(2, 1, p), fp2_from_int(0, p), p)
+    assert j_invariant(twist) == j_invariant(e0)
+    assert isomorphism_scales(e0, twist) == []
+    _torsion_cache.clear()
+    ell_torsion_subgroups(e0, 3)
+    with pytest.raises(NoSuchOrder):
+        ell_torsion_subgroups(twist, 3)
+
+
+def test_extended_checks_the_new_link(e0):
+    step = velu_step(e0, _some_kernel(e0, 3), 3)
+    chain = IsogenyChain(e0).extended(step)
+    assert chain.steps == (step,) and chain.codomain == step.codomain
+    with pytest.raises(NotOnCurve):
+        chain.extended(step)
 
 
 def test_random_walk_shape_and_determinism(e0):
@@ -220,3 +283,29 @@ def test_recover_is_deterministic(e0):
     a = recover_isogeny(e0, secret.codomain, q, image, 3, 2)
     b = recover_isogeny(e0, secret.codomain, q, image, 3, 2)
     assert a.sort_key() == b.sort_key()
+
+
+# Literal keys, so that a change to how E[ell] is found cannot move the
+# answer unnoticed.  In both cases a chain other than the secret maps the
+# point the same way, so the lexicographic tie-break decides the answer.
+PINNED_RECOVERIES = [
+    (
+        3, 4, "pin3-4-0",
+        ((170, 0, 0, 122), (148, 288, 200, 330), (366, 356, 149, 372)),
+        ((170, 0, 0, 122), (148, 143, 200, 101), (366, 75, 149, 59)),
+    ),
+    (
+        4, 16, "pin4-16-3",
+        ((261, 0, 122, 0), (217, 0, 75, 0), (144, 367, 85, 377), (184, 78, 164, 391)),
+        ((170, 0, 0, 122), (214, 0, 0, 75), (287, 367, 54, 346), (247, 78, 40, 267)),
+    ),
+]
+
+
+@pytest.mark.parametrize("e, order, seed, secret_key, recovered_key", PINNED_RECOVERIES)
+def test_recovery_returns_pinned_smallest_chain(e0, e, order, seed, secret_key, recovered_key):
+    secret = random_walk(e0, 3, e, seed)
+    assert secret.sort_key() == secret_key
+    q = random_point_of_order(e0, order, seed + "p")
+    found = recover_isogeny(e0, secret.codomain, q, evaluate_chain(secret, q), 3, e)
+    assert found.sort_key() == recovered_key
