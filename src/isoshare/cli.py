@@ -50,6 +50,13 @@ EXIT_NOT_ENOUGH = 4
 EXIT_DIGEST = 5
 EXIT_CORRUPT = 6
 
+# The largest e_iso a config or public file may name.  Recovery is an
+# exhaustive search over up to 4*3^(e_iso-1) walks (78,732 at e_iso = 10:
+# about 6 s for `recover` under CPython 3.11 on a Xeon vCPU, tripling with
+# each further step), so a larger e_iso would deal a secret that no
+# coalition recovers in bounded time.
+MAX_E_ISO = 10
+
 # Config keys that may be left out, with their values.
 CONFIG_DEFAULTS = {"lambda": "128", "code.m": "0"}
 HEX_DIGITS = frozenset(string.hexdigits)
@@ -125,10 +132,16 @@ def build_code(kind: str, fields: dict[str, str]):
 
 
 def build_params(fields: dict[str, str], source: str) -> SchemeParams:
-    """The scheme parameters named by a config or a public file."""
+    """The scheme parameters named by a config or a public file.
+
+    Refuses, as invalid, an n above the code length (n * gamma = length has
+    no solution with gamma >= 1, and `check` would print n + 1 cost lines)
+    and an e_iso above MAX_E_ISO (the recovery search enumerates up to
+    4*3^(e_iso-1) walks).
+    """
     try:
         p = int(fields["p"])
-        return SchemeParams(
+        params = SchemeParams(
             n=int(fields["n"]),
             t=int(fields["t"]),
             gamma=int(fields["gamma"]),
@@ -141,6 +154,18 @@ def build_params(fields: dict[str, str], source: str) -> SchemeParams:
         )
     except (KeyError, ValueError, IsoshareError) as ex:
         raise CliError(EXIT_INVALID, f"{source}: bad parameters: {ex}") from ex
+    if params.n > params.code.length:
+        raise CliError(
+            EXIT_INVALID,
+            f"{source}: bad parameters: n = {params.n} exceeds the code length "
+            f"{params.code.length}",
+        )
+    if params.e_iso > MAX_E_ISO:
+        raise CliError(
+            EXIT_INVALID,
+            f"{source}: bad parameters: e_iso = {params.e_iso} exceeds {MAX_E_ISO}",
+        )
+    return params
 
 
 def _context_lines(params: SchemeParams, e1: CurveSpec) -> list[str]:

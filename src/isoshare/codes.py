@@ -36,20 +36,6 @@ def poly_mul(a, b):
     return out
 
 
-def poly_divmod(num, den):
-    field = num[0].field
-    num = list(num)
-    q = [field.zero] * max(1, len(num) - len(den) + 1)
-    inv_lead = den[-1].inverse()
-    for shift in range(len(num) - len(den), -1, -1):
-        coeff = num[shift + len(den) - 1] * inv_lead
-        q[shift] = coeff
-        for i, dcoeff in enumerate(den):
-            num[shift + i] = num[shift + i] - coeff * dcoeff
-    rem = num[: len(den) - 1] or [field.zero]
-    return q, rem
-
-
 def rs_generator_poly(r: int, d: int, m: int = 0):
     """Generator polynomial prod_{j=1}^{d-1} (x + tau^(m+j)) over GF(2^r)."""
     field = BinaryField(r)

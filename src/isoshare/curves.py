@@ -85,12 +85,6 @@ def _require_on_curve(e: CurveSpec, pt: CurvePoint) -> None:
         raise NotOnCurve(f"{pt} not on {e}")
 
 
-def point_neg(pt: CurvePoint) -> CurvePoint:
-    if pt.is_infinity:
-        return INFINITY
-    return CurvePoint(pt.x, -pt.y)
-
-
 def point_add(e: CurveSpec, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
     _require_on_curve(e, p1)
     _require_on_curve(e, p2)

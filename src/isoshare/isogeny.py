@@ -334,24 +334,82 @@ def _cube_roots(c: Fp2) -> list[Fp2]:
     return sorted((root, root * w, root * w * w), key=Fp2.key)
 
 
-def _walks(e0: CurveSpec, ell: int, e: int):
-    """All non-backtracking length-e walks, kernels in canonical sorted order."""
+# (p, ell, j) -> {j key of each ell-isogenous neighbour: one model of it},
+# from the ell+1 Velu codomains of one model of that j-invariant.
+_neighbour_cache: dict[tuple, dict[tuple, CurveSpec]] = {}
+
+
+def _neighbours(model: CurveSpec, ell: int, j_key) -> dict[tuple, CurveSpec]:
+    key = (model.p, ell, j_key)
+    entry = _neighbour_cache.get(key)
+    if entry is None:
+        entry = {}
+        for kernel in ell_torsion_subgroups(model, ell):
+            codomain = velu_step(model, kernel, ell).codomain
+            entry.setdefault(j_invariant(codomain).key(), codomain)
+        _neighbour_cache[key] = entry
+    return entry
+
+
+def _reachable_layers(target: CurveSpec, ell: int, e: int) -> list[frozenset] | None:
+    """layers[k], k < e: the j keys with a length-k ell-walk to j(target).
+
+    Any walk counts, backtracking ones too.  Every ell-isogeny has a dual of
+    degree ell, so the j-invariants a k-walk from the target reaches are
+    those with a k-walk to it.  None if E[ell] of a model on the way is not
+    rational: the target is then outside the isogeny class of a
+    supersingular E0, and the search runs unpruned.
+    """
+    frontier = {j_invariant(target).key(): target}
+    layers = [frozenset(frontier)]
+    try:
+        for _ in range(e - 1):
+            frontier = {
+                j_next: m
+                for j_key, model in frontier.items()
+                for j_next, m in _neighbours(model, ell, j_key).items()
+            }
+            layers.append(frozenset(frontier))
+    except NoSuchOrder:
+        return None
+    return layers
+
+
+def _walks(e0: CurveSpec, ell: int, e: int, target: CurveSpec):
+    """The non-backtracking length-e walks out of e0 that end at j(target),
+    kernels in canonical sorted order.
+
+    A child whose codomain has no walk of the remaining length to j(target)
+    is skipped before it is expanded; the walks left keep their order.
+    Without layers (see _reachable_layers) every walk is yielded.
+    """
+    layers = _reachable_layers(target, ell, e)
     stack = [(IsogenyChain(e0), None)]
     while stack:
         chain, forbidden = stack.pop()
         if len(chain) == e:
             yield chain
             continue
+        # Steps a child still has to take after its own.
+        remaining = e - len(chain) - 1
+        reachable = layers[remaining] if layers is not None else None
         current = chain.codomain
         subgroups = ell_torsion_subgroups(current, ell)
         for kernel in reversed(subgroups):
             if forbidden is not None and kernel == forbidden:
                 continue
             step = velu_step(current, kernel, ell)
-            aux = _other_subgroup_point(subgroups, kernel)
-            next_forbidden = _canonical_generator(
-                step.codomain, step.evaluate(aux), ell
-            )
+            if reachable is not None and (
+                j_invariant(step.codomain).key() not in reachable
+            ):
+                continue
+            next_forbidden = None
+            if remaining:
+                # A leaf never expands, so it needs no kernel to forbid.
+                aux = _other_subgroup_point(subgroups, kernel)
+                next_forbidden = _canonical_generator(
+                    step.codomain, step.evaluate(aux), ell
+                )
             stack.append((chain.extended(step), next_forbidden))
 
 
@@ -365,12 +423,12 @@ def recover_isogeny(
 ) -> IsogenyChain:
     """Exhaustive stand-in for the torsion-point isogeny recovery oracle.
 
-    Searches every non-backtracking ell-walk of length e out of e0 and
-    returns the lexicographically smallest chain (by kernel serialization)
-    whose codomain can be identified with e1 by an isomorphism carrying the
-    walk's image of `point` to `image`.  The winning chain's final step is
-    rescaled so its codomain equals e1 and its action sends point to image
-    literally.
+    Searches the non-backtracking ell-walks of length e out of e0 (pruned
+    by j-distance to e1, see _walks) and returns the lexicographically
+    smallest chain (by kernel serialization) whose codomain can be
+    identified with e1 by an isomorphism carrying the walk's image of
+    `point` to `image`.  The winning chain's final step is rescaled so its
+    codomain equals e1 and its action sends point to image literally.
     """
     if not is_on_curve(e0, point):
         raise NotOnCurve("torsion point not on the starting curve")
@@ -382,7 +440,7 @@ def recover_isogeny(
         if e1 == e0 and image == point:
             return IsogenyChain(e0)
         raise NoIsogenyFound("no length-0 walk matches")
-    for chain in _walks(e0, ell, e):
+    for chain in _walks(e0, ell, e, e1):
         if j_invariant(chain.codomain) != target_j:
             continue
         mapped = evaluate_chain(chain, point)

@@ -1,5 +1,6 @@
-"""Brute-force oracles, quadratic in p: desk-scale reference answers for
-the closed-form arithmetic in isoshare."""
+"""Reference answers for the tests: brute-force oracles, quadratic in p,
+for the closed-form arithmetic in isoshare; the unpruned walk enumeration
+of the recovery search; and helpers only the tests use."""
 
 import functools
 
@@ -12,6 +13,13 @@ from isoshare.curves import (
     scalar_mul,
 )
 from isoshare.fields import Fp2
+from isoshare.isogeny import (
+    IsogenyChain,
+    _canonical_generator,
+    _other_subgroup_point,
+    ell_torsion_subgroups,
+    velu_step,
+)
 
 
 def _elements(p: int):
@@ -61,3 +69,46 @@ def torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
                 subgroups.add(frozenset(scalar_mul(e, i, r) for i in range(1, ell)))
     assert len(subgroups) == ell + 1
     return sorted((min(s, key=CurvePoint.key) for s in subgroups), key=CurvePoint.key)
+
+
+def exhaustive_walks(e0: CurveSpec, ell: int, e: int):
+    """All non-backtracking length-e walks, kernels in canonical sorted order."""
+    stack = [(IsogenyChain(e0), None)]
+    while stack:
+        chain, forbidden = stack.pop()
+        if len(chain) == e:
+            yield chain
+            continue
+        current = chain.codomain
+        subgroups = ell_torsion_subgroups(current, ell)
+        for kernel in reversed(subgroups):
+            if forbidden is not None and kernel == forbidden:
+                continue
+            step = velu_step(current, kernel, ell)
+            aux = _other_subgroup_point(subgroups, kernel)
+            next_forbidden = _canonical_generator(
+                step.codomain, step.evaluate(aux), ell
+            )
+            stack.append((chain.extended(step), next_forbidden))
+
+
+def point_neg(pt: CurvePoint) -> CurvePoint:
+    """-P: (x, y) -> (x, -y)."""
+    if pt.is_infinity:
+        return INFINITY
+    return CurvePoint(pt.x, -pt.y)
+
+
+def poly_divmod(num, den):
+    """Quotient and remainder of coefficient lists (lowest degree first)."""
+    field = num[0].field
+    num = list(num)
+    q = [field.zero] * max(1, len(num) - len(den) + 1)
+    inv_lead = den[-1].inverse()
+    for shift in range(len(num) - len(den), -1, -1):
+        coeff = num[shift + len(den) - 1] * inv_lead
+        q[shift] = coeff
+        for i, dcoeff in enumerate(den):
+            num[shift + i] = num[shift + i] - coeff * dcoeff
+    rem = num[: len(den) - 1] or [field.zero]
+    return q, rem

@@ -18,6 +18,7 @@ from isoshare.cli import (
     EXIT_IO,
     EXIT_NOT_ENOUGH,
     EXIT_OK,
+    MAX_E_ISO,
     bits_to_hex,
     context_digest,
     hex_to_bits,
@@ -89,6 +90,22 @@ def test_check_flags_bad_threshold(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "valid: no" in out
     assert "violation:" in out
+
+
+def test_n_and_e_iso_ceilings(tmp_path, capsys):
+    path = tmp_path / "edge.cfg"
+    # The demo code has length 75: n = 75 passes the boundary (and `check`
+    # reports it invalid, as gamma * n != 75); n = 76 is refused.
+    for old, new, expected in (
+        ("e_iso = 2", f"e_iso = {MAX_E_ISO}", EXIT_OK),
+        ("e_iso = 2", f"e_iso = {MAX_E_ISO + 1}", EXIT_INVALID),
+        ("n = 3", "n = 75", EXIT_OK),
+        ("n = 3", "n = 76", EXIT_INVALID),
+    ):
+        path.write_text(CONFIG.replace(old, new))
+        assert main(["check", "-c", str(path)]) == expected, new
+    out = capsys.readouterr().out
+    assert out.count("valid: yes") == 1 and out.count("valid: no") == 1
 
 
 def test_deal_then_recover_roundtrip(config_path, tmp_path, capsys):
@@ -322,7 +339,14 @@ MALFORMED = {
         EXIT_INVALID, None),
     "e-iso-1e8-check": (
         lambda d, tmp: ["check", "-c", _config(tmp, "e_iso = 2", "e_iso = 100000000")],
-        EXIT_OK, "valid: yes"),
+        EXIT_INVALID, None),
+    "e-iso-1e8-deal": (
+        lambda d, tmp: ["deal", "-o", str(tmp / "out"),
+                        "-c", _config(tmp, "e_iso = 2", "e_iso = 100000000")],
+        EXIT_INVALID, None),
+    "n-1e8-check": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "n = 3", "n = 100000000")],
+        EXIT_INVALID, None),
     "p-mersenne-61-check": (
         lambda d, tmp: ["check", "-c", _config(tmp, "p = 431", f"p = {2**61 - 1}")],
         EXIT_OK, "valid: no"),

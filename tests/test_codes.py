@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import poly_divmod
 
 from isoshare.codes import (
     ERASED,
@@ -13,7 +14,6 @@ from isoshare.codes import (
     expand_binary,
     hyperoval_code,
     min_distance_bruteforce,
-    poly_divmod,
     poly_mul,
     rs_generator_poly,
     subfield_code,

@@ -3,7 +3,7 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from oracles import count_points
+from oracles import count_points, point_neg
 
 from isoshare import curves
 from isoshare.curves import (
@@ -14,7 +14,6 @@ from isoshare.curves import (
     is_supersingular,
     j_invariant,
     point_add,
-    point_neg,
     point_order,
     random_point,
     random_point_of_order,

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from oracles import cube_table, torsion_subgroups
+from oracles import cube_table, exhaustive_walks, torsion_subgroups
 
 from isoshare.curves import (
     INFINITY,
@@ -8,6 +10,7 @@ from isoshare.curves import (
     j_invariant,
     point_add,
     point_order,
+    random_point,
     random_point_of_order,
     scalar_mul,
 )
@@ -16,7 +19,9 @@ from isoshare.fields import Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
     _cube_roots,
+    _neighbour_cache,
     _torsion_cache,
+    _walks,
     ell_torsion_subgroups,
     evaluate_chain,
     isomorphism_scales,
@@ -285,9 +290,53 @@ def test_recover_is_deterministic(e0):
     assert a.sort_key() == b.sort_key()
 
 
-# Literal keys, so that a change to how E[ell] is found cannot move the
-# answer unnoticed.  In both cases a chain other than the secret maps the
-# point the same way, so the lexicographic tie-break decides the answer.
+def test_pruned_walks_are_the_oracle_walks_ending_at_the_target(e0):
+    p = e0.p
+    special = {fp2_from_int(j, p).key() for j in (0, 1728)}
+    tested_special = set()
+    for e in (1, 2, 3, 4, 5):
+        walks = list(exhaustive_walks(e0, 3, e))
+        targets = [w.codomain for w in (walks[0], walks[len(walks) // 2], walks[-1])]
+        # The two j-invariants with extra automorphisms, where a walk ends
+        # there, each also as another model of that j.
+        for walk in walks:
+            j_key = j_invariant(walk.codomain).key()
+            if j_key in special and (e, j_key) not in tested_special:
+                tested_special.add((e, j_key))
+                targets += [walk.codomain, _scaled(walk.codomain, Fp2(5, 7, p))]
+        for target in targets:
+            j = j_invariant(target)
+            expected = [w.sort_key() for w in walks if j_invariant(w.codomain) == j]
+            assert expected
+            pruned = [w.sort_key() for w in _walks(e0, 3, e, target)]
+            assert pruned == expected, (e, target)
+    assert {j_key for _, j_key in tested_special} == special
+
+
+def test_twist_target_is_never_matched(e0):
+    # Same j as E0 but no isomorphism over GF(p^2), and E[3] is not rational.
+    p = e0.p
+    twist = CurveSpec(Fp2(2, 1, p), fp2_from_int(0, p), p)
+    q = random_point_of_order(e0, 16, "twistp")
+    image = random_point(twist, random.Random(1))
+    # With no neighbours of j = 1728 cached, the layers cannot be built from
+    # the twist, so every walk is left to the isomorphism test.
+    _neighbour_cache.clear()
+    expected = [w.sort_key() for w in exhaustive_walks(e0, 3, 2)]
+    assert [w.sort_key() for w in _walks(e0, 3, 2, twist)] == expected
+    with pytest.raises(NoIsogenyFound):
+        recover_isogeny(e0, twist, q, image, 3, 2)
+    # With them cached (from E0), the walks are pruned; none matches either.
+    list(_walks(e0, 3, 2, e0))
+    assert (p, 3, j_invariant(twist).key()) in _neighbour_cache
+    with pytest.raises(NoIsogenyFound):
+        recover_isogeny(e0, twist, q, image, 3, 2)
+
+
+# Literal keys, so that a change to how E[ell] is found or how the search is
+# pruned cannot move the answer unnoticed.  In each case a chain other than
+# the secret maps the point the same way, so the lexicographic tie-break
+# decides the answer.
 PINNED_RECOVERIES = [
     (
         3, 4, "pin3-4-0",
@@ -298,6 +347,27 @@ PINNED_RECOVERIES = [
         4, 16, "pin4-16-3",
         ((261, 0, 122, 0), (217, 0, 75, 0), (144, 367, 85, 377), (184, 78, 164, 391)),
         ((170, 0, 0, 122), (214, 0, 0, 75), (287, 367, 54, 346), (247, 78, 40, 267)),
+    ),
+    (
+        5, 8, "pin5-8-1",
+        ((0, 426, 102, 102), (358, 258, 101, 81), (151, 40, 184, 181),
+         (430, 192, 69, 206), (53, 114, 114, 173)),
+        ((0, 426, 102, 102), (358, 258, 101, 81), (150, 74, 209, 167),
+         (8, 357, 11, 227), (82, 6, 194, 222)),
+    ),
+    (
+        6, 4, "pin6-4-0",
+        ((261, 0, 122, 0), (283, 143, 101, 200), (65, 75, 59, 149),
+         (256, 14, 81, 168), (72, 408, 68, 157), (161, 376, 56, 292)),
+        ((0, 426, 102, 102), (358, 258, 101, 81), (151, 40, 184, 181),
+         (430, 192, 69, 206), (53, 114, 114, 173), (15, 387, 200, 256)),
+    ),
+    (
+        6, 16, "pin6-16-11",
+        ((261, 0, 122, 0), (217, 0, 75, 0), (363, 0, 40, 0),
+         (165, 318, 140, 281), (384, 397, 71, 199), (166, 49, 186, 340)),
+        ((170, 0, 0, 122), (148, 288, 200, 330), (329, 130, 38, 38),
+         (401, 302, 88, 155), (134, 161, 43, 410), (203, 228, 18, 349)),
     ),
 ]
 
