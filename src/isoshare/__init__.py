@@ -11,12 +11,7 @@ from .codes import (
     BinaryExpandedCode,
     LinearCode,
     ReedSolomonCode,
-    burst_symbol_span,
-    contract_binary,
-    expand_binary,
     hyperoval_code,
-    min_distance_bruteforce,
-    rs_generator_poly,
     subfield_code,
 )
 from .codec import PointBits, decode_point, encode_point
@@ -31,21 +26,13 @@ from .curves import (
     random_point_of_order,
     scalar_mul,
 )
-from .fields import (
-    BinaryField,
-    BinaryFieldElement,
-    Fp2,
-    element_from_bits,
-    element_to_bits,
-    fp2_sqrt,
-)
+from .fields import BinaryField, BinaryFieldElement, Fp2, fp2_sqrt
 from .isogeny import (
     IsogenyChain,
     IsogenyStep,
     evaluate_chain,
     random_walk,
     recover_isogeny,
-    velu_step,
 )
 from .scheme import (
     DealResult,
@@ -61,5 +48,20 @@ from .scheme import (
     validate_params,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The package-level API.  Helpers such as velu_step, contract_binary or
+# element_to_bits stay importable from their own modules.
+__all__ = [
+    "BinaryExpandedCode", "LinearCode", "ReedSolomonCode", "hyperoval_code",
+    "subfield_code",
+    "PointBits", "decode_point", "encode_point",
+    "CurvePoint", "CurveSpec", "INFINITY", "is_supersingular", "j_invariant",
+    "point_add", "point_order", "random_point_of_order", "scalar_mul",
+    "BinaryField", "BinaryFieldElement", "Fp2", "fp2_sqrt",
+    "IsogenyChain", "IsogenyStep", "evaluate_chain", "random_walk",
+    "recover_isogeny",
+    "DealResult", "RecoveryResult", "SchemeParams", "Share",
+    "admissible_t_interval", "attack_cost_bits", "burst_recover",
+    "distribute_bits", "recover_isogeny_path", "share_isogeny_path",
+    "validate_params",
+]
 __version__ = "0.1.0"

@@ -57,6 +57,12 @@ EXIT_CORRUPT = 6
 # coalition recovers in bounded time.
 MAX_E_ISO = 10
 
+# The largest code.r a config or public file may name.  A cold code build
+# grows about 5x per step of r (CPython 3.11, Xeon vCPU): 1.1 s at r = 6 and
+# 5.4 s at r = 7 for BinaryExpandedCode(r, 6), 0.44 s and 2.6 s for the
+# subfield code of hyperoval_code(r).
+MAX_CODE_R = 6
+
 # Config keys that may be left out, with their values.
 CONFIG_DEFAULTS = {"lambda": "128", "code.m": "0"}
 HEX_DIGITS = frozenset(string.hexdigits)
@@ -134,12 +140,15 @@ def build_code(kind: str, fields: dict[str, str]):
 def build_params(fields: dict[str, str], source: str) -> SchemeParams:
     """The scheme parameters named by a config or a public file.
 
-    Refuses, as invalid, an n above the code length (n * gamma = length has
-    no solution with gamma >= 1, and `check` would print n + 1 cost lines)
-    and an e_iso above MAX_E_ISO (the recovery search enumerates up to
-    4*3^(e_iso-1) walks).
+    Refuses, as invalid, a code.r above MAX_CODE_R before the code is built,
+    an n above the code length (n * gamma = length has no solution with
+    gamma >= 1, and `check` would print n + 1 cost lines) and an e_iso
+    above MAX_E_ISO (the recovery search enumerates up to 4*3^(e_iso-1)
+    walks).
     """
     try:
+        if int(fields["code.r"]) > MAX_CODE_R:
+            raise ValueError(f"code.r = {fields['code.r']} exceeds {MAX_CODE_R}")
         p = int(fields["p"])
         params = SchemeParams(
             n=int(fields["n"]),

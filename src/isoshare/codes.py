@@ -1,6 +1,5 @@
 """Linear codes over GF(2) and GF(2^r): Reed-Solomon codes, their binary
-subfield codes and binary expansions, erasure decoding, and brute-force
-oracles for tests.
+subfield codes and binary expansions, and erasure decoding.
 
 Erasure decoding solves the parity-check system restricted to the erased
 coordinates, so it works uniformly for every code here and succeeds on any
@@ -15,13 +14,10 @@ from .errors import (
     Inconsistent,
     LengthMismatch,
     NotACodeword,
-    TooLarge,
 )
 from .fields import GF2, BinaryField, element_from_bits, element_to_bits
 
 ERASED = None
-
-_BRUTE_FORCE_GUARD = 1 << 20
 
 
 def poly_mul(a, b):
@@ -139,16 +135,6 @@ class LinearCode:
         for j, value in zip(unknown, solution):
             filled[j] = value
         return tuple(filled)
-
-    def consistent_count(self, word) -> int:
-        """Number of codewords agreeing with `word` off its erasures."""
-        try:
-            self.erasure_decode(word)
-            return 1
-        except Ambiguous as amb:
-            return amb.count
-        except Inconsistent:
-            return 0
 
     def __repr__(self):
         return (
@@ -296,37 +282,3 @@ class BinaryExpandedCode(LinearCode):
             end = start + block_bits - 1
             spans.append(end // block - start // block + 1)
         return spans
-
-
-def burst_symbol_span(burst_len: int, symbol_bits: int) -> int:
-    """Max adjacent symbols a burst of consecutive bits can touch."""
-    if burst_len < 1 or symbol_bits < 1:
-        raise ValueError("lengths must be positive")
-    return (burst_len - 1 + symbol_bits - 1) // symbol_bits + 1
-
-
-def enumerate_codewords(code: LinearCode):
-    """All codewords; guarded against oversize enumerations."""
-    total = code.field.size ** code.dimension
-    if total > _BRUTE_FORCE_GUARD:
-        raise TooLarge(f"{total} codewords exceeds the enumeration guard")
-    msg = [0] * code.dimension
-    for _ in range(total):
-        yield code.encode([code.field(v) for v in msg])
-        for i in range(code.dimension):
-            msg[i] += 1
-            if msg[i] < code.field.size:
-                break
-            msg[i] = 0
-
-
-def min_distance_bruteforce(code: LinearCode) -> int:
-    """Minimum nonzero-codeword weight by full enumeration."""
-    best = None
-    for cw in enumerate_codewords(code):
-        weight = sum(1 for s in cw if s)
-        if weight and (best is None or weight < best):
-            best = weight
-    if best is None:
-        raise ValueError("the zero code has no minimum distance")
-    return best

@@ -88,6 +88,11 @@ def _require_on_curve(e: CurveSpec, pt: CurvePoint) -> None:
 def point_add(e: CurveSpec, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
     _require_on_curve(e, p1)
     _require_on_curve(e, p2)
+    return _add(e, p1, p2)
+
+
+def _add(e: CurveSpec, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
+    """The group law, unchecked: for points derived from checked ones."""
     if p1.is_infinity:
         return p2
     if p2.is_infinity:
@@ -114,8 +119,8 @@ def scalar_mul(e: CurveSpec, k: int, pt: CurvePoint) -> CurvePoint:
     addend = pt
     while k:
         if k & 1:
-            result = point_add(e, result, addend)
-        addend = point_add(e, addend, addend)
+            result = _add(e, result, addend)
+        addend = _add(e, addend, addend)
         k >>= 1
     return result
 

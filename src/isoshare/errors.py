@@ -61,10 +61,6 @@ class NotACodeword(IsoshareError, ValueError):
     """A purported codeword fails the parity checks."""
 
 
-class TooLarge(IsoshareError, ValueError):
-    """Brute-force search space exceeds the safety guard."""
-
-
 class InvalidParams(IsoshareError, ValueError):
     """Scheme parameters violate a validation rule."""
 

@@ -14,10 +14,10 @@ from .curves import (
     INFINITY,
     CurvePoint,
     CurveSpec,
+    _add,
     is_on_curve,
     is_supersingular,
     j_invariant,
-    point_add,
     random_point,
     scalar_mul,
 )
@@ -35,13 +35,10 @@ class IsogenyStep:
             raise BadKernel(f"step degree {ell} must be prime")
         if kernel.is_infinity or not is_on_curve(domain, kernel):
             raise BadKernel("kernel generator must be a finite point on the domain")
-        pts = []
-        q = kernel
-        while not q.is_infinity:
-            pts.append(q)
-            q = point_add(domain, q, kernel)
-        if len(pts) != ell - 1:
-            raise BadKernel(f"kernel generator has order {len(pts) + 1}, expected {ell}")
+        # As ell is prime and K != O, ell*K = O alone proves ord(K) = ell.
+        pts = _multiples(domain, kernel, ell)
+        if not _add(domain, pts[-1], kernel).is_infinity:
+            raise BadKernel(f"kernel generator does not have order {ell}")
         self.domain = domain
         self.kernel = kernel
         self.ell = ell
@@ -76,7 +73,7 @@ class IsogenyStep:
         x = pt.x
         y = pt.y
         for q in self.kernel_points:
-            shifted = point_add(self.domain, pt, q)
+            shifted = _add(self.domain, pt, q)
             x = x + shifted.x - q.x
             y = y + shifted.y - q.y
         u = self.scale
@@ -148,7 +145,7 @@ def _multiples(e: CurveSpec, gen: CurvePoint, ell: int) -> list[CurvePoint]:
     """The ell-1 nonzero points gen, 2gen, ..., (ell-1)gen of <gen>."""
     pts = [gen]
     for _ in range(ell - 2):
-        pts.append(point_add(e, pts[-1], gen))
+        pts.append(_add(e, pts[-1], gen))
     return pts
 
 
@@ -230,7 +227,7 @@ def _sample_subgroups(e: CurveSpec, ell: int) -> list[list[CurvePoint]]:
         g2 = sample()
         if g2 not in g1:
             break
-    gens = [g2] + [point_add(e, g2, q) for q in g1]
+    gens = [g2] + [_add(e, g2, q) for q in g1]
     return [g1] + [_multiples(e, g, ell) for g in gens]
 
 

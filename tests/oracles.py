@@ -1,8 +1,11 @@
 """Reference answers for the tests: brute-force oracles, quadratic in p,
 for the closed-form arithmetic in isoshare; the unpruned walk enumeration
-of the recovery search; and helpers only the tests use."""
+of the recovery search; codeword enumeration and minimum distance by brute
+force; and helpers only the tests use."""
 
 import functools
+
+from isoshare.codes import LinearCode
 
 from isoshare.curves import (
     INFINITY,
@@ -12,6 +15,7 @@ from isoshare.curves import (
     random_point_of_order,
     scalar_mul,
 )
+from isoshare.errors import Ambiguous, Inconsistent, IsoshareError
 from isoshare.fields import Fp2
 from isoshare.isogeny import (
     IsogenyChain,
@@ -112,3 +116,55 @@ def poly_divmod(num, den):
             num[shift + i] = num[shift + i] - coeff * dcoeff
     rem = num[: len(den) - 1] or [field.zero]
     return q, rem
+
+
+class TooLarge(IsoshareError, ValueError):
+    """Brute-force search space exceeds the safety guard."""
+
+
+_BRUTE_FORCE_GUARD = 1 << 20
+
+
+def consistent_count(code: LinearCode, word) -> int:
+    """Number of codewords agreeing with `word` off its erasures."""
+    try:
+        code.erasure_decode(word)
+        return 1
+    except Ambiguous as amb:
+        return amb.count
+    except Inconsistent:
+        return 0
+
+
+def burst_symbol_span(burst_len: int, symbol_bits: int) -> int:
+    """Max adjacent symbols a burst of consecutive bits can touch."""
+    if burst_len < 1 or symbol_bits < 1:
+        raise ValueError("lengths must be positive")
+    return (burst_len - 1 + symbol_bits - 1) // symbol_bits + 1
+
+
+def enumerate_codewords(code: LinearCode):
+    """All codewords; guarded against oversize enumerations."""
+    total = code.field.size ** code.dimension
+    if total > _BRUTE_FORCE_GUARD:
+        raise TooLarge(f"{total} codewords exceeds the enumeration guard")
+    msg = [0] * code.dimension
+    for _ in range(total):
+        yield code.encode([code.field(v) for v in msg])
+        for i in range(code.dimension):
+            msg[i] += 1
+            if msg[i] < code.field.size:
+                break
+            msg[i] = 0
+
+
+def min_distance_bruteforce(code: LinearCode) -> int:
+    """Minimum nonzero-codeword weight by full enumeration."""
+    best = None
+    for cw in enumerate_codewords(code):
+        weight = sum(1 for s in cw if s)
+        if weight and (best is None or weight < best):
+            best = weight
+    if best is None:
+        raise ValueError("the zero code has no minimum distance")
+    return best

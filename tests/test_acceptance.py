@@ -8,16 +8,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import burst_symbol_span, enumerate_codewords, min_distance_bruteforce
 
 from isoshare.codes import (
     ERASED,
     BinaryExpandedCode,
     LinearCode,
     ReedSolomonCode,
-    burst_symbol_span,
-    enumerate_codewords,
     hyperoval_code,
-    min_distance_bruteforce,
     subfield_code,
 )
 from isoshare.curves import (

@@ -18,6 +18,7 @@ from isoshare.cli import (
     EXIT_IO,
     EXIT_NOT_ENOUGH,
     EXIT_OK,
+    MAX_CODE_R,
     MAX_E_ISO,
     bits_to_hex,
     context_digest,
@@ -95,17 +96,20 @@ def test_check_flags_bad_threshold(tmp_path, capsys):
 def test_n_and_e_iso_ceilings(tmp_path, capsys):
     path = tmp_path / "edge.cfg"
     # The demo code has length 75: n = 75 passes the boundary (and `check`
-    # reports it invalid, as gamma * n != 75); n = 76 is refused.
+    # reports it invalid, as gamma * n != 75); n = 76 is refused.  The
+    # code.r = MAX_CODE_R code passes too, and is invalid for gamma * n.
     for old, new, expected in (
         ("e_iso = 2", f"e_iso = {MAX_E_ISO}", EXIT_OK),
         ("e_iso = 2", f"e_iso = {MAX_E_ISO + 1}", EXIT_INVALID),
         ("n = 3", "n = 75", EXIT_OK),
         ("n = 3", "n = 76", EXIT_INVALID),
+        ("code.r = 4", f"code.r = {MAX_CODE_R}", EXIT_OK),
+        ("code.r = 4", f"code.r = {MAX_CODE_R + 1}", EXIT_INVALID),
     ):
         path.write_text(CONFIG.replace(old, new))
         assert main(["check", "-c", str(path)]) == expected, new
     out = capsys.readouterr().out
-    assert out.count("valid: yes") == 1 and out.count("valid: no") == 1
+    assert out.count("valid: yes") == 1 and out.count("valid: no") == 2
 
 
 def test_deal_then_recover_roundtrip(config_path, tmp_path, capsys):
@@ -352,6 +356,14 @@ MALFORMED = {
         EXIT_OK, "valid: no"),
     "p-beyond-exact-primality": (
         lambda d, tmp: ["check", "-c", _config(tmp, "p = 431", f"p = {2**89 - 1}")],
+        EXIT_INVALID, None),
+    "code-r-12-hyperoval-check": (
+        lambda d, tmp: ["check", "-c", _config(
+            tmp, "code.kind = binary-expanded-rs\ncode.r = 4",
+            "code.kind = subfield-hyperoval\ncode.r = 12")],
+        EXIT_INVALID, None),
+    "code-r-16-check": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "code.r = 4", "code.r = 16")],
         EXIT_INVALID, None),
     "hyperoval-deal-force": (
         lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"), "-c", _config(

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from oracles import cube_table, exhaustive_walks, torsion_subgroups
 
+from isoshare.codec import encode_point
 from isoshare.curves import (
     INFINITY,
+    CurvePoint,
     CurveSpec,
     is_on_curve,
     j_invariant,
@@ -18,6 +23,7 @@ from isoshare.errors import BadKernel, NoIsogenyFound, NoSuchOrder, NotOnCurve
 from isoshare.fields import Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
+    IsogenyStep,
     _cube_roots,
     _neighbour_cache,
     _torsion_cache,
@@ -81,6 +87,73 @@ def test_kernel_order_validated(e0):
     q3 = _some_kernel(e0, 3)
     with pytest.raises(BadKernel):
         velu_step(e0, q3, 4)  # composite degree
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+BAD_KERNEL_SCRIPT = """
+import random
+from isoshare.curves import CurveSpec, random_point
+from isoshare.errors import BadKernel
+from isoshare.fields import fp2_from_int
+from isoshare.isogeny import velu_step
+p = 2**31 - 1
+e = CurveSpec(fp2_from_int(1, p), fp2_from_int(0, p), p)
+try:
+    velu_step(e, random_point(e, random.Random(1)), 3)
+except BadKernel:
+    print("BadKernel")
+"""
+
+
+def test_bad_kernel_refused_in_bounded_time():
+    # A random point of y^2 = x^3 + x over p = 2^31 - 1 has an order near
+    # 2^31, so listing <K> until it returns to O would not end in time.
+    proc = subprocess.run(
+        [sys.executable, "-c", BAD_KERNEL_SCRIPT],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.stdout.split() == ["BadKernel"], proc.stderr
+
+
+# Every public entry point that takes a point, given the point (1, 1), which
+# is not on E0 (1 != 1 + 1), and the error it must raise.  `step` is a
+# 3-isogeny out of E0 and `good` a point of E0.  The empty chain and e = 0
+# leave no inner call that could refuse the point in the entry's place.
+BOUNDARY_CHECKS = {
+    "point_add": (lambda e0, bad, good, step: point_add(e0, good, bad), NotOnCurve),
+    "scalar_mul": (lambda e0, bad, good, step: scalar_mul(e0, 3, bad), NotOnCurve),
+    "point_order": (lambda e0, bad, good, step: point_order(e0, bad), NotOnCurve),
+    "IsogenyStep-kernel": (
+        lambda e0, bad, good, step: IsogenyStep(e0, bad, 3), BadKernel),
+    # (1, 0) doubles to O by the chord-and-tangent formulas, so only the
+    # curve-equation check refuses it as a kernel of degree 2.
+    "IsogenyStep-kernel-y0": (
+        lambda e0, bad, good, step: IsogenyStep(
+            e0, CurvePoint(bad.x, fp2_from_int(0, e0.p)), 2),
+        BadKernel),
+    "IsogenyStep.evaluate": (
+        lambda e0, bad, good, step: step.evaluate(bad), NotOnCurve),
+    "evaluate_chain": (
+        lambda e0, bad, good, step: evaluate_chain(IsogenyChain(e0), bad), NotOnCurve),
+    "recover_isogeny-point": (
+        lambda e0, bad, good, step: recover_isogeny(e0, e0, bad, good, 3, 0), NotOnCurve),
+    "recover_isogeny-image": (
+        lambda e0, bad, good, step: recover_isogeny(e0, e0, good, bad, 3, 0), NotOnCurve),
+    "encode_point": (lambda e0, bad, good, step: encode_point(e0, bad, 64), NotOnCurve),
+}
+
+
+@pytest.mark.parametrize("entry", list(BOUNDARY_CHECKS))
+def test_public_entry_points_refuse_a_foreign_point(e0, entry):
+    call, error = BOUNDARY_CHECKS[entry]
+    bad = CurvePoint(fp2_from_int(1, e0.p), fp2_from_int(1, e0.p))
+    assert not is_on_curve(e0, bad)
+    good = random_point_of_order(e0, 16, "boundary")
+    step = velu_step(e0, _some_kernel(e0, 3), 3)
+    with pytest.raises(error):
+        call(e0, bad, good, step)
 
 
 def test_empty_chain_is_identity(e0):
