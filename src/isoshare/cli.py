@@ -21,12 +21,13 @@ from .errors import (
     InvalidEncoding,
     InvalidParams,
     IsoshareError,
+    LengthMismatch,
     NoIsogenyFound,
     NoSuchOrder,
     NotACodeword,
     NotEnoughShares,
 )
-from .fields import Fp2
+from .fields import Fp2, check_field_prime
 from .isogeny import random_walk
 from .scheme import (
     SchemeParams,
@@ -57,10 +58,15 @@ EXIT_CORRUPT = 6
 # coalition recovers in bounded time.
 MAX_E_ISO = 10
 
+# The largest ell_iso a config or public file may name.  `deal` lists all
+# ell^2 points of E[ell]: cold, at e_iso = 1 (CPython 3.11, Xeon vCPU), it takes
+# 2.3-2.8 s at ell = 401, 5.4 s at 601, 14 s at 1,009; `recover` about twice that.
+MAX_ELL_ISO = 401
+
 # The largest code.r a config or public file may name.  A cold code build
-# grows about 5x per step of r (CPython 3.11, Xeon vCPU): 1.1 s at r = 6 and
-# 5.4 s at r = 7 for BinaryExpandedCode(r, 6), 0.44 s and 2.6 s for the
-# subfield code of hyperoval_code(r).
+# grows about 6x per step of r (CPython 3.11, Xeon vCPU): 0.3-0.4 s at r = 6
+# and 2.2-2.5 s at r = 7 for BinaryExpandedCode(r, 6), most of it the RS
+# build, 0.03 s and 0.07 s for the subfield code of hyperoval_code(r).
 MAX_CODE_R = 6
 
 # Config keys that may be left out, with their values.
@@ -142,14 +148,15 @@ def build_params(fields: dict[str, str], source: str) -> SchemeParams:
 
     Refuses, as invalid, a code.r above MAX_CODE_R before the code is built,
     an n above the code length (n * gamma = length has no solution with
-    gamma >= 1, and `check` would print n + 1 cost lines) and an e_iso
+    gamma >= 1, and `check` would print n + 1 cost lines), an e_iso
     above MAX_E_ISO (the recovery search enumerates up to 4*3^(e_iso-1)
-    walks).
+    walks) and an ell_iso above MAX_ELL_ISO (E[ell] has ell^2 points).
     """
     try:
         if int(fields["code.r"]) > MAX_CODE_R:
             raise ValueError(f"code.r = {fields['code.r']} exceeds {MAX_CODE_R}")
         p = int(fields["p"])
+        check_field_prime(p)
         params = SchemeParams(
             n=int(fields["n"]),
             t=int(fields["t"]),
@@ -161,19 +168,15 @@ def build_params(fields: dict[str, str], source: str) -> SchemeParams:
             code=build_code(fields["code.kind"], fields),
             security_bits=int(fields["lambda"]),
         )
+        if params.n > params.code.length:
+            raise ValueError(
+                f"n = {params.n} exceeds the code length {params.code.length}")
+        if params.e_iso > MAX_E_ISO:
+            raise ValueError(f"e_iso = {params.e_iso} exceeds {MAX_E_ISO}")
+        if params.ell_iso > MAX_ELL_ISO:
+            raise ValueError(f"ell_iso = {params.ell_iso} exceeds {MAX_ELL_ISO}")
     except (KeyError, ValueError, IsoshareError) as ex:
         raise CliError(EXIT_INVALID, f"{source}: bad parameters: {ex}") from ex
-    if params.n > params.code.length:
-        raise CliError(
-            EXIT_INVALID,
-            f"{source}: bad parameters: n = {params.n} exceeds the code length "
-            f"{params.code.length}",
-        )
-    if params.e_iso > MAX_E_ISO:
-        raise CliError(
-            EXIT_INVALID,
-            f"{source}: bad parameters: e_iso = {params.e_iso} exceeds {MAX_E_ISO}",
-        )
     return params
 
 
@@ -320,7 +323,7 @@ def cmd_recover(args) -> int:
             result = burst_recover(shares, params, e1)
     except (InvalidParams, DuplicateShare) as ex:
         raise CliError(EXIT_INVALID, f"bad share set: {ex}") from ex
-    except NoSuchOrder as ex:
+    except (NoSuchOrder, LengthMismatch) as ex:
         raise CliError(EXIT_INVALID, f"bad public parameters: {ex}") from ex
     except NotEnoughShares as ex:
         raise CliError(EXIT_NOT_ENOUGH, f"not enough shares: {ex}") from ex

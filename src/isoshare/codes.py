@@ -43,6 +43,19 @@ def rs_generator_poly(r: int, d: int, m: int = 0):
     return g
 
 
+_BITS = (GF2.zero, GF2.one)
+
+
+def _pack(word):
+    """A GF(2) word as an int: bit j is set where word[j] is nonzero."""
+    return sum(1 << j for j, s in enumerate(word) if s)
+
+
+def _unpack(bits, length):
+    """Inverse of _pack: the GF(2) elements of the low `length` bits."""
+    return tuple(_BITS[c == "1"] for c in reversed(f"{bits:0{length}b}"))
+
+
 def _dot(row, vec, field):
     acc = field.zero
     for a, b in zip(row, vec):
@@ -65,24 +78,28 @@ class LinearCode:
         for row in rows:
             if len(row) != length:
                 raise ValueError("ragged generator matrix")
-        if info_positions is not None:
-            reduced, pivots = linalg.rref(rows, length, pivot_order=info_positions)
-            if list(pivots) != list(info_positions) or len(reduced) != len(rows):
-                raise ValueError("info positions are not an information set")
-        else:
-            reduced, pivots = linalg.rref(rows, length)
-            reduced = [row for _, row in sorted(zip(pivots, reduced))]
-            pivots = sorted(pivots)
+        # GF(2) rows are held packed as ints, bit j for column j, and
+        # eliminated by XOR; GF(2^r) rows go through the generic linalg.
+        self._binary = field == GF2
+        order = None if info_positions is None else list(info_positions)
+        rows = [_pack(r) for r in rows] if self._binary else rows
+        reduced, pivots = linalg.rref(rows, length, pivot_order=order)
+        if order is not None and (pivots, len(reduced)) != (order, len(rows)):
+            raise ValueError("info positions are not an information set")
         self.field = field
         self.length = length
-        self.generator = [tuple(r) for r in reduced]
         self.info_positions = tuple(pivots)
-        self.dimension = len(self.generator)
+        self.dimension = len(reduced)
         self.kind = kind
         self.design_distance = design_distance
-        self.parity = [
-            tuple(h) for h in linalg.nullspace(self.generator, length, field)
-        ]
+        if self._binary:
+            self._gen_bits = reduced
+            self._par_bits = linalg._xor_nullspace(reduced, length)
+            self.generator = [_unpack(g, length) for g in reduced]
+            self.parity = [_unpack(h, length) for h in self._par_bits]
+        else:
+            self.generator = [tuple(r) for r in reduced]
+            self.parity = list(map(tuple, linalg.nullspace(reduced, length, field)))
 
     def encode(self, msg):
         """Systematic encoding of a length-k message."""
@@ -91,16 +108,21 @@ class LinearCode:
             raise LengthMismatch(
                 f"message length {len(msg)} != dimension {self.dimension}"
             )
+        if self._binary:
+            bits = 0
+            for coeff, row in zip(msg, self._gen_bits):
+                bits ^= row if coeff else 0
+            return _unpack(bits, self.length)
         cw = [self.field.zero] * self.length
         for coeff, row in zip(msg, self.generator):
-            if not coeff:
-                continue
-            for j, g in enumerate(row):
-                if g:
-                    cw[j] = cw[j] + coeff * g
+            if coeff:
+                cw = [c + coeff * g if g else c for c, g in zip(cw, row)]
         return tuple(cw)
 
     def contains(self, cw) -> bool:
+        if self._binary:
+            bits = _pack(cw)
+            return not any((h & bits).bit_count() & 1 for h in self._par_bits)
         return all(not _dot(h, cw, self.field) for h in self.parity)
 
     def extract(self, cw):
@@ -116,17 +138,21 @@ class LinearCode:
         if len(word) != self.length:
             raise LengthMismatch(f"word length {len(word)} != {self.length}")
         unknown = [j for j, s in enumerate(word) if s is ERASED]
-        known = [j for j, s in enumerate(word) if s is not ERASED]
-        rows = []
-        rhs = []
-        for h in self.parity:
-            rows.append([h[j] for j in unknown])
-            acc = self.field.zero
-            for j in known:
-                if h[j] and word[j]:
-                    acc = acc + h[j] * word[j]
-            rhs.append(-acc)
-        solution, free = linalg.solve(rows, rhs, len(unknown), self.field)
+        if self._binary:
+            # Parity rows cut to the erased bits, with the parity of their known
+            # part as rhs; the solve counts the known (all-zero) columns as free.
+            erased, known = _pack(s is ERASED for s in word), _pack(word)
+            rows = [h & erased for h in self._par_bits]
+            rhs = [(h & known).bit_count() & 1 for h in self._par_bits]
+            solution, free = linalg.solve(rows, rhs, self.length, self.field)
+            free -= self.length - len(unknown)
+            if solution is not None:
+                solution = [solution[j] for j in unknown]
+        else:
+            # _dot skips the ERASED (falsy) slots, leaving the known part.
+            rows = [[h[j] for j in unknown] for h in self.parity]
+            rhs = [-_dot(h, word, self.field) for h in self.parity]
+            solution, free = linalg.solve(rows, rhs, len(unknown), self.field)
         if solution is None:
             raise Inconsistent("known symbols violate the parity checks")
         if free:
@@ -195,11 +221,8 @@ def subfield_code(code: LinearCode) -> LinearCode:
     coefficient bits; the nullspace over GF(2) generates the subfield code.
     """
     r = code.field.r
-    binary_rows = []
-    for h in code.parity:
-        for b in range(r):
-            binary_rows.append([GF2((coeff.val >> b) & 1) for coeff in h])
-    gen = linalg.nullspace(binary_rows, code.length, GF2)
+    rows = [_pack(c.val >> b & 1 for c in h) for h in code.parity for b in range(r)]
+    gen = [_unpack(g, code.length) for g in linalg._xor_nullspace(rows, code.length)]
     return LinearCode(GF2, gen, kind="subfield", design_distance=code.design_distance)
 
 
@@ -209,8 +232,8 @@ def expand_binary(base: ReedSolomonCode, cw):
     out = []
     for sym in cw:
         bits = element_to_bits(sym)
-        out.extend(GF2(b) for b in bits)
-        out.append(GF2(sum(bits) & 1))
+        out.extend(_BITS[b] for b in bits)
+        out.append(_BITS[sum(bits) & 1])
     return tuple(out)
 
 
@@ -230,14 +253,10 @@ def contract_binary(base: ReedSolomonCode, word):
     symbols = []
     for i in range(base.length):
         chunk = word[i * block : (i + 1) * block]
-        if any(b is ERASED for b in chunk):
+        if any(b is ERASED for b in chunk) or sum(map(int, chunk)) & 1:
             symbols.append(ERASED)
-            continue
-        ints = [int(b) for b in chunk]
-        if sum(ints) & 1:
-            symbols.append(ERASED)
-            continue
-        symbols.append(element_from_bits(ints[:r], base.field))
+        else:
+            symbols.append(element_from_bits(map(int, chunk[:r]), base.field))
     return symbols
 
 
@@ -250,26 +269,16 @@ class BinaryExpandedCode(LinearCode):
 
     def __init__(self, r: int, d: int, m: int = 0):
         base = ReedSolomonCode(r, d, m)
-        k_bits = r * base.dimension
-        info = [
-            (r + 1) * j + b for j in range(base.dimension) for b in range(r)
-        ]
+        info = [(r + 1) * j + b for j in range(base.dimension) for b in range(r)]
+        # Message bit r*j + b is coefficient b of RS message symbol j.
         rows = []
-        for i in range(k_bits):
-            msg_bits = [0] * k_bits
-            msg_bits[i] = 1
-            symbols = [
-                element_from_bits(msg_bits[j * r : (j + 1) * r], base.field)
-                for j in range(base.dimension)
-            ]
-            rows.append(list(expand_binary(base, base.encode(symbols))))
-        super().__init__(
-            GF2,
-            rows,
-            info_positions=info,
-            kind="binary-expanded-rs",
-            design_distance=2 * d,
-        )
+        for j in range(base.dimension):
+            for b in range(r):
+                symbols = [base.field.zero] * base.dimension
+                symbols[j] = base.field(1 << b)
+                rows.append(expand_binary(base, base.encode(symbols)))
+        super().__init__(GF2, rows, info_positions=info, kind="binary-expanded-rs",
+                         design_distance=2 * d)
         self.base = base
         self.r = r
 

@@ -1,11 +1,13 @@
 """Reference answers for the tests: brute-force oracles, quadratic in p,
 for the closed-form arithmetic in isoshare; the unpruned walk enumeration
 of the recovery search; codeword enumeration and minimum distance by brute
-force; and helpers only the tests use."""
+force; the generic field-element linear algebra run on GF(2) codes, against
+which their packed path is checked; and helpers only the tests use."""
 
 import functools
 
-from isoshare.codes import LinearCode
+from isoshare import linalg
+from isoshare.codes import ERASED, LinearCode
 
 from isoshare.curves import (
     INFINITY,
@@ -16,7 +18,7 @@ from isoshare.curves import (
     scalar_mul,
 )
 from isoshare.errors import Ambiguous, Inconsistent, IsoshareError
-from isoshare.fields import Fp2
+from isoshare.fields import GF2, Fp2
 from isoshare.isogeny import (
     IsogenyChain,
     _canonical_generator,
@@ -168,3 +170,61 @@ def min_distance_bruteforce(code: LinearCode) -> int:
     if best is None:
         raise ValueError("the zero code has no minimum distance")
     return best
+
+
+def generic_binary_build(rows, info_positions=None):
+    """(generator, info_positions, parity) of a GF(2) code, as LinearCode
+    builds them, through linalg.rref and linalg.nullspace on GF2 elements."""
+    length = len(rows[0])
+    if info_positions is None:
+        reduced, pivots = linalg.rref(rows, length)
+        reduced = [row for _, row in sorted(zip(pivots, reduced))]
+        pivots = sorted(pivots)
+    else:
+        reduced, pivots = linalg.rref(rows, length, pivot_order=info_positions)
+    generator = [tuple(r) for r in reduced]
+    parity = [tuple(h) for h in linalg.nullspace(generator, length, GF2)]
+    return generator, tuple(pivots), parity
+
+
+def generic_erasure_outcome(generator, parity, word):
+    """What erasure decoding must give, through linalg.solve on GF2
+    elements: ("unique", codeword), ("ambiguous", count) or
+    ("inconsistent", None), inconsistency winning over ambiguity.
+
+    Of two equivalent systems it solves the one with fewer unknowns: the
+    erased bits against the parity checks (-x = x over GF(2)), or the
+    message bits against the known bits.
+    """
+    unknown = [j for j, s in enumerate(word) if s is ERASED]
+    known = [j for j, s in enumerate(word) if s is not ERASED]
+    if generator and len(unknown) > len(generator):
+        rows = [[g[j] for g in generator] for j in known]
+        rhs = [word[j] for j in known]
+        solution, free = linalg.solve(rows, rhs, len(generator), GF2)
+        filled = [
+            sum((m * g for m, g in zip(solution, col)), GF2.zero)
+            for col in zip(*generator)
+        ] if solution is not None else []
+    else:
+        rows = [[h[j] for j in unknown] for h in parity]
+        rhs = [sum((h[j] * word[j] for j in known), GF2.zero) for h in parity]
+        solution, free = linalg.solve(rows, rhs, len(unknown), GF2)
+        filled = list(word)
+        for j, value in zip(unknown, solution or ()):
+            filled[j] = value
+    if solution is None:
+        return ("inconsistent", None)
+    if free:
+        return ("ambiguous", 2**free)
+    return ("unique", tuple(filled))
+
+
+def erasure_outcome(code: LinearCode, word):
+    """code.erasure_decode's answer in the form generic_erasure_outcome gives."""
+    try:
+        return ("unique", code.erasure_decode(word))
+    except Ambiguous as amb:
+        return ("ambiguous", amb.count)
+    except Inconsistent:
+        return ("inconsistent", None)

@@ -1,7 +1,9 @@
 import contextlib
 import filecmp
 import io
+import itertools
 import os
+import signal
 import subprocess
 import sys
 from datetime import timedelta
@@ -20,11 +22,13 @@ from isoshare.cli import (
     EXIT_OK,
     MAX_CODE_R,
     MAX_E_ISO,
+    MAX_ELL_ISO,
     bits_to_hex,
     context_digest,
     hex_to_bits,
     main,
 )
+from isoshare.fields import is_prime
 
 CONFIG = """\
 # desk-scale demo deal
@@ -98,9 +102,14 @@ def test_n_and_e_iso_ceilings(tmp_path, capsys):
     # The demo code has length 75: n = 75 passes the boundary (and `check`
     # reports it invalid, as gamma * n != 75); n = 76 is refused.  The
     # code.r = MAX_CODE_R code passes too, and is invalid for gamma * n.
+    # ell_iso = MAX_ELL_ISO passes, and is invalid as it does not divide
+    # p + 1 = 432; the next prime is refused.
+    above = next(q for q in itertools.count(MAX_ELL_ISO + 1) if is_prime(q))
     for old, new, expected in (
         ("e_iso = 2", f"e_iso = {MAX_E_ISO}", EXIT_OK),
         ("e_iso = 2", f"e_iso = {MAX_E_ISO + 1}", EXIT_INVALID),
+        ("ell_iso = 3", f"ell_iso = {MAX_ELL_ISO}", EXIT_OK),
+        ("ell_iso = 3", f"ell_iso = {above}", EXIT_INVALID),
         ("n = 3", "n = 75", EXIT_OK),
         ("n = 3", "n = 76", EXIT_INVALID),
         ("code.r = 4", f"code.r = {MAX_CODE_R}", EXIT_OK),
@@ -109,7 +118,7 @@ def test_n_and_e_iso_ceilings(tmp_path, capsys):
         path.write_text(CONFIG.replace(old, new))
         assert main(["check", "-c", str(path)]) == expected, new
     out = capsys.readouterr().out
-    assert out.count("valid: yes") == 1 and out.count("valid: no") == 2
+    assert out.count("valid: yes") == 1 and out.count("valid: no") == 3
 
 
 def test_deal_then_recover_roundtrip(config_path, tmp_path, capsys):
@@ -279,6 +288,17 @@ def _non_utf8(tmp_path):
     return str(path)
 
 
+def _ell_2003_config(tmp_path):
+    """A config `check` once called valid whose E[ell] has 2003^2 points."""
+    path = tmp_path / "ell2003.cfg"
+    path.write_text(
+        "p = 8011\na = 1\nb = 0\nn = 31\nt = 24\ngamma = 6\nlambda = 8\n"
+        "N = 4\nell_iso = 2003\ne_iso = 1\ncode.kind = binary-expanded-rs\n"
+        "code.r = 5\ncode.d = 16\n"
+    )
+    return str(path)
+
+
 # Malformed or outsized inputs: argv from (dealt, tmp_path), documented exit
 # code, and a line stdout must hold.  Each runs in a fresh process under a
 # timeout, so an input that makes the program loop fails the test instead of
@@ -305,6 +325,12 @@ MALFORMED = {
         EXIT_DIGEST, None),
     "redigested-public-ordinary-e0": (
         lambda d, tmp: _redigested(d, tmp, "\nb 0,0\n", "\nb 2,0\n"),
+        EXIT_INVALID, None),
+    "redigested-public-n-2": (
+        lambda d, tmp: _redigested(d, tmp, "\nn 3\n", "\nn 2\n"),
+        EXIT_INVALID, None),
+    "p-0-check": (
+        lambda d, tmp: ["check", "-c", _config(tmp, "p = 431", "p = 0")],
         EXIT_INVALID, None),
     "three-component-coefficient": (
         lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"),
@@ -365,6 +391,12 @@ MALFORMED = {
     "code-r-16-check": (
         lambda d, tmp: ["check", "-c", _config(tmp, "code.r = 4", "code.r = 16")],
         EXIT_INVALID, None),
+    "ell-2003-check": (
+        lambda d, tmp: ["check", "-c", _ell_2003_config(tmp)],
+        EXIT_INVALID, None),
+    "ell-2003-deal": (
+        lambda d, tmp: ["deal", "-o", str(tmp / "out"), "-c", _ell_2003_config(tmp)],
+        EXIT_INVALID, None),
     "hyperoval-deal-force": (
         lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"), "-c", _config(
             tmp, "code.kind = binary-expanded-rs", "code.kind = subfield-hyperoval")],
@@ -413,3 +445,91 @@ def test_mutated_share_bytes_end_in_documented_exit(dealt, data):
         code = main(_recover(dealt, _share(dealt, 0), mutated))
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_IO, EXIT_NOT_ENOUGH,
                     EXIT_DIGEST, EXIT_CORRUPT)
+
+
+class _Overran(BaseException):
+    """Raised by the alarm; not an OSError, which the CLI maps to exit 3."""
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    def expire(signum, frame):
+        raise _Overran(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _run_bounded(argv):
+    """main(argv) under a 10 s alarm; an escaping exception fails the test."""
+    with _time_bound(10), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+DOCUMENTED_EXITS = (EXIT_OK, EXIT_INVALID, EXIT_IO, EXIT_NOT_ENOUGH,
+                    EXIT_DIGEST, EXIT_CORRUPT)
+# Replacement values: numbers around the demo's, signs, field pairs, huge
+# and non-numeric text.
+FUZZ_VALUES = (
+    st.integers(-2, 40).map(str)
+    | st.sampled_from(["", "431", "1,2", "1,2,3", "1e3", str(2**61 - 1), "x"])
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+)
+
+
+def _mutated_lines(data, lines, value_of):
+    """`lines` with one to three lines dropped, duplicated or re-valued."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["value", "value", "drop", "duplicate"]))
+        if op == "value":
+            lines[i] = value_of(lines[i], data.draw(FUZZ_VALUES))
+        elif op == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        if not lines:
+            break
+    return lines
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_config_and_public_end_in_documented_exit(dealt, data):
+    """Mutated config lines (through check and deal) and mutated public
+    fields (through recover, with the digests recomputed as a forger would,
+    or left stale) end in exit 0 or 2..6 within 10 s each, with no
+    exception escaping main."""
+    work = os.path.dirname(dealt)
+    config = os.path.join(work, "fuzz.cfg")
+    Path(config).write_text("\n".join(_mutated_lines(
+        data, CONFIG.splitlines()[1:], lambda line, v: line.split("=")[0] + "= " + v
+    )) + "\n")
+    command = data.draw(st.sampled_from(["check", "deal"]))
+    argv = ["check", "-c", config] if command == "check" else \
+        ["deal", "-c", config, "-o", os.path.join(work, "fuzz-deal")]
+    assert _run_bounded(argv) in DOCUMENTED_EXITS
+
+    public = Path(dealt, "public.isoshare").read_text().splitlines()
+    context = _mutated_lines(
+        data, public[2:], lambda line, v: line.split(" ")[0] + " " + v
+    )
+    digest = public[1].split()[1]
+    if data.draw(st.booleans()):
+        digest = context_digest([line for line in context if line.strip()])
+    paths = []
+    for name in ("public.isoshare", "share_0.isoshare", "share_1.isoshare"):
+        lines = Path(dealt, name).read_text().splitlines()
+        if name == "public.isoshare":
+            lines = lines[:2] + context
+        lines[1] = f"digest {digest}"
+        paths.append(os.path.join(work, "fuzz_" + name))
+        Path(paths[-1]).write_text("\n".join(lines) + "\n")
+    assert _run_bounded(["recover", "-p", *paths]) in DOCUMENTED_EXITS

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,9 +7,14 @@ from oracles import (
     burst_symbol_span,
     consistent_count,
     enumerate_codewords,
+    erasure_outcome,
+    generic_binary_build,
+    generic_erasure_outcome,
     min_distance_bruteforce,
     poly_divmod,
 )
+
+from isoshare import linalg
 
 from isoshare.codes import (
     ERASED,
@@ -284,3 +290,150 @@ def test_min_distance_bruteforce_known_codes():
     f = GF2
     full = LinearCode(f, [[f(1) if i == j else f(0) for j in range(3)] for i in range(3)])
     assert min_distance_bruteforce(full) == 1
+
+
+# The GF(2) codes run a packed XOR elimination; the generic element-wise
+# linalg, which the GF(2^r) codes still run, is the oracle for it.
+
+
+def _packed(row):
+    return sum(1 << j for j, s in enumerate(row) if s)
+
+
+def _random_rows(rng, nrows, ncols, rank):
+    """nrows random GF(2) rows spanning at most `rank` dimensions."""
+    basis = [[GF2(rng.getrandbits(1)) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        row = [GF2(0)] * ncols
+        for b in basis:
+            if rng.getrandbits(1):
+                row = [x + y for x, y in zip(row, b)]
+        rows.append(row)
+    return rows
+
+
+def test_xor_rref_matches_generic_rref():
+    rng = random.Random(40)
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 14)
+        rows = _random_rows(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        cols = list(range(ncols))
+        rng.shuffle(cols)
+        for order in (None, cols, cols[: ncols // 2]):
+            # The generic rref tries the columns left out of pivot_order
+            # last, and reads a one-shot iterator once.
+            prefix = list(range(ncols) if order is None else order)
+            full = prefix + [c for c in range(ncols) if c not in prefix]
+            reduced, pivots = linalg.rref(
+                rows, ncols, pivot_order=None if order is None else iter(order)
+            )
+            packed, xor_pivots = linalg._xor_rref([_packed(r) for r in rows], full)
+            assert xor_pivots == pivots, (trial, order)
+            assert packed == [_packed(r) for r in reduced], (trial, order)
+        basis = linalg.nullspace(rows, ncols, GF2)
+        packed = linalg._xor_nullspace([_packed(r) for r in rows], ncols)
+        assert packed == [_packed(v) for v in basis], trial
+
+
+def _check_decodes(code, generic, words):
+    """Packed decoding agrees with the generic solve on every word, given
+    the generic build's generator and parity; the kind of each outcome."""
+    kinds = []
+    for word in words:
+        outcome = erasure_outcome(code, word)
+        assert outcome == generic_erasure_outcome(*generic, word)
+        kinds.append(outcome[0])
+    return tuple(kinds)
+
+
+def _damaged(rng, cw, erased):
+    """cw with its `erased` slots ERASED and, if any bit is left, one known
+    bit flipped."""
+    word = [ERASED if j in erased else s for j, s in enumerate(cw)]
+    known = [j for j in range(len(cw)) if j not in erased]
+    if known:
+        j = rng.choice(known)
+        word[j] = word[j] + GF2(1)
+    return word
+
+
+def test_random_binary_codes_match_generic():
+    rng = random.Random(41)
+    pairs = set()
+    for trial in range(40):
+        length = rng.randint(2, 16)
+        rows = _random_rows(rng, rng.randint(1, length), length, rng.randint(1, length))
+        code = LinearCode(GF2, rows)
+        generator, info, parity = generic_binary_build(rows)
+        assert (code.generator, code.info_positions, code.parity) == (
+            generator, info, parity
+        ), trial
+        cw = code.encode([GF2(rng.getrandbits(1)) for _ in range(code.dimension)])
+        for _ in range(6):
+            erased = set(rng.sample(range(length), rng.randint(0, length)))
+            clean = [ERASED if j in erased else s for j, s in enumerate(cw)]
+            pairs.add(_check_decodes(
+                code, (generator, parity), [clean, _damaged(rng, cw, erased)]
+            ))
+    # Clean words decode or are ambiguous; damaged ones are inconsistent
+    # even where the same erasures leave free bits.
+    assert {clean for clean, _ in pairs} == {"unique", "ambiguous"}
+    assert ("ambiguous", "inconsistent") in pairs
+    assert ("unique", "inconsistent") in pairs
+
+
+def _expansion_rows(code):
+    """The rows BinaryExpandedCode is built from: each unit message."""
+    base = code.base
+    rows = []
+    for j in range(base.dimension):
+        for b in range(code.r):
+            msg = [base.field.zero] * base.dimension
+            msg[j] = base.field(1 << b)
+            rows.append(expand_binary(base, base.encode(msg)))
+    return rows
+
+
+@pytest.mark.parametrize("r, d, n, gamma", [(4, 6, 3, 25), (5, 16, 31, 6)])
+def test_share_coalitions_match_generic(r, d, n, gamma):
+    """The demo [75,40] code, every coalition of its 3 shares, and the
+    [186,80] code, one seeded coalition of each size 1..31, decode as the
+    generic solve does; the code is built as the generic rref builds it.
+    Each coalition's word is also decoded with one known bit flipped, for
+    every third size of the [186,80] code (the generic solve takes ~0.3 s
+    a word there)."""
+    code = BinaryExpandedCode(r, d)
+    generator, info, parity = generic_binary_build(
+        _expansion_rows(code), code.info_positions
+    )
+    assert (code.generator, code.info_positions, code.parity) == (
+        generator, info, parity
+    )
+    rng = random.Random(42 + r)
+    cw = code.encode([GF2(rng.getrandbits(1)) for _ in range(code.dimension)])
+    if n == 3:
+        coalitions = [c for size in range(4) for c in itertools.combinations(range(3), size)]
+    else:
+        coalitions = [rng.sample(range(n), size) for size in range(1, n + 1)]
+    kinds = set()
+    for coalition in coalitions:
+        erased = {j for j in range(len(cw)) if j // gamma not in coalition}
+        words = [[ERASED if j in erased else s for j, s in enumerate(cw)]]
+        if n == 3 or len(coalition) % 3 == 0:
+            words.append(_damaged(rng, cw, erased))
+        kinds.update(_check_decodes(code, (generator, parity), words))
+    assert kinds == {"unique", "ambiguous", "inconsistent"}
+
+
+def test_subfield_code_matches_generic():
+    for r in (3, 4, 5):
+        big = hyperoval_code(r)
+        binary_rows = [
+            [GF2(coeff.val >> b & 1) for coeff in h] for h in big.parity for b in range(r)
+        ]
+        rows = linalg.nullspace(binary_rows, big.length, GF2)
+        small = subfield_code(big)
+        assert (small.generator, small.info_positions, small.parity) == (
+            generic_binary_build(rows)
+        )
