@@ -61,12 +61,16 @@ MAX_E_ISO = 10
 # The largest ell_iso a config or public file may name.  `deal` lists all
 # ell^2 points of E[ell]: cold, at e_iso = 1 (CPython 3.11, Xeon vCPU), it takes
 # 2.3-2.8 s at ell = 401, 5.4 s at 601, 14 s at 1,009; `recover` about twice that.
+# The two ceilings alone still let ell and e_iso grow together, so the
+# search's work, (ell+1)*ell^(e_iso-1) walks of O(ell) Velu steps, is bounded
+# by its value at ell = 3 and e_iso = MAX_E_ISO: (ell+1)*ell^e_iso <= 4*3^MAX_E_ISO.
 MAX_ELL_ISO = 401
 
 # The largest code.r a config or public file may name.  A cold code build
-# grows about 6x per step of r (CPython 3.11, Xeon vCPU): 0.3-0.4 s at r = 6
-# and 2.2-2.5 s at r = 7 for BinaryExpandedCode(r, 6), most of it the RS
-# build, 0.03 s and 0.07 s for the subfield code of hyperoval_code(r).
+# grows about 5x per step of r (CPython 3.11, Xeon vCPU): 0.19-0.24 s at r = 6
+# and 1.1-1.2 s at r = 7 for BinaryExpandedCode(r, 6), most of it expanding,
+# packing and unpacking its binary rows, 0.04-0.05 s and 0.07 s for the
+# subfield code of hyperoval_code(r).
 MAX_CODE_R = 6
 
 # Config keys that may be left out, with their values.
@@ -150,7 +154,9 @@ def build_params(fields: dict[str, str], source: str) -> SchemeParams:
     an n above the code length (n * gamma = length has no solution with
     gamma >= 1, and `check` would print n + 1 cost lines), an e_iso
     above MAX_E_ISO (the recovery search enumerates up to 4*3^(e_iso-1)
-    walks) and an ell_iso above MAX_ELL_ISO (E[ell] has ell^2 points).
+    walks), an ell_iso above MAX_ELL_ISO (E[ell] has ell^2 points) and a
+    pair whose search work (ell+1)*ell^e_iso exceeds that of ell = 3 at
+    MAX_E_ISO.
     """
     try:
         if int(fields["code.r"]) > MAX_CODE_R:
@@ -175,6 +181,11 @@ def build_params(fields: dict[str, str], source: str) -> SchemeParams:
             raise ValueError(f"e_iso = {params.e_iso} exceeds {MAX_E_ISO}")
         if params.ell_iso > MAX_ELL_ISO:
             raise ValueError(f"ell_iso = {params.ell_iso} exceeds {MAX_ELL_ISO}")
+        work = (params.ell_iso + 1) * params.ell_iso**params.e_iso
+        if work > 4 * 3**MAX_E_ISO:
+            raise ValueError(
+                f"ell_iso = {params.ell_iso} with e_iso = {params.e_iso}: the "
+                f"search's (ell+1)*ell^e_iso = {work} exceeds 4*3^{MAX_E_ISO}")
     except (KeyError, ValueError, IsoshareError) as ex:
         raise CliError(EXIT_INVALID, f"{source}: bad parameters: {ex}") from ex
     return params

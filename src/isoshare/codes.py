@@ -46,29 +46,16 @@ def rs_generator_poly(r: int, d: int, m: int = 0):
 _BITS = (GF2.zero, GF2.one)
 
 
-def _pack(word):
-    """A GF(2) word as an int: bit j is set where word[j] is nonzero."""
-    return sum(1 << j for j, s in enumerate(word) if s)
-
-
-def _unpack(bits, length):
-    """Inverse of _pack: the GF(2) elements of the low `length` bits."""
-    return tuple(_BITS[c == "1"] for c in reversed(f"{bits:0{length}b}"))
-
-
-def _dot(row, vec, field):
-    acc = field.zero
-    for a, b in zip(row, vec):
-        if a and b:
-            acc = acc + a * b
-    return acc
-
-
 class LinearCode:
     """A linear code given by a generator matrix, held in systematic form.
 
     Message symbols are carried verbatim at `info_positions` (the first k
     coordinates unless the construction dictates otherwise).
+
+    Every code is eliminated on its binary image: a word over GF(2^r) is
+    held as an int whose bits r*j .. r*j + r - 1 are the coefficients of
+    symbol j (x^0 first, as element_to_bits lists them).  A GF(2^r)-linear
+    code is GF(2)-linear on these bits, and GF(2) is r = 1.
     """
 
     def __init__(self, field, rows, info_positions=None, kind="generic",
@@ -78,28 +65,64 @@ class LinearCode:
         for row in rows:
             if len(row) != length:
                 raise ValueError("ragged generator matrix")
-        # GF(2) rows are held packed as ints, bit j for column j, and
-        # eliminated by XOR; GF(2^r) rows go through the generic linalg.
-        self._binary = field == GF2
-        order = None if info_positions is None else list(info_positions)
-        rows = [_pack(r) for r in rows] if self._binary else rows
-        reduced, pivots = linalg.rref(rows, length, pivot_order=order)
-        if order is not None and (pivots, len(reduced)) != (order, len(rows)):
-            raise ValueError("info positions are not an information set")
         self.field = field
         self.length = length
-        self.info_positions = tuple(pivots)
-        self.dimension = len(reduced)
         self.kind = kind
         self.design_distance = design_distance
-        if self._binary:
-            self._gen_bits = reduced
-            self._par_bits = linalg._xor_nullspace(reduced, length)
-            self.generator = [_unpack(g, length) for g in reduced]
-            self.parity = [_unpack(h, length) for h in self._par_bits]
-        else:
-            self.generator = [tuple(r) for r in reduced]
-            self.parity = list(map(tuple, linalg.nullspace(reduced, length, field)))
+        self._symbols = tuple(field.elements())
+        r = field.r
+        # Row g over GF(2^r) spans g, x*g, ..., x^(r-1)*g over GF(2).  x*g
+        # shifts every symbol up one bit and reduces each that overflowed
+        # (its top bit, in `top`) by x^r = `low`.
+        top = ((1 << r * length) - 1) // (field.size - 1) << r - 1
+        low = field.poly ^ field.size
+        image = []
+        for row in rows:
+            bits = self._pack(row)
+            image.append(bits)
+            for _ in range(r - 1):
+                over = bits & top
+                bits = (bits ^ over) << 1 ^ (over >> r - 1) * low
+                image.append(bits)
+        # Pivots come r at a time, the r bits of one information position.
+        order = None if info_positions is None else [
+            r * j + b for j in info_positions for b in range(r)]
+        reduced, pivots = linalg.rref(image, r * length, pivot_order=order)
+        if order is not None and (pivots, len(reduced)) != (order, len(image)):
+            raise ValueError("info positions are not an information set")
+        self.info_positions = tuple(pc // r for pc in pivots[::r])
+        self.dimension = len(reduced) // r
+        # Per message symbol, the image of each multiple of its generator row,
+        # indexed by the multiplier's value: encoding is one lookup a symbol.
+        self._multiples = []
+        for i in range(0, len(reduced), r):
+            table = [0]
+            for g in reduced[i : i + r]:
+                table += [t ^ g for t in table]
+            self._multiples.append(table)
+        self.generator = [self._unpack(g) for g in reduced[::r]]
+        # The checks, on the image and over the field, in closed form from
+        # the systematic rows: h[c] = 1 and h[info_i] = g_i[c] for c off them.
+        self._par_bits = linalg.nullspace(reduced, pivots, r * length)
+        info = set(self.info_positions)
+        self.parity = []
+        for c in range(length):
+            if c not in info:
+                h = [field.zero] * length
+                h[c] = field.one
+                for j, g in zip(self.info_positions, self.generator):
+                    h[j] = g[c]
+                self.parity.append(tuple(h))
+
+    def _pack(self, word):
+        """A word of field elements as an int, symbol j at bits r*j on."""
+        r = self.field.r
+        return sum(s.val << r * j for j, s in enumerate(word) if s)
+
+    def _unpack(self, bits):
+        """Inverse of _pack, as a tuple of `length` field elements."""
+        r, mask, symbols = self.field.r, self.field.size - 1, self._symbols
+        return tuple(symbols[bits >> i & mask] for i in range(0, r * self.length, r))
 
     def encode(self, msg):
         """Systematic encoding of a length-k message."""
@@ -108,22 +131,14 @@ class LinearCode:
             raise LengthMismatch(
                 f"message length {len(msg)} != dimension {self.dimension}"
             )
-        if self._binary:
-            bits = 0
-            for coeff, row in zip(msg, self._gen_bits):
-                bits ^= row if coeff else 0
-            return _unpack(bits, self.length)
-        cw = [self.field.zero] * self.length
-        for coeff, row in zip(msg, self.generator):
-            if coeff:
-                cw = [c + coeff * g if g else c for c, g in zip(cw, row)]
-        return tuple(cw)
+        bits = 0
+        for coeff, table in zip(msg, self._multiples):
+            bits ^= table[coeff.val]
+        return self._unpack(bits)
 
     def contains(self, cw) -> bool:
-        if self._binary:
-            bits = _pack(cw)
-            return not any((h & bits).bit_count() & 1 for h in self._par_bits)
-        return all(not _dot(h, cw, self.field) for h in self.parity)
+        bits = self._pack(cw)
+        return not any((h & bits).bit_count() & 1 for h in self._par_bits)
 
     def extract(self, cw):
         """Inverse of encode; rejects vectors outside the code."""
@@ -137,30 +152,21 @@ class LinearCode:
         word = list(word)
         if len(word) != self.length:
             raise LengthMismatch(f"word length {len(word)} != {self.length}")
-        unknown = [j for j, s in enumerate(word) if s is ERASED]
-        if self._binary:
-            # Parity rows cut to the erased bits, with the parity of their known
-            # part as rhs; the solve counts the known (all-zero) columns as free.
-            erased, known = _pack(s is ERASED for s in word), _pack(word)
-            rows = [h & erased for h in self._par_bits]
-            rhs = [(h & known).bit_count() & 1 for h in self._par_bits]
-            solution, free = linalg.solve(rows, rhs, self.length, self.field)
-            free -= self.length - len(unknown)
-            if solution is not None:
-                solution = [solution[j] for j in unknown]
-        else:
-            # _dot skips the ERASED (falsy) slots, leaving the known part.
-            rows = [[h[j] for j in unknown] for h in self.parity]
-            rhs = [-_dot(h, word, self.field) for h in self.parity]
-            solution, free = linalg.solve(rows, rhs, len(unknown), self.field)
+        r, full = self.field.r, self.field.size - 1
+        # The image's checks cut to the erased bits, with the parity of their
+        # known part as rhs; the solve counts the known (all-zero) columns as
+        # free.  The solutions are a GF(2^r)-affine space: 2^free is size^(free/r).
+        erased = sum(full << r * j for j, s in enumerate(word) if s is ERASED)
+        known = self._pack(word)
+        rows = [h & erased for h in self._par_bits]
+        rhs = [(h & known).bit_count() & 1 for h in self._par_bits]
+        solution, free = linalg.solve(rows, rhs, r * self.length)
         if solution is None:
             raise Inconsistent("known symbols violate the parity checks")
+        free -= r * self.length - erased.bit_count()
         if free:
-            raise Ambiguous(self.field.size ** free)
-        filled = list(word)
-        for j, value in zip(unknown, solution):
-            filled[j] = value
-        return tuple(filled)
+            raise Ambiguous(2**free)
+        return self._unpack(known | solution)
 
     def __repr__(self):
         return (
@@ -220,10 +226,12 @@ def subfield_code(code: LinearCode) -> LinearCode:
     Each GF(2^r) parity constraint splits into r binary constraints on the
     coefficient bits; the nullspace over GF(2) generates the subfield code.
     """
-    r = code.field.r
-    rows = [_pack(c.val >> b & 1 for c in h) for h in code.parity for b in range(r)]
-    gen = [_unpack(g, code.length) for g in linalg._xor_nullspace(rows, code.length)]
-    return LinearCode(GF2, gen, kind="subfield", design_distance=code.design_distance)
+    n = code.length
+    rows = [sum((c.val >> b & 1) << j for j, c in enumerate(h))
+            for h in code.parity for b in range(code.field.r)]
+    gen = linalg.nullspace(*linalg.rref(rows, n), n)
+    return LinearCode(GF2, [[_BITS[g >> j & 1] for j in range(n)] for g in gen],
+                      kind="subfield", design_distance=code.design_distance)
 
 
 def expand_binary(base: ReedSolomonCode, cw):

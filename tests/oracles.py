@@ -1,12 +1,12 @@
 """Reference answers for the tests: brute-force oracles, quadratic in p,
 for the closed-form arithmetic in isoshare; the unpruned walk enumeration
 of the recovery search; codeword enumeration and minimum distance by brute
-force; the generic field-element linear algebra run on GF(2) codes, against
-which their packed path is checked; and helpers only the tests use."""
+force; dense field-element Gaussian elimination, against which the packed
+elimination of every code's binary image is checked; and helpers only the
+tests use."""
 
 import functools
 
-from isoshare import linalg
 from isoshare.codes import ERASED, LinearCode
 
 from isoshare.curves import (
@@ -18,7 +18,7 @@ from isoshare.curves import (
     scalar_mul,
 )
 from isoshare.errors import Ambiguous, Inconsistent, IsoshareError
-from isoshare.fields import GF2, Fp2
+from isoshare.fields import Fp2
 from isoshare.isogeny import (
     IsogenyChain,
     _canonical_generator,
@@ -172,51 +172,118 @@ def min_distance_bruteforce(code: LinearCode) -> int:
     return best
 
 
-def generic_binary_build(rows, info_positions=None):
-    """(generator, info_positions, parity) of a GF(2) code, as LinearCode
-    builds them, through linalg.rref and linalg.nullspace on GF2 elements."""
+def rref(rows, ncols, pivot_order=None):
+    """Reduced row echelon form of rows of field elements.
+
+    pivot_order fixes the column preference when choosing pivots; columns
+    not listed are tried afterwards in natural order.  Returns the reduced
+    rows (zero rows dropped) and the pivot column of each.
+    """
+    cols = list(range(ncols) if pivot_order is None else pivot_order)
+    chosen = set(cols)
+    cols += [c for c in range(ncols) if c not in chosen]
+    rows = [list(r) for r in rows]
+    pivots = []
+    top = 0
+    for col in cols:
+        pivot_row = None
+        for i in range(top, len(rows)):
+            if rows[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+        inv = rows[top][col].inverse()
+        rows[top] = [x * inv for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(col)
+        top += 1
+        if top == len(rows):
+            break
+    return rows[:top], pivots
+
+
+def nullspace(rows, ncols, field):
+    """Basis of {x : rows . x = 0} as a list of vectors."""
+    reduced, pivots = rref(rows, ncols)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def solve(rows, rhs, ncols, field):
+    """Solve rows . x = rhs.
+
+    Returns (solution, num_free) where solution has free variables set to
+    zero, or (None, 0) when the system is inconsistent.
+    """
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    reduced, pivots = rref(aug, ncols + 1, pivot_order=range(ncols))
+    # A pivot in the augmented column means 0 = nonzero.
+    if ncols in pivots:
+        return None, 0
+    solution = [field.zero] * ncols
+    for row, pc in zip(reduced, pivots):
+        solution[pc] = row[-1]
+    return solution, ncols - len(pivots)
+
+
+def generic_build(field, rows, info_positions=None):
+    """(generator, info_positions, parity) of a code over `field`, as
+    LinearCode builds them, through rref and nullspace on field elements."""
     length = len(rows[0])
     if info_positions is None:
-        reduced, pivots = linalg.rref(rows, length)
+        reduced, pivots = rref(rows, length)
         reduced = [row for _, row in sorted(zip(pivots, reduced))]
         pivots = sorted(pivots)
     else:
-        reduced, pivots = linalg.rref(rows, length, pivot_order=info_positions)
+        reduced, pivots = rref(rows, length, pivot_order=info_positions)
     generator = [tuple(r) for r in reduced]
-    parity = [tuple(h) for h in linalg.nullspace(generator, length, GF2)]
+    parity = [tuple(h) for h in nullspace(generator, length, field)]
     return generator, tuple(pivots), parity
 
 
-def generic_erasure_outcome(generator, parity, word):
-    """What erasure decoding must give, through linalg.solve on GF2
-    elements: ("unique", codeword), ("ambiguous", count) or
-    ("inconsistent", None), inconsistency winning over ambiguity.
+def generic_erasure_outcome(field, generator, parity, word):
+    """What erasure decoding must give, through solve on field elements:
+    ("unique", codeword), ("ambiguous", count) or ("inconsistent", None),
+    inconsistency winning over ambiguity.
 
     Of two equivalent systems it solves the one with fewer unknowns: the
-    erased bits against the parity checks (-x = x over GF(2)), or the
-    message bits against the known bits.
+    erased symbols against the parity checks (-x = x in characteristic 2),
+    or the message symbols against the known symbols.
     """
     unknown = [j for j, s in enumerate(word) if s is ERASED]
     known = [j for j, s in enumerate(word) if s is not ERASED]
     if generator and len(unknown) > len(generator):
         rows = [[g[j] for g in generator] for j in known]
         rhs = [word[j] for j in known]
-        solution, free = linalg.solve(rows, rhs, len(generator), GF2)
+        solution, free = solve(rows, rhs, len(generator), field)
         filled = [
-            sum((m * g for m, g in zip(solution, col)), GF2.zero)
+            sum((m * g for m, g in zip(solution, col)), field.zero)
             for col in zip(*generator)
         ] if solution is not None else []
     else:
         rows = [[h[j] for j in unknown] for h in parity]
-        rhs = [sum((h[j] * word[j] for j in known), GF2.zero) for h in parity]
-        solution, free = linalg.solve(rows, rhs, len(unknown), GF2)
+        rhs = [sum((h[j] * word[j] for j in known), field.zero) for h in parity]
+        solution, free = solve(rows, rhs, len(unknown), field)
         filled = list(word)
         for j, value in zip(unknown, solution or ()):
             filled[j] = value
     if solution is None:
         return ("inconsistent", None)
     if free:
-        return ("ambiguous", 2**free)
+        return ("ambiguous", field.size**free)
     return ("unique", tuple(filled))
 
 

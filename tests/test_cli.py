@@ -102,13 +102,15 @@ def test_n_and_e_iso_ceilings(tmp_path, capsys):
     # The demo code has length 75: n = 75 passes the boundary (and `check`
     # reports it invalid, as gamma * n != 75); n = 76 is refused.  The
     # code.r = MAX_CODE_R code passes too, and is invalid for gamma * n.
-    # ell_iso = MAX_ELL_ISO passes, and is invalid as it does not divide
-    # p + 1 = 432; the next prime is refused.
+    # ell_iso = MAX_ELL_ISO passes at e_iso = 1, and is invalid as it does
+    # not divide p + 1 = 432; at e_iso = 2 the search's work is refused, and
+    # the next prime is refused.
     above = next(q for q in itertools.count(MAX_ELL_ISO + 1) if is_prime(q))
     for old, new, expected in (
         ("e_iso = 2", f"e_iso = {MAX_E_ISO}", EXIT_OK),
         ("e_iso = 2", f"e_iso = {MAX_E_ISO + 1}", EXIT_INVALID),
-        ("ell_iso = 3", f"ell_iso = {MAX_ELL_ISO}", EXIT_OK),
+        ("ell_iso = 3\ne_iso = 2", f"ell_iso = {MAX_ELL_ISO}\ne_iso = 1", EXIT_OK),
+        ("ell_iso = 3", f"ell_iso = {MAX_ELL_ISO}", EXIT_INVALID),
         ("ell_iso = 3", f"ell_iso = {above}", EXIT_INVALID),
         ("n = 3", "n = 75", EXIT_OK),
         ("n = 3", "n = 76", EXIT_INVALID),
@@ -288,13 +290,15 @@ def _non_utf8(tmp_path):
     return str(path)
 
 
-def _ell_2003_config(tmp_path):
-    """A config `check` once called valid whose E[ell] has 2003^2 points."""
-    path = tmp_path / "ell2003.cfg"
+def _wide_config(tmp_path, p, ell_iso, e_iso):
+    """A [186,80]-code config `check` once called valid, over y^2 = x^3 + x
+    at p, whose search is too large: at (8011, 2003, 1) E[ell] has 2003^2
+    points; at (9623, 401, 2) `recover` from 24 shares ran past 45 s."""
+    path = tmp_path / f"ell{ell_iso}.cfg"
     path.write_text(
-        "p = 8011\na = 1\nb = 0\nn = 31\nt = 24\ngamma = 6\nlambda = 8\n"
-        "N = 4\nell_iso = 2003\ne_iso = 1\ncode.kind = binary-expanded-rs\n"
-        "code.r = 5\ncode.d = 16\n"
+        f"p = {p}\na = 1\nb = 0\nn = 31\nt = 24\ngamma = 6\nlambda = 8\n"
+        f"N = 4\nell_iso = {ell_iso}\ne_iso = {e_iso}\n"
+        "code.kind = binary-expanded-rs\ncode.r = 5\ncode.d = 16\n"
     )
     return str(path)
 
@@ -392,10 +396,18 @@ MALFORMED = {
         lambda d, tmp: ["check", "-c", _config(tmp, "code.r = 4", "code.r = 16")],
         EXIT_INVALID, None),
     "ell-2003-check": (
-        lambda d, tmp: ["check", "-c", _ell_2003_config(tmp)],
+        lambda d, tmp: ["check", "-c", _wide_config(tmp, 8011, 2003, 1)],
         EXIT_INVALID, None),
     "ell-2003-deal": (
-        lambda d, tmp: ["deal", "-o", str(tmp / "out"), "-c", _ell_2003_config(tmp)],
+        lambda d, tmp: ["deal", "-o", str(tmp / "out"),
+                        "-c", _wide_config(tmp, 8011, 2003, 1)],
+        EXIT_INVALID, None),
+    "ell-401-e-iso-2-check": (
+        lambda d, tmp: ["check", "-c", _wide_config(tmp, 9623, 401, 2)],
+        EXIT_INVALID, None),
+    "ell-401-e-iso-2-deal": (
+        lambda d, tmp: ["deal", "-o", str(tmp / "out"),
+                        "-c", _wide_config(tmp, 9623, 401, 2)],
         EXIT_INVALID, None),
     "hyperoval-deal-force": (
         lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"), "-c", _config(

@@ -8,10 +8,12 @@ from oracles import (
     consistent_count,
     enumerate_codewords,
     erasure_outcome,
-    generic_binary_build,
+    generic_build,
     generic_erasure_outcome,
     min_distance_bruteforce,
+    nullspace,
     poly_divmod,
+    rref,
 )
 
 from isoshare import linalg
@@ -292,8 +294,8 @@ def test_min_distance_bruteforce_known_codes():
     assert min_distance_bruteforce(full) == 1
 
 
-# The GF(2) codes run a packed XOR elimination; the generic element-wise
-# linalg, which the GF(2^r) codes still run, is the oracle for it.
+# Every code runs linalg's packed XOR elimination on its binary image; the
+# element-wise elimination in tests/oracles.py is the oracle for it.
 
 
 def _packed(row):
@@ -321,18 +323,19 @@ def test_xor_rref_matches_generic_rref():
         cols = list(range(ncols))
         rng.shuffle(cols)
         for order in (None, cols, cols[: ncols // 2]):
-            # The generic rref tries the columns left out of pivot_order
-            # last, and reads a one-shot iterator once.
-            prefix = list(range(ncols) if order is None else order)
-            full = prefix + [c for c in range(ncols) if c not in prefix]
-            reduced, pivots = linalg.rref(
+            # Both try the columns left out of pivot_order last, and read a
+            # one-shot iterator once.
+            reduced, pivots = rref(
                 rows, ncols, pivot_order=None if order is None else iter(order)
             )
-            packed, xor_pivots = linalg._xor_rref([_packed(r) for r in rows], full)
+            packed, xor_pivots = linalg.rref(
+                [_packed(r) for r in rows], ncols,
+                pivot_order=None if order is None else iter(order),
+            )
             assert xor_pivots == pivots, (trial, order)
             assert packed == [_packed(r) for r in reduced], (trial, order)
-        basis = linalg.nullspace(rows, ncols, GF2)
-        packed = linalg._xor_nullspace([_packed(r) for r in rows], ncols)
+        basis = nullspace(rows, ncols, GF2)
+        packed = linalg.nullspace(*linalg.rref([_packed(r) for r in rows], ncols), ncols)
         assert packed == [_packed(v) for v in basis], trial
 
 
@@ -342,19 +345,19 @@ def _check_decodes(code, generic, words):
     kinds = []
     for word in words:
         outcome = erasure_outcome(code, word)
-        assert outcome == generic_erasure_outcome(*generic, word)
+        assert outcome == generic_erasure_outcome(code.field, *generic, word)
         kinds.append(outcome[0])
     return tuple(kinds)
 
 
 def _damaged(rng, cw, erased):
-    """cw with its `erased` slots ERASED and, if any bit is left, one known
-    bit flipped."""
+    """cw with its `erased` slots ERASED and, if any symbol is left, one
+    known symbol changed by adding 1."""
     word = [ERASED if j in erased else s for j, s in enumerate(cw)]
     known = [j for j in range(len(cw)) if j not in erased]
     if known:
         j = rng.choice(known)
-        word[j] = word[j] + GF2(1)
+        word[j] = word[j] + word[j].field.one
     return word
 
 
@@ -365,7 +368,7 @@ def test_random_binary_codes_match_generic():
         length = rng.randint(2, 16)
         rows = _random_rows(rng, rng.randint(1, length), length, rng.randint(1, length))
         code = LinearCode(GF2, rows)
-        generator, info, parity = generic_binary_build(rows)
+        generator, info, parity = generic_build(GF2, rows)
         assert (code.generator, code.info_positions, code.parity) == (
             generator, info, parity
         ), trial
@@ -404,8 +407,8 @@ def test_share_coalitions_match_generic(r, d, n, gamma):
     every third size of the [186,80] code (the generic solve takes ~0.3 s
     a word there)."""
     code = BinaryExpandedCode(r, d)
-    generator, info, parity = generic_binary_build(
-        _expansion_rows(code), code.info_positions
+    generator, info, parity = generic_build(
+        GF2, _expansion_rows(code), code.info_positions
     )
     assert (code.generator, code.info_positions, code.parity) == (
         generator, info, parity
@@ -432,8 +435,56 @@ def test_subfield_code_matches_generic():
         binary_rows = [
             [GF2(coeff.val >> b & 1) for coeff in h] for h in big.parity for b in range(r)
         ]
-        rows = linalg.nullspace(binary_rows, big.length, GF2)
+        rows = nullspace(binary_rows, big.length, GF2)
         small = subfield_code(big)
         assert (small.generator, small.info_positions, small.parity) == (
-            generic_binary_build(rows)
+            generic_build(GF2, rows)
         )
+
+
+def _rs_rows(r, d):
+    """The rows ReedSolomonCode is built from: shifts of g(x)."""
+    g = rs_generator_poly(r, d)
+    field = g[0].field
+    length, k = field.size - 1, field.size - d
+    return [[field.zero] * i + g + [field.zero] * (length - len(g) - i) for i in range(k)]
+
+
+def _hyperoval_rows(r):
+    """The rows hyperoval_code is built from: 1, alpha, alpha^2 and the
+    two points at infinity."""
+    field = BinaryField(r)
+    alphas = list(field.elements())
+    return [
+        [field.one] * field.size + [field.zero, field.zero],
+        alphas + [field.one, field.zero],
+        [a * a for a in alphas] + [field.zero, field.one],
+    ]
+
+
+def test_gf2r_codes_match_generic():
+    """Every RS(3, d), RS(4, 6), RS(5, 16) and hyperoval_code(3..5) is built
+    as the element-wise rref and nullspace over GF(2^r) build it, and
+    decodes seeded erasure patterns, each clean and with one known symbol
+    changed, as the element-wise solve does."""
+    cases = [(ReedSolomonCode(3, d), _rs_rows(3, d)) for d in range(2, 8)]
+    cases += [(ReedSolomonCode(4, 6), _rs_rows(4, 6)),
+              (ReedSolomonCode(5, 16), _rs_rows(5, 16))]
+    cases += [(hyperoval_code(r), _hyperoval_rows(r)) for r in (3, 4, 5)]
+    rng = random.Random(43)
+    kinds = set()
+    for code, rows in cases:
+        field = code.field
+        generator, info, parity = generic_build(field, rows, range(len(rows)))
+        assert (code.generator, code.info_positions, code.parity) == (
+            generator, info, parity
+        ), code
+        for _ in range(8):
+            cw = code.encode([field(rng.randrange(field.size)) for _ in info])
+            erased = set(rng.sample(range(code.length), rng.randint(0, code.length)))
+            clean = [ERASED if j in erased else s for j, s in enumerate(cw)]
+            pair = _check_decodes(
+                code, (generator, parity), [clean, _damaged(rng, cw, erased)]
+            )
+            kinds.update(pair)
+    assert kinds == {"unique", "ambiguous", "inconsistent"}
