@@ -3,8 +3,8 @@
 The dealer encodes a torsion point and its image under the secret isogeny
 into a binary erasure-correcting codeword, hands each participant one
 block of bits, and any t participants can decode the codeword, rebuild
-both points, and recover the isogeny chain with an exhaustive
-torsion-point recovery search.
+both points, and recover the isogeny chain with an exact (meet-in-the-
+middle) torsion-point recovery search.
 """
 
 from .codes import (

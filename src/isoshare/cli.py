@@ -51,19 +51,19 @@ EXIT_NOT_ENOUGH = 4
 EXIT_DIGEST = 5
 EXIT_CORRUPT = 6
 
-# The largest e_iso a config or public file may name.  Recovery is an
-# exhaustive search over up to 4*3^(e_iso-1) walks (78,732 at e_iso = 10:
-# about 6 s for `recover` under CPython 3.11 on a Xeon vCPU, tripling with
-# each further step), so a larger e_iso would deal a secret that no
-# coalition recovers in bounded time.
+# The largest e_iso a config or public file may name.  The recovery search
+# meets in the middle, but its work still grows exponentially in e_iso: a
+# cold demo `recover` takes 0.4-0.5 s at 9 and 0.5-0.8 s at 10 (CPython 3.11,
+# Xeon vCPU), so an unbounded e_iso would deal a secret that no coalition
+# recovers in bounded time.
 MAX_E_ISO = 10
 
 # The largest ell_iso a config or public file may name.  `deal` lists all
 # ell^2 points of E[ell]: cold, at e_iso = 1 (CPython 3.11, Xeon vCPU), it takes
 # 2.3-2.8 s at ell = 401, 5.4 s at 601, 14 s at 1,009; `recover` about twice that.
 # The two ceilings alone still let ell and e_iso grow together, so the
-# search's work, (ell+1)*ell^(e_iso-1) walks of O(ell) Velu steps, is bounded
-# by its value at ell = 3 and e_iso = MAX_E_ISO: (ell+1)*ell^e_iso <= 4*3^MAX_E_ISO.
+# search's work, at most (ell+1)*ell^(e_iso-1) walks of O(ell) Velu steps, is
+# bounded by its value at ell = 3 and e_iso = MAX_E_ISO: (ell+1)*ell^e_iso <= 4*3^MAX_E_ISO.
 MAX_ELL_ISO = 401
 
 # The largest code.r a config or public file may name.  A cold code build
@@ -153,10 +153,10 @@ def build_params(fields: dict[str, str], source: str) -> SchemeParams:
     Refuses, as invalid, a code.r above MAX_CODE_R before the code is built,
     an n above the code length (n * gamma = length has no solution with
     gamma >= 1, and `check` would print n + 1 cost lines), an e_iso
-    above MAX_E_ISO (the recovery search enumerates up to 4*3^(e_iso-1)
-    walks), an ell_iso above MAX_ELL_ISO (E[ell] has ell^2 points) and a
-    pair whose search work (ell+1)*ell^e_iso exceeds that of ell = 3 at
-    MAX_E_ISO.
+    above MAX_E_ISO (the recovery search's work grows exponentially in
+    e_iso), an ell_iso above MAX_ELL_ISO (E[ell] has ell^2 points) and a
+    pair whose search work bound (ell+1)*ell^e_iso exceeds that of ell = 3
+    at MAX_E_ISO.
     """
     try:
         if int(fields["code.r"]) > MAX_CODE_R:

@@ -1,11 +1,12 @@
-"""Prime-degree isogeny steps, chains, walks, and an exhaustive recovery
-search.
+"""Prime-degree isogeny steps, chains, walks, and an exact recovery search.
 
 Steps are computed with Velu's formulas in translation-sum form: the image
 of P is obtained by summing P over translates by the kernel, and the
 codomain coefficients are (a - 5t, b - 7w) for the usual kernel sums t, w.
 An optional post-composition with the isomorphism (x, y) -> (u^2 x, u^3 y)
-lets a recovered chain land exactly on a prescribed target curve.
+lets a recovered chain land exactly on a prescribed target curve.  The
+search meets in the middle: the walks of half the length out of the target
+decide which half-walks out of the start are extended (see _walks).
 """
 
 import random
@@ -30,7 +31,7 @@ class IsogenyStep:
 
     __slots__ = ("domain", "kernel", "ell", "scale", "kernel_points", "codomain")
 
-    def __init__(self, domain: CurveSpec, kernel: CurvePoint, ell: int, scale=None):
+    def __init__(self, domain: CurveSpec, kernel: CurvePoint, ell: int):
         if not is_prime(ell):
             raise BadKernel(f"step degree {ell} must be prime")
         if kernel.is_infinity or not is_on_curve(domain, kernel):
@@ -39,17 +40,22 @@ class IsogenyStep:
         pts = _multiples(domain, kernel, ell)
         if not _add(domain, pts[-1], kernel).is_infinity:
             raise BadKernel(f"kernel generator does not have order {ell}")
+        self._velu(domain, kernel, ell, pts)
+
+    def _velu(self, domain, kernel, ell, kernel_points, scale=None) -> "IsogenyStep":
+        """Velu's formulas, unchecked: for a kernel of order ell derived from
+        checked points, with kernel_points its ell-1 nonzero multiples."""
         self.domain = domain
         self.kernel = kernel
         self.ell = ell
         self.scale = scale if scale is not None else fp2_from_int(1, domain.p)
-        self.kernel_points = pts
+        self.kernel_points = kernel_points
         p = domain.p
         t = Fp2(0, 0, p)
         w = Fp2(0, 0, p)
         three = fp2_from_int(3, p)
         two = fp2_from_int(2, p)
-        for q in pts:
+        for q in kernel_points:
             gx = three * q.x * q.x + domain.a
             t = t + gx
             w = w + two * q.y * q.y + q.x * gx
@@ -61,13 +67,19 @@ class IsogenyStep:
         u2 = u * u
         u4 = u2 * u2
         self.codomain = CurveSpec(u4 * a_new, u4 * u2 * b_new, p)
+        return self
 
     def with_scale(self, u: Fp2) -> "IsogenyStep":
-        return IsogenyStep(self.domain, self.kernel, self.ell, scale=u)
+        new = object.__new__(IsogenyStep)
+        return new._velu(self.domain, self.kernel, self.ell, self.kernel_points, u)
 
     def evaluate(self, pt: CurvePoint) -> CurvePoint:
         if not is_on_curve(self.domain, pt):
             raise NotOnCurve(f"{pt} not on step domain")
+        return self._image(pt)
+
+    def _image(self, pt: CurvePoint) -> CurvePoint:
+        """evaluate, unchecked: for a point derived from checked ones."""
         if pt.is_infinity or pt in self.kernel_points:
             return INFINITY
         x = pt.x
@@ -133,12 +145,17 @@ def evaluate_chain(chain: IsogenyChain, pt: CurvePoint) -> CurvePoint:
     if not is_on_curve(chain.domain, pt):
         raise NotOnCurve(f"{pt} not on chain domain")
     for step in chain.steps:
-        pt = step.evaluate(pt)
+        pt = step._image(pt)
     return pt
 
 
 def velu_step(e: CurveSpec, kernel: CurvePoint, ell: int) -> IsogenyStep:
     return IsogenyStep(e, kernel, ell)
+
+
+def _velu_step(e: CurveSpec, kernel: CurvePoint, ell: int) -> IsogenyStep:
+    """velu_step, unchecked: for a kernel from ell_torsion_subgroups."""
+    return object.__new__(IsogenyStep)._velu(e, kernel, ell, _multiples(e, kernel, ell))
 
 
 def _multiples(e: CurveSpec, gen: CurvePoint, ell: int) -> list[CurvePoint]:
@@ -252,9 +269,9 @@ def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
         subgroups = ell_torsion_subgroups(current, ell)
         allowed = [g for g in subgroups if g != forbidden]
         kernel = allowed[rng.randrange(len(allowed))]
-        step = velu_step(current, kernel, ell)
+        step = _velu_step(current, kernel, ell)
         aux = _other_subgroup_point(subgroups, kernel)
-        forbidden = _canonical_generator(step.codomain, step.evaluate(aux), ell)
+        forbidden = _canonical_generator(step.codomain, step._image(aux), ell)
         chain = chain.extended(step)
         current = step.codomain
     return chain
@@ -342,7 +359,7 @@ def _neighbours(model: CurveSpec, ell: int, j_key) -> dict[tuple, CurveSpec]:
     if entry is None:
         entry = {}
         for kernel in ell_torsion_subgroups(model, ell):
-            codomain = velu_step(model, kernel, ell).codomain
+            codomain = _velu_step(model, kernel, ell).codomain
             entry.setdefault(j_invariant(codomain).key(), codomain)
         _neighbour_cache[key] = entry
     return entry
@@ -372,42 +389,75 @@ def _reachable_layers(target: CurveSpec, ell: int, e: int) -> list[frozenset] | 
     return layers
 
 
-def _walks(e0: CurveSpec, ell: int, e: int, target: CurveSpec):
-    """The non-backtracking length-e walks out of e0 that end at j(target),
-    kernels in canonical sorted order.
+def _iso_invariant(e: CurveSpec, pt: CurvePoint):
+    """A key of pt that every isomorphism (x, y) -> (u^2 x, u^3 y) out of e
+    keeps, automorphisms included: x*a/b, or x^2/a at j = 1728 (b = 0), or
+    x^3/b at j = 0 (a = 0); () for O."""
+    if pt.is_infinity:
+        return ()
+    if not e.a:
+        return (pt.x * pt.x * pt.x / e.b).key()
+    if not e.b:
+        return (pt.x * pt.x / e.a).key()
+    return (pt.x * e.a / e.b).key()
 
-    A child whose codomain has no walk of the remaining length to j(target)
-    is skipped before it is expanded; the walks left keep their order.
-    Without layers (see _reachable_layers) every walk is yielded.
+
+def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, target=None, image=None):
+    """(chain, its image of point) for the non-backtracking length-e walks
+    out of e0, kernels in canonical sorted order.
+
+    With a target, a child is skipped before it is expanded when its
+    codomain has no walk of the remaining length to j(target) (see
+    _reachable_layers), or when it sits at depth a = e - b, b = e // 2, and
+    no b-walk psi' out of target sends image to [ell^b] of the child's image
+    of point up to isomorphism (judged by j and _iso_invariant).  Any walk
+    psi o F, F its first a steps, that maps point to image passes: the dual
+    of psi, after the isomorphism onto target, is such a psi'.  There is no
+    meet when b = 0 or E[ell] of the target is not rational.
     """
-    layers = _reachable_layers(target, ell, e)
-    stack = [(IsogenyChain(e0), None)]
+    layers = keys = None
+    b = e // 2
+    if target is not None:
+        layers = _reachable_layers(target, ell, e)
+        if b:
+            try:
+                keys = {
+                    (j_invariant(w.codomain).key(), _iso_invariant(w.codomain, pt))
+                    for w, pt in _walks(target, ell, b, image)
+                }
+            except NoSuchOrder:
+                pass
+    stack = [(IsogenyChain(e0), point, None)]
     while stack:
-        chain, forbidden = stack.pop()
+        chain, mapped, forbidden = stack.pop()
         if len(chain) == e:
-            yield chain
+            yield chain, mapped
             continue
         # Steps a child still has to take after its own.
         remaining = e - len(chain) - 1
-        reachable = layers[remaining] if layers is not None else None
         current = chain.codomain
         subgroups = ell_torsion_subgroups(current, ell)
         for kernel in reversed(subgroups):
             if forbidden is not None and kernel == forbidden:
                 continue
-            step = velu_step(current, kernel, ell)
-            if reachable is not None and (
-                j_invariant(step.codomain).key() not in reachable
+            step = _velu_step(current, kernel, ell)
+            codomain = step.codomain
+            if target is not None:
+                j_key = j_invariant(codomain).key()
+                if layers is not None and j_key not in layers[remaining]:
+                    continue
+            child = step._image(mapped)
+            if keys is not None and remaining == b and (
+                (j_key, _iso_invariant(codomain, scalar_mul(codomain, ell**b, child)))
+                not in keys
             ):
                 continue
             next_forbidden = None
             if remaining:
                 # A leaf never expands, so it needs no kernel to forbid.
                 aux = _other_subgroup_point(subgroups, kernel)
-                next_forbidden = _canonical_generator(
-                    step.codomain, step.evaluate(aux), ell
-                )
-            stack.append((chain.extended(step), next_forbidden))
+                next_forbidden = _canonical_generator(codomain, step._image(aux), ell)
+            stack.append((chain.extended(step), child, next_forbidden))
 
 
 def recover_isogeny(
@@ -418,29 +468,28 @@ def recover_isogeny(
     ell: int,
     e: int,
 ) -> IsogenyChain:
-    """Exhaustive stand-in for the torsion-point isogeny recovery oracle.
+    """Exact stand-in for the torsion-point isogeny recovery oracle.
 
-    Searches the non-backtracking ell-walks of length e out of e0 (pruned
-    by j-distance to e1, see _walks) and returns the lexicographically
-    smallest chain (by kernel serialization) whose codomain can be
-    identified with e1 by an isomorphism carrying the walk's image of
-    `point` to `image`.  The winning chain's final step is rescaled so its
-    codomain equals e1 and its action sends point to image literally.
+    Searches the non-backtracking ell-walks of length e out of e0, pruned
+    by j-distance to e1 and by a meet in the middle with the walks out of
+    e1 (see _walks), and returns the lexicographically smallest chain (by
+    kernel serialization) whose codomain can be identified with e1 by an
+    isomorphism carrying the walk's image of `point` to `image`.  The
+    pruning skips only walks that cannot match, so that chain is the
+    smallest over all walks.  The winning chain's final step is rescaled so
+    its codomain equals e1 and its action sends point to image literally.
     """
     if not is_on_curve(e0, point):
         raise NotOnCurve("torsion point not on the starting curve")
     if not is_on_curve(e1, image):
         raise NotOnCurve("image point not on the target curve")
-    target_j = j_invariant(e1)
     best = None
-    if e == 0:
-        if e1 == e0 and image == point:
+    if e <= 0:
+        if e == 0 and e1 == e0 and image == point:
             return IsogenyChain(e0)
-        raise NoIsogenyFound("no length-0 walk matches")
-    for chain in _walks(e0, ell, e, e1):
-        if j_invariant(chain.codomain) != target_j:
-            continue
-        mapped = evaluate_chain(chain, point)
+        raise NoIsogenyFound(f"no length-{e} walk matches")
+    for chain, mapped in _walks(e0, ell, e, point, e1, image):
+        # Codomains of another j have no isomorphism onto e1.
         for u in isomorphism_scales(chain.codomain, e1):
             u2 = u * u
             if mapped.is_infinity:

@@ -1,9 +1,10 @@
 """Reference answers for the tests: brute-force oracles, quadratic in p,
 for the closed-form arithmetic in isoshare; the unpruned walk enumeration
-of the recovery search; codeword enumeration and minimum distance by brute
-force; dense field-element Gaussian elimination, against which the packed
-elimination of every code's binary image is checked; and helpers only the
-tests use."""
+of the recovery search, and the smallest matching walk among it, against
+which the pruned search is checked; codeword enumeration and minimum
+distance by brute force; dense field-element Gaussian elimination, against
+which the packed elimination of every code's binary image is checked; and
+helpers only the tests use."""
 
 import functools
 
@@ -13,6 +14,7 @@ from isoshare.curves import (
     INFINITY,
     CurvePoint,
     CurveSpec,
+    j_invariant,
     point_add,
     random_point_of_order,
     scalar_mul,
@@ -24,6 +26,8 @@ from isoshare.isogeny import (
     _canonical_generator,
     _other_subgroup_point,
     ell_torsion_subgroups,
+    evaluate_chain,
+    isomorphism_scales,
     velu_step,
 )
 
@@ -96,6 +100,30 @@ def exhaustive_walks(e0: CurveSpec, ell: int, e: int):
                 step.codomain, step.evaluate(aux), ell
             )
             stack.append((chain.extended(step), next_forbidden))
+
+
+@functools.cache
+def _walk_images(e0: CurveSpec, ell: int, e: int, point: CurvePoint):
+    return [(w, evaluate_chain(w, point)) for w in exhaustive_walks(e0, ell, e)]
+
+
+def smallest_matching_walk(e0, e1, point, image, ell: int, e: int):
+    """recover_isogeny by brute force: the smallest sort_key among all
+    non-backtracking length-e walks whose codomain some isomorphism
+    (x, y) -> (u^2 x, u^3 y) maps onto e1 and their image of point onto
+    image; None if no walk does."""
+    found = []
+    for walk, mapped in _walk_images(e0, ell, e, point):
+        if j_invariant(walk.codomain) != j_invariant(e1):
+            continue
+        for u in isomorphism_scales(walk.codomain, e1):
+            if mapped.is_infinity:
+                moved = INFINITY
+            else:
+                moved = CurvePoint(u * u * mapped.x, u * u * u * mapped.y)
+            if moved == image:
+                found.append(walk.sort_key())
+    return min(found, default=None)
 
 
 def point_neg(pt: CurvePoint) -> CurvePoint:

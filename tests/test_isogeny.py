@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from oracles import cube_table, exhaustive_walks, torsion_subgroups
+from oracles import cube_table, exhaustive_walks, smallest_matching_walk, torsion_subgroups
 
 from isoshare.codec import encode_point
 from isoshare.curves import (
@@ -25,6 +25,7 @@ from isoshare.isogeny import (
     IsogenyChain,
     IsogenyStep,
     _cube_roots,
+    _iso_invariant,
     _neighbour_cache,
     _torsion_cache,
     _walks,
@@ -328,6 +329,9 @@ def test_recover_identity_chain(e0):
     assert len(chain) == 0
     with pytest.raises(NoIsogenyFound):
         recover_isogeny(e0, e0, q, scalar_mul(e0, 3, q), 3, 0)
+    # A negative length has no walk (and must not start an endless search).
+    with pytest.raises(NoIsogenyFound):
+        recover_isogeny(e0, e0, q, q, 3, -1)
 
 
 def test_recover_roundtrip_small(e0):
@@ -381,7 +385,11 @@ def test_pruned_walks_are_the_oracle_walks_ending_at_the_target(e0):
             j = j_invariant(target)
             expected = [w.sort_key() for w in walks if j_invariant(w.codomain) == j]
             assert expected
-            pruned = [w.sort_key() for w in _walks(e0, 3, e, target)]
+            # With point and image O, the meet keeps every walk whose depth-a
+            # curve a b-walk out of the target reaches, so it prunes by j alone.
+            pruned = [
+                w.sort_key() for w, _ in _walks(e0, 3, e, INFINITY, target, INFINITY)
+            ]
             assert pruned == expected, (e, target)
     assert {j_key for _, j_key in tested_special} == special
 
@@ -393,17 +401,93 @@ def test_twist_target_is_never_matched(e0):
     q = random_point_of_order(e0, 16, "twistp")
     image = random_point(twist, random.Random(1))
     # With no neighbours of j = 1728 cached, the layers cannot be built from
-    # the twist, so every walk is left to the isomorphism test.
+    # the twist, and no walk leaves it to meet, so every walk is left to the
+    # isomorphism test.
     _neighbour_cache.clear()
     expected = [w.sort_key() for w in exhaustive_walks(e0, 3, 2)]
-    assert [w.sort_key() for w in _walks(e0, 3, 2, twist)] == expected
+    walks = _walks(e0, 3, 2, INFINITY, twist, INFINITY)
+    assert [w.sort_key() for w, _ in walks] == expected
     with pytest.raises(NoIsogenyFound):
         recover_isogeny(e0, twist, q, image, 3, 2)
     # With them cached (from E0), the walks are pruned; none matches either.
-    list(_walks(e0, 3, 2, e0))
+    list(_walks(e0, 3, 2, INFINITY, e0, INFINITY))
     assert (p, 3, j_invariant(twist).key()) in _neighbour_cache
     with pytest.raises(NoIsogenyFound):
         recover_isogeny(e0, twist, q, image, 3, 2)
+
+
+def _moved(pt, u):
+    """The image of pt under (x, y) -> (u^2 x, u^3 y)."""
+    if pt.is_infinity:
+        return INFINITY
+    return CurvePoint(u * u * pt.x, u * u * u * pt.y)
+
+
+def test_iso_invariant_is_kept_by_isomorphisms(e0):
+    p = e0.p
+    j0 = CurveSpec(fp2_from_int(0, p), fp2_from_int(1, p), p)
+    generic = random_walk(e0, 3, 1, "inv").codomain
+    assert j_invariant(generic) not in (fp2_from_int(0, p), fp2_from_int(1728, p))
+    for curve, automorphisms in ((e0, 4), (j0, 6), (generic, 2)):
+        assert len(isomorphism_scales(curve, curve)) == automorphisms
+        keys = set()
+        for i in range(6):
+            pt = random_point(curve, random.Random(i))
+            key = _iso_invariant(curve, pt)
+            keys.add(key)
+            # Every automorphism, and the isomorphisms onto other models.
+            for u in isomorphism_scales(curve, curve) + [Fp2(5, 7, p), Fp2(0, 3, p)]:
+                assert _iso_invariant(_scaled(curve, u), _moved(pt, u)) == key, (curve, u)
+        assert len(keys) > 1
+        assert _iso_invariant(curve, INFINITY) == ()
+
+
+def test_recovery_is_the_brute_force_smallest_walk(e0):
+    # Secrets from the unpruned enumeration: the first, middle and last walk,
+    # and for j = 0 and 1728 the first walk that ends there and the first
+    # whose curve at the meet depth a = e - e // 2 has that j.  Each is
+    # recovered from points of order 4 (many ties) and 16, onto its own
+    # codomain and onto another model of it.  Walks out of E0 (j = 1728)
+    # reach j = 0 or 1728 again only after 5 steps, so walks out of
+    # y^2 = x^3 + 1 (j = 0, which has a 3-isogeny to itself) meet there.
+    p = e0.p
+    j0 = CurveSpec(fp2_from_int(0, p), fp2_from_int(1, p), p)
+    special = [fp2_from_int(j, p) for j in (0, 1728)]
+    u = Fp2(5, 7, p)
+    ends, meets = set(), set()
+    for start, longest in ((e0, 6), (j0, 4)):
+        for e in range(1, longest + 1):
+            walks = list(exhaustive_walks(start, 3, e))
+            secrets = [walks[0], walks[len(walks) // 2], walks[-1]]
+            if e == 6:
+                secrets = secrets[:1]
+            for j in special:
+                for depth, seen in ((e, ends), (e - e // 2, meets)):
+                    walk = next(
+                        (w for w in walks if j_invariant(w.steps[depth - 1].codomain) == j),
+                        None,
+                    )
+                    if walk is not None and (depth == e or e > 1):
+                        seen.add(j.key())
+                        secrets.append(walk)
+            for order in (4, 16) if e < 6 else (16,):
+                q = random_point_of_order(start, order, f"oracle-{order}")
+                for secret in secrets:
+                    image = evaluate_chain(secret, q)
+                    for target, target_image in (
+                        (secret.codomain, image),
+                        (_scaled(secret.codomain, u), _moved(image, u)),
+                    ):
+                        expected = smallest_matching_walk(
+                            start, target, q, target_image, 3, e
+                        )
+                        assert expected is not None
+                        found = recover_isogeny(start, target, q, target_image, 3, e)
+                        assert found.sort_key() == expected, (e, order, secret.sort_key())
+                        assert found.codomain == target
+                        assert evaluate_chain(found, q) == target_image
+    assert ends == {j.key() for j in special}
+    assert meets
 
 
 # Literal keys, so that a change to how E[ell] is found or how the search is
@@ -442,6 +526,41 @@ PINNED_RECOVERIES = [
         ((170, 0, 0, 122), (148, 288, 200, 330), (329, 130, 38, 38),
          (401, 302, 88, 155), (134, 161, 43, 410), (203, 228, 18, 349)),
     ),
+    (
+        7, 4, "pin7-4-0",
+        ((261, 0, 122, 0), (283, 143, 101, 200), (65, 75, 59, 149),
+         (31, 14, 113, 258), (218, 424, 17, 284), (229, 45, 154, 126),
+         (101, 14, 138, 209)),
+        ((0, 5, 102, 329), (0, 100, 81, 350), (280, 235, 2, 237),
+         (195, 288, 153, 95), (219, 312, 179, 341), (304, 65, 118, 106),
+         (197, 346, 17, 199)),
+    ),
+    (
+        7, 16, "pin7-16-3",
+        ((170, 0, 0, 122), (214, 0, 0, 75), (68, 0, 0, 40), (103, 0, 0, 67),
+         (263, 113, 132, 336), (129, 328, 207, 428), (426, 343, 175, 89)),
+        ((170, 0, 0, 122), (148, 288, 200, 330), (180, 378, 92, 238),
+         (94, 144, 67, 263), (404, 283, 44, 387), (335, 3, 133, 190),
+         (18, 93, 200, 359)),
+    ),
+    (
+        8, 4, "pin8-4-0",
+        ((170, 0, 0, 122), (148, 143, 200, 101), (329, 301, 38, 393),
+         (352, 157, 99, 178), (145, 371, 75, 6), (321, 233, 58, 10),
+         (104, 383, 161, 425), (324, 44, 58, 413)),
+        ((0, 5, 102, 329), (0, 100, 81, 350), (0, 261, 164, 267),
+         (0, 183, 24, 407), (0, 329, 128, 303), (0, 48, 173, 258),
+         (116, 173, 25, 54), (282, 173, 114, 202)),
+    ),
+    (
+        8, 16, "pin8-16-0",
+        ((0, 426, 102, 102), (358, 258, 101, 81), (342, 229, 179, 115),
+         (372, 186, 153, 35), (315, 278, 164, 125), (239, 155, 188, 326),
+         (394, 195, 145, 223), (293, 417, 17, 196)),
+        ((0, 5, 102, 329), (0, 100, 81, 350), (151, 235, 194, 429),
+         (176, 292, 72, 397), (10, 69, 92, 173), (307, 99, 34, 97),
+         (57, 23, 134, 39), (110, 131, 54, 306)),
+    ),
 ]
 
 
@@ -452,3 +571,24 @@ def test_recovery_returns_pinned_smallest_chain(e0, e, order, seed, secret_key, 
     q = random_point_of_order(e0, order, seed + "p")
     found = recover_isogeny(e0, secret.codomain, q, evaluate_chain(secret, q), 3, e)
     assert found.sort_key() == recovered_key
+
+
+def test_meet_in_the_middle_bounds_the_search_work(e0, monkeypatch):
+    # A search without the meet (j-distance layers alone) builds 3,060 steps
+    # for this recovery from a cold neighbour cache; the meet keeps it well
+    # under half of that.
+    secret = random_walk(e0, 3, 8, "count8")
+    q = random_point_of_order(e0, 16, "count8p")
+    image = evaluate_chain(secret, q)
+    built = []
+    velu = IsogenyStep._velu
+
+    def counting(self, *args):
+        built.append(1)
+        return velu(self, *args)
+
+    _neighbour_cache.clear()
+    monkeypatch.setattr(IsogenyStep, "_velu", counting)
+    found = recover_isogeny(e0, secret.codomain, q, image, 3, 8)
+    assert evaluate_chain(found, q) == image
+    assert len(built) < 3060 // 2
