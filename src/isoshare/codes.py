@@ -199,7 +199,6 @@ class ReedSolomonCode(LinearCode):
         self.r = r
         self.d = d
         self.m = m
-        self.generator_poly = tuple(g)
 
 
 def hyperoval_code(r: int) -> LinearCode:

@@ -259,15 +259,11 @@ def _carryless_mul(a: int, b: int) -> int:
 class BinaryField:
     """GF(2^r) in polynomial basis with a fixed primitive polynomial."""
 
-    def __init__(self, r: int, poly: int | None = None):
-        if poly is None:
-            if r not in PRIMITIVE_POLY:
-                raise ValueError(f"no primitive polynomial on file for r = {r}")
-            poly = PRIMITIVE_POLY[r]
-        if poly.bit_length() != r + 1:
-            raise ValueError("polynomial degree does not match r")
+    def __init__(self, r: int):
+        if r not in PRIMITIVE_POLY:
+            raise ValueError(f"no primitive polynomial on file for r = {r}")
         self.r = r
-        self.poly = poly
+        self.poly = PRIMITIVE_POLY[r]
         self.size = 1 << r
         self.zero = BinaryFieldElement(0, self)
         self.one = BinaryFieldElement(1, self)
@@ -289,14 +285,10 @@ class BinaryField:
         return (BinaryFieldElement(v, self) for v in range(self.size))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BinaryField)
-            and self.r == other.r
-            and self.poly == other.poly
-        )
+        return isinstance(other, BinaryField) and self.r == other.r
 
     def __hash__(self):
-        return hash((self.r, self.poly))
+        return hash(self.r)
 
     def __repr__(self):
         return f"BinaryField(r={self.r}, poly={bin(self.poly)})"

@@ -5,8 +5,10 @@ of P is obtained by summing P over translates by the kernel, and the
 codomain coefficients are (a - 5t, b - 7w) for the usual kernel sums t, w.
 An optional post-composition with the isomorphism (x, y) -> (u^2 x, u^3 y)
 lets a recovered chain land exactly on a prescribed target curve.  The
-search meets in the middle: the walks of half the length out of the target
-decide which half-walks out of the start are extended (see _walks).
+search meets in the middle: one enumeration of the walks of half the
+length out of the target gives the j-invariants each depth reaches and the
+keys at the middle, and these decide which walks out of the start are
+extended (see _walks).
 """
 
 import random
@@ -348,47 +350,6 @@ def _cube_roots(c: Fp2) -> list[Fp2]:
     return sorted((root, root * w, root * w * w), key=Fp2.key)
 
 
-# (p, ell, j) -> {j key of each ell-isogenous neighbour: one model of it},
-# from the ell+1 Velu codomains of one model of that j-invariant.
-_neighbour_cache: dict[tuple, dict[tuple, CurveSpec]] = {}
-
-
-def _neighbours(model: CurveSpec, ell: int, j_key) -> dict[tuple, CurveSpec]:
-    key = (model.p, ell, j_key)
-    entry = _neighbour_cache.get(key)
-    if entry is None:
-        entry = {}
-        for kernel in ell_torsion_subgroups(model, ell):
-            codomain = _velu_step(model, kernel, ell).codomain
-            entry.setdefault(j_invariant(codomain).key(), codomain)
-        _neighbour_cache[key] = entry
-    return entry
-
-
-def _reachable_layers(target: CurveSpec, ell: int, e: int) -> list[frozenset] | None:
-    """layers[k], k < e: the j keys with a length-k ell-walk to j(target).
-
-    Any walk counts, backtracking ones too.  Every ell-isogeny has a dual of
-    degree ell, so the j-invariants a k-walk from the target reaches are
-    those with a k-walk to it.  None if E[ell] of a model on the way is not
-    rational: the target is then outside the isogeny class of a
-    supersingular E0, and the search runs unpruned.
-    """
-    frontier = {j_invariant(target).key(): target}
-    layers = [frozenset(frontier)]
-    try:
-        for _ in range(e - 1):
-            frontier = {
-                j_next: m
-                for j_key, model in frontier.items()
-                for j_next, m in _neighbours(model, ell, j_key).items()
-            }
-            layers.append(frozenset(frontier))
-    except NoSuchOrder:
-        return None
-    return layers
-
-
 def _iso_invariant(e: CurveSpec, pt: CurvePoint):
     """A key of pt that every isomorphism (x, y) -> (u^2 x, u^3 y) out of e
     keeps, automorphisms included: x*a/b, or x^2/a at j = 1728 (b = 0), or
@@ -402,31 +363,41 @@ def _iso_invariant(e: CurveSpec, pt: CurvePoint):
     return (pt.x * e.a / e.b).key()
 
 
-def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, target=None, image=None):
+def _meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
+    """(layers, keys) from the b-walks out of target: layers[r], r <= b,
+    the j keys its r-walks reach; keys the (j, _iso_invariant) of each
+    b-walk's codomain and its image of `image`, or None if b = 0.  Raises
+    NoSuchOrder if E[ell] of the target is not rational (b > 0)."""
+    leaves = list(_walks(target, ell, b, image))
+    # Walks that share a prefix share its steps: one j per step.
+    steps = {step for walk, _ in leaves for step in walk.steps}
+    j_keys = {step: j_invariant(step.codomain).key() for step in steps}
+    layers = [{j_invariant(target).key()}] + [
+        {j_keys[walk.steps[r]] for walk, _ in leaves} for r in range(b)
+    ]
+    if not b:
+        return layers, None
+    return layers, {
+        (j_keys[walk.steps[-1]], _iso_invariant(walk.codomain, pt)) for walk, pt in leaves
+    }
+
+
+def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
     """(chain, its image of point) for the non-backtracking length-e walks
     out of e0, kernels in canonical sorted order.
 
-    With a target, a child is skipped before it is expanded when its
-    codomain has no walk of the remaining length to j(target) (see
-    _reachable_layers), or when it sits at depth a = e - b, b = e // 2, and
-    no b-walk psi' out of target sends image to [ell^b] of the child's image
-    of point up to isomorphism (judged by j and _iso_invariant).  Any walk
-    psi o F, F its first a steps, that maps point to image passes: the dual
-    of psi, after the isomorphism onto target, is such a psi'.  There is no
-    meet when b = 0 or E[ell] of the target is not rational.
+    meet = _meet(target, ell, b, image), b = e // 2, prunes the walks that
+    cannot end on target with point sent to image.  A child with r <= b
+    steps still to take is skipped before it is expanded when its j is not
+    in layers[r]; at r = b > 0 also when no b-walk psi' out of target sends
+    image to [ell^b] of the child's image of point up to isomorphism
+    (judged by j and _iso_invariant).  Any walk psi o F, psi its last r
+    steps, that maps point to image passes: the dual of psi, after the
+    isomorphism onto target, is such an r-walk psi' out of target, ending
+    on j(codomain of F).
     """
-    layers = keys = None
-    b = e // 2
-    if target is not None:
-        layers = _reachable_layers(target, ell, e)
-        if b:
-            try:
-                keys = {
-                    (j_invariant(w.codomain).key(), _iso_invariant(w.codomain, pt))
-                    for w, pt in _walks(target, ell, b, image)
-                }
-            except NoSuchOrder:
-                pass
+    layers, keys = meet
+    b = len(layers) - 1
     stack = [(IsogenyChain(e0), point, None)]
     while stack:
         chain, mapped, forbidden = stack.pop()
@@ -442,9 +413,9 @@ def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, target=None, imag
                 continue
             step = _velu_step(current, kernel, ell)
             codomain = step.codomain
-            if target is not None:
+            if remaining <= b:
                 j_key = j_invariant(codomain).key()
-                if layers is not None and j_key not in layers[remaining]:
+                if j_key not in layers[remaining]:
                     continue
             child = step._image(mapped)
             if keys is not None and remaining == b and (
@@ -470,25 +441,38 @@ def recover_isogeny(
 ) -> IsogenyChain:
     """Exact stand-in for the torsion-point isogeny recovery oracle.
 
-    Searches the non-backtracking ell-walks of length e out of e0, pruned
-    by j-distance to e1 and by a meet in the middle with the walks out of
-    e1 (see _walks), and returns the lexicographically smallest chain (by
-    kernel serialization) whose codomain can be identified with e1 by an
-    isomorphism carrying the walk's image of `point` to `image`.  The
-    pruning skips only walks that cannot match, so that chain is the
-    smallest over all walks.  The winning chain's final step is rescaled so
-    its codomain equals e1 and its action sends point to image literally.
+    Searches the non-backtracking ell-walks of length e out of e0 and
+    returns the lexicographically smallest chain (by kernel serialization)
+    whose codomain can be identified with e1 by an isomorphism carrying the
+    walk's image of `point` to `image`.  The walks are pruned by one
+    enumeration of the b-walks out of e1, b = e // 2: by the j-invariants
+    those reach at each depth, and by a meet in the middle at depth b (see
+    _walks).  The pruning skips only walks that cannot match, so that chain
+    is the smallest over all walks.  The winning chain's final step is
+    rescaled so its codomain equals e1 and its action sends point to image
+    literally.
+
+    e0 must be supersingular (NoSuchOrder otherwise).  Every curve
+    isogenous to it then has E = (Z/(p+1))^2, so a target whose E[ell] is
+    not rational ends the search at once with NoIsogenyFound.
     """
     if not is_on_curve(e0, point):
         raise NotOnCurve("torsion point not on the starting curve")
     if not is_on_curve(e1, image):
         raise NotOnCurve("image point not on the target curve")
+    require_rational_ell(e0.p, ell)
+    if not is_supersingular(e0):
+        raise NoSuchOrder(f"{e0} is not supersingular")
     best = None
     if e <= 0:
         if e == 0 and e1 == e0 and image == point:
             return IsogenyChain(e0)
         raise NoIsogenyFound(f"no length-{e} walk matches")
-    for chain, mapped in _walks(e0, ell, e, point, e1, image):
+    try:
+        meet = _meet(e1, ell, e // 2, image)
+    except NoSuchOrder:
+        raise NoIsogenyFound(f"E[{ell}] of the target curve is not rational") from None
+    for chain, mapped in _walks(e0, ell, e, point, meet):
         # Codomains of another j have no isomorphism onto e1.
         for u in isomorphism_scales(chain.codomain, e1):
             u2 = u * u

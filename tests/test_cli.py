@@ -1,5 +1,6 @@
 import contextlib
 import filecmp
+import hashlib
 import io
 import itertools
 import os
@@ -134,6 +135,45 @@ def test_deal_then_recover_roundtrip(config_path, tmp_path, capsys):
     assert "degree: 9" in out
     assert "steps: 2" in out
     assert "point_x:" in out and "image_y:" in out
+
+
+# The sha256 of each file the demo `deal` writes, and of `recover`'s
+# stdout from shares 0 and 2, at e_iso = 2 and at a deeper e_iso whose
+# search meets at depth 4: a change to the arithmetic, the codes or the
+# search that moves a byte of the CLI's output fails here.
+DEMO_BYTES = {
+    2: {
+        "public.isoshare": "1076cf298577def036f8f4fe5a835d340043c1783b0098c3cd51f363f97f77c3",
+        "share_0.isoshare": "098bb586e42c5b0475dae1409efdfd88f1d6b38a3b40321a4c9ac7e5ad15692f",
+        "share_1.isoshare": "e62ff202674e53196b4231b8df4c74bcaf909897206fa2c80faf422c99e1ba93",
+        "share_2.isoshare": "21edbe9ea8025837e69c1b42f103f61fc0d52c6addd1294768815bc60baf616b",
+        "recover": "7acc33b1adbf134d9cb919cb5c0f7a55d4030284a18146d5328011791d70cee4",
+    },
+    8: {
+        "public.isoshare": "e17e5aa2d8d9448aa8a27f0564d37423bdb498f42a76d2beee63e522f82ab93d",
+        "share_0.isoshare": "7cefdfd6e4bdb0e217c9b3040358cacdd3c7321af92e2bb301979c2483dddf9e",
+        "share_1.isoshare": "15c682e6239b71b8923605c342408db50f2c37a4fafa6e356dba67a807bee000",
+        "share_2.isoshare": "3812a5d2cb71ee4267920277e763a4aabf90eeadde19a3b9dc3d4f93283247bf",
+        "recover": "1a508f1275d589a3b48ca3d61f7bcf1f283c2fb8d2510461933eac83a1500195",
+    },
+}
+
+
+@pytest.mark.parametrize("e_iso", sorted(DEMO_BYTES))
+def test_demo_output_bytes_are_pinned(e_iso, tmp_path, capsys):
+    config = tmp_path / "demo.cfg"
+    config.write_text(CONFIG.replace("e_iso = 2", f"e_iso = {e_iso}"))
+    outdir = tmp_path / "deal"
+    assert main(["deal", "-c", str(config), "-o", str(outdir)]) == EXIT_OK
+    capsys.readouterr()
+    shares = [str(outdir / f"share_{i}.isoshare") for i in (0, 2)]
+    assert main(["recover", "-p", str(outdir / "public.isoshare"), *shares]) == EXIT_OK
+    digests = {
+        name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+        for name in os.listdir(outdir)
+    }
+    digests["recover"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == DEMO_BYTES[e_iso]
 
 
 def test_deal_is_deterministic(config_path, tmp_path):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from oracles import cube_table, exhaustive_walks, smallest_matching_walk, torsion_subgroups
@@ -26,7 +27,7 @@ from isoshare.isogeny import (
     IsogenyStep,
     _cube_roots,
     _iso_invariant,
-    _neighbour_cache,
+    _meet,
     _torsion_cache,
     _walks,
     ell_torsion_subgroups,
@@ -36,6 +37,17 @@ from isoshare.isogeny import (
     recover_isogeny,
     velu_step,
 )
+
+
+# p = 10,079 has about 840 supersingular j-invariants, so the j-invariants
+# the walks out of a target reach at each depth are a small share of them
+# and prune most children, where at p = 431 (37) they soon hold them all.
+P_LARGE = 10079
+
+
+@pytest.fixture(scope="module")
+def e0_large():
+    return CurveSpec(fp2_from_int(1, P_LARGE), fp2_from_int(0, P_LARGE), P_LARGE)
 
 
 def _some_kernel(e, ell, seed="k"):
@@ -323,6 +335,24 @@ def test_nonsupersingular_curve_refused_in_bounded_time():
         ell_torsion_subgroups(ordinary, 3)
 
 
+def test_recovery_refuses_a_nonsupersingular_start(e0):
+    # The search's shortcut for a target whose E[ell] is not rational holds
+    # only for a supersingular start and an ell | p+1, so any other start
+    # or ell is refused first, here with a target that has no rational
+    # E[3] either.
+    p = e0.p
+    ordinary = CurveSpec(fp2_from_int(1, p), Fp2(0, 1, p), p)
+    pt = random_point(ordinary, random.Random(1))
+    start = time.perf_counter()
+    for e in (0, 2, 6):
+        with pytest.raises(NoSuchOrder):
+            recover_isogeny(ordinary, ordinary, pt, pt, 3, e)
+    assert time.perf_counter() - start < 1.0
+    q = random_point_of_order(e0, 16, "r0")
+    with pytest.raises(NoSuchOrder):
+        recover_isogeny(e0, e0, q, q, 5, 2)
+
+
 def test_recover_identity_chain(e0):
     q = random_point_of_order(e0, 16, "r0")
     chain = recover_isogeny(e0, e0, q, q, 3, 0)
@@ -387,33 +417,46 @@ def test_pruned_walks_are_the_oracle_walks_ending_at_the_target(e0):
             assert expected
             # With point and image O, the meet keeps every walk whose depth-a
             # curve a b-walk out of the target reaches, so it prunes by j alone.
-            pruned = [
-                w.sort_key() for w, _ in _walks(e0, 3, e, INFINITY, target, INFINITY)
-            ]
+            meet = _meet(target, 3, e // 2, INFINITY)
+            pruned = [w.sort_key() for w, _ in _walks(e0, 3, e, INFINITY, meet)]
             assert pruned == expected, (e, target)
     assert {j_key for _, j_key in tested_special} == special
 
 
-def test_twist_target_is_never_matched(e0):
-    # Same j as E0 but no isomorphism over GF(p^2), and E[3] is not rational.
-    p = e0.p
-    twist = CurveSpec(Fp2(2, 1, p), fp2_from_int(0, p), p)
-    q = random_point_of_order(e0, 16, "twistp")
-    image = random_point(twist, random.Random(1))
-    # With no neighbours of j = 1728 cached, the layers cannot be built from
-    # the twist, and no walk leaves it to meet, so every walk is left to the
-    # isomorphism test.
-    _neighbour_cache.clear()
-    expected = [w.sort_key() for w in exhaustive_walks(e0, 3, 2)]
-    walks = _walks(e0, 3, 2, INFINITY, twist, INFINITY)
-    assert [w.sort_key() for w, _ in walks] == expected
-    with pytest.raises(NoIsogenyFound):
-        recover_isogeny(e0, twist, q, image, 3, 2)
-    # With them cached (from E0), the walks are pruned; none matches either.
-    list(_walks(e0, 3, 2, INFINITY, e0, INFINITY))
-    assert (p, 3, j_invariant(twist).key()) in _neighbour_cache
-    with pytest.raises(NoIsogenyFound):
-        recover_isogeny(e0, twist, q, image, 3, 2)
+def _counting_steps(monkeypatch):
+    """A list that grows by one for each IsogenyStep built from here on."""
+    built = []
+    velu = IsogenyStep._velu
+
+    def counting(self, *args):
+        built.append(1)
+        return velu(self, *args)
+
+    monkeypatch.setattr(IsogenyStep, "_velu", counting)
+    return built
+
+
+def test_twist_target_is_never_matched(e0, e0_large, monkeypatch):
+    # Models of j = 1728 with no isomorphism over GF(p^2) from E0 (a'/a is
+    # not a fourth power), whose E[3] is not rational.
+    for start, twist_a in ((e0, Fp2(2, 1, e0.p)), (e0_large, Fp2(1, 4, P_LARGE))):
+        twist = CurveSpec(twist_a, fp2_from_int(0, start.p), start.p)
+        assert not isomorphism_scales(start, twist)
+        q = random_point_of_order(start, 16, "twistp")
+        image = random_point(twist, random.Random(1))
+        # No walk leaves the twist, and every curve isogenous to E0 has
+        # E = (Z/(p+1))^2, so no chain can end on it: the search ends
+        # before it builds a single step, unless e = 1 leaves no walk out
+        # of the twist to take.
+        with pytest.raises(NoSuchOrder):
+            _meet(twist, 3, 1, INFINITY)
+        built = _counting_steps(monkeypatch)
+        for e in (1, 2, 5):
+            with pytest.raises(NoIsogenyFound):
+                recover_isogeny(start, twist, q, image, 3, e)
+            assert e == 1 or not built
+            built.clear()
+        monkeypatch.undo()
 
 
 def _moved(pt, u):
@@ -488,6 +531,25 @@ def test_recovery_is_the_brute_force_smallest_walk(e0):
                         assert evaluate_chain(found, q) == target_image
     assert ends == {j.key() for j in special}
     assert meets
+
+
+def test_recovery_is_the_brute_force_smallest_walk_at_larger_p(e0_large):
+    u = Fp2(5, 7, P_LARGE)
+    for e in range(1, 6):
+        secret = random_walk(e0_large, 3, e, f"large-{e}")
+        for order in (4, 16):
+            q = random_point_of_order(e0_large, order, f"large-{order}")
+            image = evaluate_chain(secret, q)
+            for target, target_image in (
+                (secret.codomain, image),
+                (_scaled(secret.codomain, u), _moved(image, u)),
+            ):
+                expected = smallest_matching_walk(e0_large, target, q, target_image, 3, e)
+                assert expected is not None
+                found = recover_isogeny(e0_large, target, q, target_image, 3, e)
+                assert found.sort_key() == expected, (e, order)
+                assert found.codomain == target
+                assert evaluate_chain(found, q) == target_image
 
 
 # Literal keys, so that a change to how E[ell] is found or how the search is
@@ -573,22 +635,17 @@ def test_recovery_returns_pinned_smallest_chain(e0, e, order, seed, secret_key, 
     assert found.sort_key() == recovered_key
 
 
-def test_meet_in_the_middle_bounds_the_search_work(e0, monkeypatch):
-    # A search without the meet (j-distance layers alone) builds 3,060 steps
-    # for this recovery from a cold neighbour cache; the meet keeps it well
-    # under half of that.
-    secret = random_walk(e0, 3, 8, "count8")
-    q = random_point_of_order(e0, 16, "count8p")
-    image = evaluate_chain(secret, q)
-    built = []
-    velu = IsogenyStep._velu
-
-    def counting(self, *args):
-        built.append(1)
-        return velu(self, *args)
-
-    _neighbour_cache.clear()
-    monkeypatch.setattr(IsogenyStep, "_velu", counting)
-    found = recover_isogeny(e0, secret.codomain, q, image, 3, 8)
-    assert evaluate_chain(found, q) == image
-    assert len(built) < 3060 // 2
+def test_meet_in_the_middle_bounds_the_search_work(e0, e0_large, monkeypatch):
+    # A search pruned by j-distance alone, from a cold cache of the j-graph,
+    # builds 3,060 steps for the e = 8 recovery at p = 431; a breadth-first
+    # pass over the j-graph before the meet built 658 for the e = 6
+    # recovery at p = 10,079.  The search keeps each well under half.
+    for start, e, seed, bound in ((e0, 8, "count8", 3060), (e0_large, 6, "cold6", 658)):
+        secret = random_walk(start, 3, e, seed)
+        q = random_point_of_order(start, 16, seed + "p")
+        image = evaluate_chain(secret, q)
+        built = _counting_steps(monkeypatch)
+        found = recover_isogeny(start, secret.codomain, q, image, 3, e)
+        monkeypatch.undo()
+        assert evaluate_chain(found, q) == image
+        assert len(built) < bound // 2, (e, len(built))
