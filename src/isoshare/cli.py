@@ -53,14 +53,14 @@ EXIT_CORRUPT = 6
 
 # The largest e_iso a config or public file may name.  The recovery search
 # meets in the middle, but its work still grows exponentially in e_iso: a
-# cold demo `recover` takes 0.2-0.3 s at 9 and 0.4-0.6 s at 10 (CPython 3.11,
+# cold demo `recover` takes 0.2-0.3 s at 9 and 0.4-0.5 s at 10 (CPython 3.11,
 # Xeon vCPU), so an unbounded e_iso would deal a secret that no coalition
 # recovers in bounded time.
 MAX_E_ISO = 10
 
 # The largest ell_iso a config or public file may name.  `deal` lists all
 # ell^2 points of E[ell]: cold, at e_iso = 1 (CPython 3.11, Xeon vCPU), it takes
-# 2.3-2.8 s at ell = 401, 5.4 s at 601, 14 s at 1,009; `recover` about twice that.
+# 1.6-1.9 s at ell = 401, 4.1 s at 601, 11 s at 1,009; `recover` about twice that.
 # The two ceilings alone still let ell and e_iso grow together, so the
 # search's work, at most (ell+1)*ell^(e_iso-1) walks of O(ell) Velu steps, is
 # bounded by its value at ell = 3 and e_iso = MAX_E_ISO: (ell+1)*ell^e_iso <= 4*3^MAX_E_ISO.

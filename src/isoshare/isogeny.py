@@ -1,9 +1,10 @@
 """Prime-degree isogeny steps, chains, walks, and an exact recovery search.
 
-Steps are computed with Velu's formulas in translation-sum form: the image
-of P is obtained by summing P over translates by the kernel, and the
-codomain coefficients are (a - 5t, b - 7w) for the usual kernel sums t, w.
-An optional post-composition with the isomorphism (x, y) -> (u^2 x, u^3 y)
+Steps are computed with Velu's formulas in rational form (Velu, C. R.
+Acad. Sci. 1971): the kernel sums t, w that give the codomain (a - 5t,
+b - 7w), and the image of P, each take one point Q of every pair {Q, -Q}
+of nonzero kernel points, and an image costs one inversion per pair.  An
+optional post-composition with the isomorphism (x, y) -> (u^2 x, u^3 y)
 lets a recovered chain land exactly on a prescribed target curve.  The
 search meets in the middle: one enumeration of the walks of half the
 length out of the target gives the j-invariants each depth reaches and the
@@ -31,7 +32,7 @@ from .fields import Fp2, fp2_from_int, fp2_sqrt, is_prime
 class IsogenyStep:
     """One degree-ell isogeny with cyclic kernel <K>."""
 
-    __slots__ = ("domain", "kernel", "ell", "scale", "kernel_points", "codomain")
+    __slots__ = ("domain", "kernel", "ell", "scale", "kernel_points", "codomain", "_pairs")
 
     def __init__(self, domain: CurveSpec, kernel: CurvePoint, ell: int):
         if not is_prime(ell):
@@ -39,36 +40,44 @@ class IsogenyStep:
         if kernel.is_infinity or not is_on_curve(domain, kernel):
             raise BadKernel("kernel generator must be a finite point on the domain")
         # As ell is prime and K != O, ell*K = O alone proves ord(K) = ell.
+        # With h = ell // 2 that is (h+1)K = -(ell-h-1)K, the point that
+        # _multiples puts after hK (O at ell = 2): one addition more.
         pts = _multiples(domain, kernel, ell)
-        if not _add(domain, pts[-1], kernel).is_infinity:
+        h = ell // 2
+        if _add(domain, pts[h - 1], kernel) != (pts + [INFINITY])[h]:
             raise BadKernel(f"kernel generator does not have order {ell}")
         self._velu(domain, kernel, ell, pts)
 
     def _velu(self, domain, kernel, ell, kernel_points, scale=None) -> "IsogenyStep":
         """Velu's formulas, unchecked: for a kernel of order ell derived from
-        checked points, with kernel_points its ell-1 nonzero multiples."""
+        checked points, with kernel_points its ell-1 nonzero multiples.  The
+        first ell // 2 hold one Q of each pair {Q, -Q}, kept as (x_Q, v_Q,
+        u_Q): v_Q = 2 g_x(Q), or g_x(Q) at ell = 2, g_x(Q) = 3 x_Q^2 + a, and
+        u_Q = 4 y_Q^2."""
         self.domain = domain
         self.kernel = kernel
         self.ell = ell
         self.scale = scale if scale is not None else fp2_from_int(1, domain.p)
         self.kernel_points = kernel_points
         p = domain.p
-        t = Fp2(0, 0, p)
-        w = Fp2(0, 0, p)
+        self._pairs = []
+        t = w = Fp2(0, 0, p)
         three = fp2_from_int(3, p)
-        two = fp2_from_int(2, p)
-        for q in kernel_points:
+        for q in kernel_points[: ell // 2]:
             gx = three * q.x * q.x + domain.a
-            t = t + gx
-            w = w + two * q.y * q.y + q.x * gx
-        five = fp2_from_int(5, p)
-        seven = fp2_from_int(7, p)
-        a_new = domain.a - five * t
-        b_new = domain.b - seven * w
+            v = gx if ell == 2 else gx + gx
+            u = (q.y + q.y) * (q.y + q.y)
+            self._pairs.append((q.x, v, u))
+            t = t + v
+            w = w + u + q.x * v
+        a_new = domain.a - fp2_from_int(5, p) * t
+        b_new = domain.b - fp2_from_int(7, p) * w
         u = self.scale
-        u2 = u * u
-        u4 = u2 * u2
-        self.codomain = CurveSpec(u4 * a_new, u4 * u2 * b_new, p)
+        if u.c1 or u.c0 != 1:
+            u2 = u * u
+            u4 = u2 * u2
+            a_new, b_new = u4 * a_new, u4 * u2 * b_new
+        self.codomain = CurveSpec(a_new, b_new, p)
         return self
 
     def with_scale(self, u: Fp2) -> "IsogenyStep":
@@ -81,18 +90,29 @@ class IsogenyStep:
         return self._image(pt)
 
     def _image(self, pt: CurvePoint) -> CurvePoint:
-        """evaluate, unchecked: for a point derived from checked ones."""
-        if pt.is_infinity or pt in self.kernel_points:
+        """evaluate, unchecked: for a point derived from checked ones, in
+        Velu's rational form: X = x + sum(v/d + u/d^2), Y = y (1 - sum(v/d^2
+        + 2u/d^3)), d = x - x_Q, which is 0 only at P = +-Q, mapped to O."""
+        if pt.is_infinity:
             return INFINITY
         x = pt.x
-        y = pt.y
-        for q in self.kernel_points:
-            shifted = _add(self.domain, pt, q)
-            x = x + shifted.x - q.x
-            y = y + shifted.y - q.y
+        sx = sy = Fp2(0, 0, x.p)
+        for xq, v, u in self._pairs:
+            d = x - xq
+            if not d:
+                return INFINITY
+            inv = d.inverse()
+            ui = u * inv
+            vu = v + ui
+            sx = sx + vu * inv
+            sy = sy + (vu + ui) * inv * inv
+        x = x + sx
+        y = pt.y - pt.y * sy
         u = self.scale
-        u2 = u * u
-        return CurvePoint(u2 * x, u2 * u * y)
+        if u.c1 or u.c0 != 1:
+            u2 = u * u
+            x, y = u2 * x, u2 * u * y
+        return CurvePoint(x, y)
 
     def kernel_key(self):
         return self.kernel.key()
@@ -161,10 +181,14 @@ def _velu_step(e: CurveSpec, kernel: CurvePoint, ell: int) -> IsogenyStep:
 
 
 def _multiples(e: CurveSpec, gen: CurvePoint, ell: int) -> list[CurvePoint]:
-    """The ell-1 nonzero points gen, 2gen, ..., (ell-1)gen of <gen>."""
+    """The ell-1 nonzero points gen, 2gen, ..., (ell-1)gen of <gen>, gen of
+    order ell: the first ell // 2 by additions, the rest as (ell-j)gen = -(j gen)."""
     pts = [gen]
-    for _ in range(ell - 2):
+    for _ in range(ell // 2 - 1):
         pts.append(_add(e, pts[-1], gen))
+    # O passes through: the checked constructor lists gen of any order.
+    for q in reversed(pts[: (ell - 1) // 2]):
+        pts.append(q if q.is_infinity else CurvePoint(q.x, -q.y))
     return pts
 
 
@@ -390,17 +414,20 @@ def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
     cannot end on target with point sent to image.  A child with r <= b
     steps still to take is skipped before it is expanded when its j is not
     in layers[r]; at r = b > 0 also when no b-walk psi' out of target sends
-    image to [ell^b] of the child's image of point up to isomorphism
-    (judged by j and _iso_invariant).  Any walk psi o F, psi its last r
-    steps, that maps point to image passes: the dual of psi, after the
-    isomorphism onto target, is such an r-walk psi' out of target, ending
-    on j(codomain of F).
+    image to the child's image of [ell^b]point up to isomorphism (judged by
+    j and _iso_invariant).  Any walk psi o F, psi its last r steps, that
+    maps point to image passes: the dual of psi, after the isomorphism onto
+    target, is such an r-walk psi' out of target, ending on j(codomain of
+    F).  [ell^b]point is computed once on e0 and its image carried down each
+    walk to that depth, as F([ell^b]P) = [ell^b]F(P); a child's image of
+    point is taken only once it passes.
     """
     layers, keys = meet
     b = len(layers) - 1
-    stack = [(IsogenyChain(e0), point, None)]
+    carried = scalar_mul(e0, ell**b, point) if keys is not None else None
+    stack = [(IsogenyChain(e0), point, carried, None)]
     while stack:
-        chain, mapped, forbidden = stack.pop()
+        chain, mapped, carried, forbidden = stack.pop()
         if len(chain) == e:
             yield chain, mapped
             continue
@@ -417,18 +444,18 @@ def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
                 j_key = j_invariant(codomain).key()
                 if j_key not in layers[remaining]:
                     continue
+            moved = None if carried is None else step._image(carried)
+            if remaining == b and moved is not None:
+                if (j_key, _iso_invariant(codomain, moved)) not in keys:
+                    continue
+                moved = None
             child = step._image(mapped)
-            if keys is not None and remaining == b and (
-                (j_key, _iso_invariant(codomain, scalar_mul(codomain, ell**b, child)))
-                not in keys
-            ):
-                continue
             next_forbidden = None
             if remaining:
                 # A leaf never expands, so it needs no kernel to forbid.
                 aux = _other_subgroup_point(subgroups, kernel)
                 next_forbidden = _canonical_generator(codomain, step._image(aux), ell)
-            stack.append((chain.extended(step), child, next_forbidden))
+            stack.append((chain.extended(step), child, moved, next_forbidden))
 
 
 def recover_isogeny(

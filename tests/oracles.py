@@ -1,10 +1,11 @@
 """Reference answers for the tests: brute-force oracles, quadratic in p,
 for the closed-form arithmetic in isoshare; the unpruned walk enumeration
 of the recovery search, and the smallest matching walk among it, against
-which the pruned search is checked; codeword enumeration and minimum
-distance by brute force; dense field-element Gaussian elimination, against
-which the packed elimination of every code's binary image is checked; and
-helpers only the tests use."""
+which the pruned search is checked; Velu's formulas in translation-sum
+form, against which the steps' pair sums and rational images are checked;
+codeword enumeration and minimum distance by brute force; dense
+field-element Gaussian elimination, against which the packed elimination
+of every code's binary image is checked; and helpers only the tests use."""
 
 import functools
 
@@ -20,7 +21,7 @@ from isoshare.curves import (
     scalar_mul,
 )
 from isoshare.errors import Ambiguous, Inconsistent, IsoshareError
-from isoshare.fields import Fp2
+from isoshare.fields import Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
     _canonical_generator,
@@ -79,6 +80,38 @@ def torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
                 subgroups.add(frozenset(scalar_mul(e, i, r) for i in range(1, ell)))
     assert len(subgroups) == ell + 1
     return sorted((min(s, key=CurvePoint.key) for s in subgroups), key=CurvePoint.key)
+
+
+def translation_codomain(step) -> CurveSpec:
+    """The codomain of step from kernel sums over all ell-1 nonzero kernel
+    points Q: (a - 5t, b - 7w), t = sum g_x(Q), w = sum(2 y_Q^2 + x_Q g_x(Q)),
+    g_x(Q) = 3 x_Q^2 + a, then scaled by (u^4, u^6)."""
+    e, p = step.domain, step.domain.p
+    t = w = Fp2(0, 0, p)
+    for q in step.kernel_points:
+        gx = fp2_from_int(3, p) * q.x * q.x + e.a
+        t = t + gx
+        w = w + fp2_from_int(2, p) * q.y * q.y + q.x * gx
+    u2 = step.scale * step.scale
+    return CurveSpec(
+        u2 * u2 * (e.a - fp2_from_int(5, p) * t),
+        u2 * u2 * u2 * (e.b - fp2_from_int(7, p) * w),
+        p,
+    )
+
+
+def translation_image(step, pt: CurvePoint) -> CurvePoint:
+    """step's image of pt as pt plus, over the nonzero kernel points Q,
+    (x(P + Q) - x(Q), y(P + Q) - y(Q)); then scaled by (u^2, u^3)."""
+    if pt.is_infinity or pt in step.kernel_points:
+        return INFINITY
+    x, y = pt.x, pt.y
+    for q in step.kernel_points:
+        shifted = point_add(step.domain, pt, q)
+        x = x + shifted.x - q.x
+        y = y + shifted.y - q.y
+    u = step.scale
+    return CurvePoint(u * u * x, u * u * u * y)
 
 
 def exhaustive_walks(e0: CurveSpec, ell: int, e: int):

@@ -5,8 +5,16 @@ import sys
 import time
 
 import pytest
-from oracles import cube_table, exhaustive_walks, smallest_matching_walk, torsion_subgroups
+from oracles import (
+    cube_table,
+    exhaustive_walks,
+    smallest_matching_walk,
+    torsion_subgroups,
+    translation_codomain,
+    translation_image,
+)
 
+from isoshare import isogeny
 from isoshare.codec import encode_point
 from isoshare.curves import (
     INFINITY,
@@ -28,6 +36,7 @@ from isoshare.isogeny import (
     _cube_roots,
     _iso_invariant,
     _meet,
+    _multiples,
     _torsion_cache,
     _walks,
     ell_torsion_subgroups,
@@ -100,6 +109,45 @@ def test_kernel_order_validated(e0):
     q3 = _some_kernel(e0, 3)
     with pytest.raises(BadKernel):
         velu_step(e0, q3, 4)  # composite degree
+
+
+def test_kernel_order_check_is_exact(e0):
+    # Every order d | p+1 but 1 and ell is refused, among them 6, 9 and 27
+    # for ell = 3 and 4 for ell = 2 at p = 431, and 10, 14 and 35 for
+    # ell = 5 and 7 at p = 419; every generator the search uses is accepted.
+    e419 = CurveSpec(fp2_from_int(1, 419), fp2_from_int(0, 419), 419)
+    for curve, ells in ((e0, (2, 3)), (e419, (5, 7))):
+        n = curve.p + 1
+        for ell in ells:
+            for d in range(2, n + 1):
+                if n % d == 0 and d != ell:
+                    with pytest.raises(BadKernel):
+                        velu_step(curve, random_point_of_order(curve, d, f"ord-{d}"), ell)
+            for gen in ell_torsion_subgroups(curve, ell):
+                assert velu_step(curve, gen, ell).evaluate(gen) == INFINITY
+
+
+@pytest.mark.parametrize("p, ell", [(419, 2), (419, 3), (419, 5), (419, 7), (431, 2), (431, 3)])
+def test_pair_sums_match_the_translation_sum(p, ell):
+    # The steps sum one point of each pair {Q, -Q} in Velu's rational form;
+    # the translation sum over all ell-1 kernel points is the reference.
+    start = CurveSpec(fp2_from_int(1, p), fp2_from_int(0, p), p)
+    u = Fp2(5, 7, p)
+    for curve in (start, random_walk(start, ell, 2, f"pairs-{ell}").codomain):
+        gens = ell_torsion_subgroups(curve, ell)
+        points = [random_point(curve, random.Random(f"pairs-{i}")) for i in range(8)]
+        for gen in gens:
+            by_additions = [gen]
+            for _ in range(ell - 2):
+                by_additions.append(point_add(curve, by_additions[-1], gen))
+            assert _multiples(curve, gen, ell) == by_additions
+            step = velu_step(curve, gen, ell)
+            for scaled in (step, step.with_scale(u)):
+                assert scaled.codomain == translation_codomain(scaled)
+                for q in scaled.kernel_points:
+                    assert scaled.evaluate(q) == INFINITY
+                for pt in points + gens:
+                    assert scaled.evaluate(pt) == translation_image(scaled, pt), (gen, pt)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -649,3 +697,33 @@ def test_meet_in_the_middle_bounds_the_search_work(e0, e0_large, monkeypatch):
         monkeypatch.undo()
         assert evaluate_chain(found, q) == image
         assert len(built) < bound // 2, (e, len(built))
+
+
+def test_search_work_is_bounded(e0, monkeypatch):
+    # A warm e = 6 recovery at p = 431.  Summing all ell-1 translates of the
+    # kernel, each with its own inversion, and a scalar_mul by ell^b for each
+    # child at the meet took 7,766 Fp2 multiplications and 26 scalar_muls;
+    # the pair sums and the carried [ell^b]P take 4,344 and 1.
+    secret = random_walk(e0, 3, 6, "work-6")
+    q = random_point_of_order(e0, 16, "work-6p")
+    image = evaluate_chain(secret, q)
+    _torsion_cache.clear()
+    recover_isogeny(e0, secret.codomain, q, image, 3, 6)
+    muls, smuls = [], []
+    mul = Fp2.__mul__
+
+    def counting_mul(a, b):
+        muls.append(1)
+        return mul(a, b)
+
+    def counting_smul(*args):
+        smuls.append(1)
+        return scalar_mul(*args)
+
+    monkeypatch.setattr(Fp2, "__mul__", counting_mul)
+    monkeypatch.setattr(isogeny, "scalar_mul", counting_smul)
+    found = recover_isogeny(e0, secret.codomain, q, image, 3, 6)
+    monkeypatch.undo()
+    assert evaluate_chain(found, q) == image
+    assert len(smuls) == 1
+    assert len(muls) <= 5000, len(muls)
