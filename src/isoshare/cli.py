@@ -67,10 +67,10 @@ MAX_E_ISO = 10
 MAX_ELL_ISO = 401
 
 # The largest code.r a config or public file may name.  A cold code build
-# grows about 5x per step of r (CPython 3.11, Xeon vCPU): 0.19-0.24 s at r = 6
-# and 1.1-1.2 s at r = 7 for BinaryExpandedCode(r, 6), most of it expanding,
-# packing and unpacking its binary rows, 0.04-0.05 s and 0.07 s for the
-# subfield code of hyperoval_code(r).
+# grows about 5-7x per step of r (CPython 3.11, Xeon vCPU): 0.07 s at r = 6,
+# 0.33-0.37 s at r = 7 and 2.4 s at r = 8 for BinaryExpandedCode(r, 6), nearly
+# all of it the packed elimination, quadratic in the 2^r * r rows; 0.01 s and
+# 0.03-0.05 s at r = 6 and 7 for the subfield code of hyperoval_code(r).
 MAX_CODE_R = 6
 
 # Config keys that may be left out, with their values.

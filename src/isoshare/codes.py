@@ -1,10 +1,13 @@
 """Linear codes over GF(2) and GF(2^r): Reed-Solomon codes, their binary
 subfield codes and binary expansions, and erasure decoding.
 
-Erasure decoding solves the parity-check system restricted to the erased
-coordinates, so it works uniformly for every code here and succeeds on any
-pattern that pins the codeword down uniquely, not just the worst-case
-d - 1 bound.
+Every code is built, held and eliminated as its binary image: a row or a
+word is an int whose bits r*j .. r*j + r - 1 are the coefficients of
+symbol j, and each constructor hands LinearCode its generator rows in that
+form.  Erasure decoding solves the parity-check system restricted to the
+erased coordinates, so it works uniformly for every code here and succeeds
+on any pattern that pins the codeword down uniquely, not just the
+worst-case d - 1 bound.
 """
 
 from . import linalg
@@ -15,7 +18,7 @@ from .errors import (
     LengthMismatch,
     NotACodeword,
 )
-from .fields import GF2, BinaryField, element_from_bits, element_to_bits
+from .fields import GF2, BinaryField, element_from_bits
 
 ERASED = None
 
@@ -43,42 +46,35 @@ def rs_generator_poly(r: int, d: int, m: int = 0):
     return g
 
 
-_BITS = (GF2.zero, GF2.one)
-
-
 class LinearCode:
     """A linear code given by a generator matrix, held in systematic form.
 
     Message symbols are carried verbatim at `info_positions` (the first k
     coordinates unless the construction dictates otherwise).
 
-    Every code is eliminated on its binary image: a word over GF(2^r) is
-    held as an int whose bits r*j .. r*j + r - 1 are the coefficients of
-    symbol j (x^0 first, as element_to_bits lists them).  A GF(2^r)-linear
-    code is GF(2)-linear on these bits, and GF(2) is r = 1.
+    Rows and words are the code's binary image: an int whose bits
+    r*j .. r*j + r - 1 are the coefficients of symbol j (x^0 first, as
+    element_to_bits lists them).  A GF(2^r)-linear code is GF(2)-linear on
+    these bits, and GF(2) is r = 1.
     """
 
-    def __init__(self, field, rows, info_positions=None, kind="generic",
+    def __init__(self, field, length, rows, info_positions=None, kind="generic",
                  design_distance=None):
-        rows = [list(r) for r in rows]
-        length = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != length:
-                raise ValueError("ragged generator matrix")
+        r = field.r
         self.field = field
         self.length = length
         self.kind = kind
         self.design_distance = design_distance
         self._symbols = tuple(field.elements())
-        r = field.r
         # Row g over GF(2^r) spans g, x*g, ..., x^(r-1)*g over GF(2).  x*g
         # shifts every symbol up one bit and reduces each that overflowed
         # (its top bit, in `top`) by x^r = `low`.
         top = ((1 << r * length) - 1) // (field.size - 1) << r - 1
         low = field.poly ^ field.size
         image = []
-        for row in rows:
-            bits = self._pack(row)
+        for bits in rows:
+            if bits >> r * length:
+                raise ValueError(f"generator row has bits beyond its {length} symbols")
             image.append(bits)
             for _ in range(r - 1):
                 over = bits & top
@@ -100,19 +96,8 @@ class LinearCode:
             for g in reduced[i : i + r]:
                 table += [t ^ g for t in table]
             self._multiples.append(table)
-        self.generator = [self._unpack(g) for g in reduced[::r]]
-        # The checks, on the image and over the field, in closed form from
-        # the systematic rows: h[c] = 1 and h[info_i] = g_i[c] for c off them.
+        # The checks on the image, in closed form from the systematic rows.
         self._par_bits = linalg.nullspace(reduced, pivots, r * length)
-        info = set(self.info_positions)
-        self.parity = []
-        for c in range(length):
-            if c not in info:
-                h = [field.zero] * length
-                h[c] = field.one
-                for j, g in zip(self.info_positions, self.generator):
-                    h[j] = g[c]
-                self.parity.append(tuple(h))
 
     def _pack(self, word):
         """A word of field elements as an int, symbol j at bits r*j on."""
@@ -181,17 +166,13 @@ class ReedSolomonCode(LinearCode):
     def __init__(self, r: int, d: int, m: int = 0):
         g = rs_generator_poly(r, d, m)
         field = g[0].field
-        length = field.size - 1
         k = field.size - d
-        rows = []
-        for i in range(k):
-            row = [field.zero] * length
-            for j, coeff in enumerate(g):
-                row[i + j] = coeff
-            rows.append(row)
+        # Row i is x^i * g(x): the packed g shifted up i symbols.
+        packed = sum(coeff.val << r * j for j, coeff in enumerate(g))
         super().__init__(
             field,
-            rows,
+            field.size - 1,
+            [packed << r * i for i in range(k)],
             info_positions=range(k),
             kind="reed-solomon",
             design_distance=d,
@@ -206,42 +187,37 @@ def hyperoval_code(r: int) -> LinearCode:
     if r < 2:
         raise ValueError("hyperoval codes need r >= 2")
     field = BinaryField(r)
-    alphas = list(field.elements())
-    row0 = [field.one] * field.size + [field.zero, field.zero]
-    row1 = [a for a in alphas] + [field.one, field.zero]
-    row2 = [a * a for a in alphas] + [field.zero, field.one]
+    size = field.size
+    # Rows 1, alpha and alpha^2 over every alpha (symbol j is alpha = j),
+    # then the two points at infinity.
+    rows = [
+        sum(1 << r * a.val for a in field.elements()),
+        sum(a.val << r * a.val for a in field.elements()) | 1 << r * size,
+        sum((a * a).val << r * a.val for a in field.elements()) | 1 << r * (size + 1),
+    ]
     return LinearCode(
         field,
-        [row0, row1, row2],
+        size + 2,
+        rows,
         info_positions=range(3),
         kind="hyperoval",
-        design_distance=field.size,
+        design_distance=size,
     )
 
 
 def subfield_code(code: LinearCode) -> LinearCode:
     """Binary subfield code: the intersection of `code` with {0,1}^length.
 
-    Each GF(2^r) parity constraint splits into r binary constraints on the
-    coefficient bits; the nullspace over GF(2) generates the subfield code.
+    A word whose symbols are all 0 or 1 has image bits only at r*j, so each
+    check on the code's image, cut to those bits, is one binary check on
+    the word; the nullspace over GF(2) of the cut checks generates the
+    subfield code.
     """
-    n = code.length
-    rows = [sum((c.val >> b & 1) << j for j, c in enumerate(h))
-            for h in code.parity for b in range(code.field.r)]
+    n, r = code.length, code.field.r
+    rows = [sum((h >> r * j & 1) << j for j in range(n)) for h in code._par_bits]
     gen = linalg.nullspace(*linalg.rref(rows, n), n)
-    return LinearCode(GF2, [[_BITS[g >> j & 1] for j in range(n)] for g in gen],
-                      kind="subfield", design_distance=code.design_distance)
-
-
-def expand_binary(base: ReedSolomonCode, cw):
-    """Binary image of an RS codeword: per symbol, its r coefficient bits
-    followed by one overall parity bit."""
-    out = []
-    for sym in cw:
-        bits = element_to_bits(sym)
-        out.extend(_BITS[b] for b in bits)
-        out.append(_BITS[sum(bits) & 1])
-    return tuple(out)
+    return LinearCode(GF2, n, gen, kind="subfield",
+                      design_distance=code.design_distance)
 
 
 def contract_binary(base: ReedSolomonCode, word):
@@ -277,15 +253,19 @@ class BinaryExpandedCode(LinearCode):
     def __init__(self, r: int, d: int, m: int = 0):
         base = ReedSolomonCode(r, d, m)
         info = [(r + 1) * j + b for j in range(base.dimension) for b in range(r)]
-        # Message bit r*j + b is coefficient b of RS message symbol j.
+        # Message bit r*j + b is coefficient b of RS message symbol j: its
+        # row is the base image of x^b at symbol j, each r-bit symbol
+        # followed by its parity bit.
+        with_parity = [s | (s.bit_count() & 1) << r for s in range(base.field.size)]
+        mask = base.field.size - 1
         rows = []
-        for j in range(base.dimension):
+        for table in base._multiples:
             for b in range(r):
-                symbols = [base.field.zero] * base.dimension
-                symbols[j] = base.field(1 << b)
-                rows.append(expand_binary(base, base.encode(symbols)))
-        super().__init__(GF2, rows, info_positions=info, kind="binary-expanded-rs",
-                         design_distance=2 * d)
+                bits = table[1 << b]
+                rows.append(sum(with_parity[bits >> r * i & mask] << (r + 1) * i
+                                for i in range(base.length)))
+        super().__init__(GF2, (r + 1) * base.length, rows, info_positions=info,
+                         kind="binary-expanded-rs", design_distance=2 * d)
         self.base = base
         self.r = r
 

@@ -16,7 +16,7 @@ from .codec import (
     encode_point,
     min_encoding_length,
 )
-from .codes import ERASED, BinaryExpandedCode, LinearCode, contract_binary, expand_binary
+from .codes import ERASED, BinaryExpandedCode, LinearCode, contract_binary
 from .curves import CurvePoint, CurveSpec, is_supersingular, point_order
 from .errors import (
     Ambiguous,
@@ -287,19 +287,15 @@ def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> Recover
     return _finish(message_bits, params, e1)
 
 
-def burst_recover(
-    shares,
-    params: SchemeParams,
-    e1: CurveSpec,
-    enforce_conditions: bool = True,
-) -> RecoveryResult:
+def burst_recover(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
     """Recovery through the base RS code of a binary-expanded code.
 
     Each missing gamma-bit block erases a bounded run of adjacent RS
-    symbols; decoding happens at symbol level, then the word is re-expanded.
+    symbols; decoding happens at symbol level, and the message bits are
+    the coefficient bits of the RS message symbols.
     """
     violations = burst_violations(params)
-    if "code" in violations or (enforce_conditions and violations):
+    if violations:
         raise InvalidParams("; ".join(violations.values()))
     code = params.code
     by_index = _check_shares(shares, params)
@@ -317,6 +313,7 @@ def burst_recover(
         raise NotEnoughShares(
             f"{amb.count} base codewords fit the known symbols"
         ) from amb
-    binary_codeword = expand_binary(code.base, rs_codeword)
-    message_bits = tuple(int(s) for s in code.extract(binary_codeword))
+    # Message bit r*j + b is bit b of RS message symbol j.
+    message_bits = tuple(s.val >> b & 1 for s in code.base.extract(rs_codeword)
+                         for b in range(code.r))
     return _finish(message_bits, params, e1)

@@ -4,12 +4,13 @@ of the recovery search, and the smallest matching walk among it, against
 which the pruned search is checked; Velu's formulas in translation-sum
 form, against which the steps' pair sums and rational images are checked;
 codeword enumeration and minimum distance by brute force; dense
-field-element Gaussian elimination, against which the packed elimination
-of every code's binary image is checked; and helpers only the tests use."""
+field-element Gaussian elimination and the codes' generator rows as field
+elements, against which the packed construction and elimination of every
+code's binary image are checked; and helpers only the tests use."""
 
 import functools
 
-from isoshare.codes import ERASED, LinearCode
+from isoshare.codes import ERASED, LinearCode, rs_generator_poly
 
 from isoshare.curves import (
     INFINITY,
@@ -21,7 +22,7 @@ from isoshare.curves import (
     scalar_mul,
 )
 from isoshare.errors import Ambiguous, Inconsistent, IsoshareError
-from isoshare.fields import Fp2, fp2_from_int
+from isoshare.fields import GF2, BinaryField, Fp2, element_to_bits, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
     _canonical_generator,
@@ -356,3 +357,48 @@ def erasure_outcome(code: LinearCode, word):
         return ("ambiguous", amb.count)
     except Inconsistent:
         return ("inconsistent", None)
+
+
+def rs_rows(r: int, d: int, m: int = 0):
+    """ReedSolomonCode(r, d, m)'s generator rows as field elements: the
+    shifts x^i * g(x)."""
+    g = rs_generator_poly(r, d, m)
+    field = g[0].field
+    length, k = field.size - 1, field.size - d
+    return [[field.zero] * i + g + [field.zero] * (length - len(g) - i) for i in range(k)]
+
+
+def hyperoval_rows(r: int):
+    """hyperoval_code(r)'s generator rows as field elements: 1, alpha and
+    alpha^2 over every alpha, and the two points at infinity."""
+    field = BinaryField(r)
+    alphas = list(field.elements())
+    return [
+        [field.one] * field.size + [field.zero, field.zero],
+        alphas + [field.one, field.zero],
+        [a * a for a in alphas] + [field.zero, field.one],
+    ]
+
+
+def expand_binary(base, cw):
+    """Binary image of an RS codeword: per symbol, its r coefficient bits
+    followed by one overall parity bit."""
+    out = []
+    for sym in cw:
+        bits = element_to_bits(sym)
+        out.extend(GF2(b) for b in bits)
+        out.append(GF2(sum(bits) & 1))
+    return tuple(out)
+
+
+def expansion_rows(base):
+    """The generator rows, as GF(2) elements, of the binary expansion of
+    the RS code `base`: the expansion of base's encoding of each unit
+    message x^b at symbol j."""
+    rows = []
+    for j in range(base.dimension):
+        for b in range(base.r):
+            msg = [base.field.zero] * base.dimension
+            msg[j] = base.field(1 << b)
+            rows.append(expand_binary(base, base.encode(msg)))
+    return rows

@@ -15,6 +15,7 @@ from isoshare.codes import (
     BinaryExpandedCode,
     LinearCode,
     ReedSolomonCode,
+    contract_binary,
     hyperoval_code,
     subfield_code,
 )
@@ -49,7 +50,7 @@ def _dummy_params(e0, n, gamma):
     """Minimal params object for the pure-arithmetic helpers."""
     return SchemeParams(
         n=n, t=1, gamma=gamma, curve=e0, torsion_order=16, ell_iso=3,
-        e_iso=1, code=LinearCode(GF2, [[GF2(1)]]), security_bits=128,
+        e_iso=1, code=LinearCode(GF2, 1, [1]), security_bits=128,
     )
 
 
@@ -209,7 +210,8 @@ def test_burst_bound():
 def test_burst_recovery_conditions(e0):
     """With r > gamma - 2 and d >= 2(n-t)+1 every t-subset burst-recovers;
     dropping the distance condition makes t-subsets fail, so it is
-    load-bearing."""
+    load-bearing: burst_recover refuses such params, and the base code
+    cannot decode the symbols their t-subsets contract to."""
     good = SchemeParams(
         n=15, t=13, gamma=5, curve=e0, torsion_order=16, ell_iso=3, e_iso=2,
         code=BinaryExpandedCode(4, 5), security_bits=8,
@@ -232,13 +234,19 @@ def test_burst_recovery_conditions(e0):
     ten = list(bad_deal.shares[:10])
     with pytest.raises(InvalidParams):
         burst_recover(ten, bad, bad_deal.e1)
+    base = bad.code.base
     failures = 0
     for subset in itertools.islice(
         itertools.combinations(bad_deal.shares, 10), 10
     ):
-        with pytest.raises(NotEnoughShares):
-            burst_recover(list(subset), bad, bad_deal.e1,
-                          enforce_conditions=False)
+        word = [ERASED] * (bad.gamma * bad.n)
+        for share in subset:
+            start = share.index * bad.gamma
+            word[start : start + bad.gamma] = [GF2(b) for b in share.bits]
+        symbols = contract_binary(base, word)
+        if sum(s is ERASED for s in symbols) <= base.d - 1:
+            with pytest.raises(Ambiguous):
+                base.erasure_decode(symbols)
         failures += 1
     assert failures >= 1
     print(

@@ -8,12 +8,16 @@ from oracles import (
     consistent_count,
     enumerate_codewords,
     erasure_outcome,
+    expand_binary,
+    expansion_rows,
     generic_build,
     generic_erasure_outcome,
+    hyperoval_rows,
     min_distance_bruteforce,
     nullspace,
     poly_divmod,
     rref,
+    rs_rows,
 )
 
 from isoshare import linalg
@@ -24,7 +28,6 @@ from isoshare.codes import (
     LinearCode,
     ReedSolomonCode,
     contract_binary,
-    expand_binary,
     hyperoval_code,
     poly_mul,
     rs_generator_poly,
@@ -194,8 +197,7 @@ def test_subfield_code_two_way_agreement():
 
 def test_subfield_of_full_space():
     f = BinaryField(3)
-    rows = [[f.one if i == j else f.zero for j in range(4)] for i in range(4)]
-    full = LinearCode(f, rows)
+    full = LinearCode(f, 4, [1 << 3 * i for i in range(4)])
     small = subfield_code(full)
     assert small.dimension == 4  # every binary vector survives
 
@@ -287,19 +289,39 @@ def test_enumeration_guard():
 
 
 def test_min_distance_bruteforce_known_codes():
-    repetition = LinearCode(GF2, [[GF2(1)] * 5])
+    repetition = LinearCode(GF2, 5, [0b11111])
     assert min_distance_bruteforce(repetition) == 5
-    f = GF2
-    full = LinearCode(f, [[f(1) if i == j else f(0) for j in range(3)] for i in range(3)])
+    full = LinearCode(GF2, 3, [0b001, 0b010, 0b100])
     assert min_distance_bruteforce(full) == 1
 
 
-# Every code runs linalg's packed XOR elimination on its binary image; the
-# element-wise elimination in tests/oracles.py is the oracle for it.
+def test_rows_beyond_the_length_are_refused():
+    """A row with a bit at r*length or above names a symbol the code does
+    not have."""
+    f = BinaryField(3)
+    LinearCode(f, 2, [0b111_111])
+    for bad in (1 << 6, 0b1_000_001, -1):
+        with pytest.raises(ValueError):
+            LinearCode(f, 2, [0b001, bad])
+    with pytest.raises(ValueError):
+        LinearCode(GF2, 3, [0b1000])
+
+
+# Every code is built from packed rows and runs linalg's packed XOR
+# elimination on its binary image; the element rows and the element-wise
+# elimination in tests/oracles.py are the oracle for both.
 
 
 def _packed(row):
     return sum(1 << j for j, s in enumerate(row) if s)
+
+
+def _generator(code):
+    """The code's systematic generator rows: its encodings of the unit
+    messages."""
+    zero, one = code.field.zero, code.field.one
+    return [code.encode([one if j == i else zero for j in range(code.dimension)])
+            for i in range(code.dimension)]
 
 
 def _random_rows(rng, nrows, ncols, rank):
@@ -367,11 +389,9 @@ def test_random_binary_codes_match_generic():
     for trial in range(40):
         length = rng.randint(2, 16)
         rows = _random_rows(rng, rng.randint(1, length), length, rng.randint(1, length))
-        code = LinearCode(GF2, rows)
+        code = LinearCode(GF2, length, [_packed(row) for row in rows])
         generator, info, parity = generic_build(GF2, rows)
-        assert (code.generator, code.info_positions, code.parity) == (
-            generator, info, parity
-        ), trial
+        assert (_generator(code), code.info_positions) == (generator, info), trial
         cw = code.encode([GF2(rng.getrandbits(1)) for _ in range(code.dimension)])
         for _ in range(6):
             erased = set(rng.sample(range(length), rng.randint(0, length)))
@@ -386,33 +406,24 @@ def test_random_binary_codes_match_generic():
     assert ("unique", "inconsistent") in pairs
 
 
-def _expansion_rows(code):
-    """The rows BinaryExpandedCode is built from: each unit message."""
-    base = code.base
-    rows = []
-    for j in range(base.dimension):
-        for b in range(code.r):
-            msg = [base.field.zero] * base.dimension
-            msg[j] = base.field(1 << b)
-            rows.append(expand_binary(base, base.encode(msg)))
-    return rows
-
-
-@pytest.mark.parametrize("r, d, n, gamma", [(4, 6, 3, 25), (5, 16, 31, 6)])
-def test_share_coalitions_match_generic(r, d, n, gamma):
-    """The demo [75,40] code, every coalition of its 3 shares, and the
-    [186,80] code, one seeded coalition of each size 1..31, decode as the
-    generic solve does; the code is built as the generic rref builds it.
-    Each coalition's word is also decoded with one known bit flipped, for
-    every third size of the [186,80] code (the generic solve takes ~0.3 s
-    a word there)."""
-    code = BinaryExpandedCode(r, d)
+@pytest.mark.parametrize("r, d, m, n, gamma", [
+    pytest.param(4, 6, 0, 3, 25, id="4-6-3-25"),
+    pytest.param(4, 6, 1, 3, 25, id="4-6-3-25-m1"),
+    pytest.param(4, 6, 2, 3, 25, id="4-6-3-25-m2"),
+    pytest.param(5, 16, 0, 31, 6, id="5-16-31-6"),
+])
+def test_share_coalitions_match_generic(r, d, m, n, gamma):
+    """The demo [75,40] code and its m = 1, 2 variants, every coalition of
+    their 3 shares, and the [186,80] code, one seeded coalition of each
+    size 1..31, decode as the generic solve does; the code is built as the
+    generic rref builds it from the element rows.  Each coalition's word is
+    also decoded with one known bit flipped, for every third size of the
+    [186,80] code (the generic solve takes ~0.3 s a word there)."""
+    code = BinaryExpandedCode(r, d, m)
     generator, info, parity = generic_build(
-        GF2, _expansion_rows(code), code.info_positions
+        GF2, expansion_rows(ReedSolomonCode(r, d, m)), code.info_positions
     )
-    assert (code.generator, code.info_positions, code.parity) == (
-        generator, info, parity
-    )
+    assert (_generator(code), code.info_positions) == (generator, info)
     rng = random.Random(42 + r)
     cw = code.encode([GF2(rng.getrandbits(1)) for _ in range(code.dimension)])
     if n == 3:
@@ -430,55 +441,45 @@ def test_share_coalitions_match_generic(r, d, n, gamma):
 
 
 def test_subfield_code_matches_generic():
+    """subfield_code(hyperoval_code(3..5)) has the generator that the
+    element-wise nullspace of the big code's generic checks, split into
+    bits, gives, and decodes seeded erasure patterns as the element-wise
+    solve does."""
+    rng = random.Random(44)
     for r in (3, 4, 5):
         big = hyperoval_code(r)
+        _, _, big_parity = generic_build(big.field, hyperoval_rows(r), range(3))
         binary_rows = [
-            [GF2(coeff.val >> b & 1) for coeff in h] for h in big.parity for b in range(r)
+            [GF2(coeff.val >> b & 1) for coeff in h] for h in big_parity for b in range(r)
         ]
         rows = nullspace(binary_rows, big.length, GF2)
         small = subfield_code(big)
-        assert (small.generator, small.info_positions, small.parity) == (
-            generic_build(GF2, rows)
-        )
-
-
-def _rs_rows(r, d):
-    """The rows ReedSolomonCode is built from: shifts of g(x)."""
-    g = rs_generator_poly(r, d)
-    field = g[0].field
-    length, k = field.size - 1, field.size - d
-    return [[field.zero] * i + g + [field.zero] * (length - len(g) - i) for i in range(k)]
-
-
-def _hyperoval_rows(r):
-    """The rows hyperoval_code is built from: 1, alpha, alpha^2 and the
-    two points at infinity."""
-    field = BinaryField(r)
-    alphas = list(field.elements())
-    return [
-        [field.one] * field.size + [field.zero, field.zero],
-        alphas + [field.one, field.zero],
-        [a * a for a in alphas] + [field.zero, field.one],
-    ]
+        generator, info, parity = generic_build(GF2, rows)
+        assert (_generator(small), small.info_positions) == (generator, info)
+        for _ in range(8):
+            cw = small.encode([GF2(rng.getrandbits(1)) for _ in info])
+            erased = set(rng.sample(range(small.length), rng.randint(0, small.length)))
+            clean = [ERASED if j in erased else s for j, s in enumerate(cw)]
+            _check_decodes(small, (generator, parity), [clean, _damaged(rng, cw, erased)])
 
 
 def test_gf2r_codes_match_generic():
-    """Every RS(3, d), RS(4, 6), RS(5, 16) and hyperoval_code(3..5) is built
-    as the element-wise rref and nullspace over GF(2^r) build it, and
-    decodes seeded erasure patterns, each clean and with one known symbol
-    changed, as the element-wise solve does."""
-    cases = [(ReedSolomonCode(3, d), _rs_rows(3, d)) for d in range(2, 8)]
-    cases += [(ReedSolomonCode(4, 6), _rs_rows(4, 6)),
-              (ReedSolomonCode(5, 16), _rs_rows(5, 16))]
-    cases += [(hyperoval_code(r), _hyperoval_rows(r)) for r in (3, 4, 5)]
+    """Every RS(3, d), RS(4, 6), RS(5, 16), hyperoval_code(3..5) and
+    RS(5, 16) with m = 3 is built as the element-wise rref and nullspace
+    over GF(2^r) build it from the element rows, and decodes seeded erasure
+    patterns, each clean and with one known symbol changed, as the
+    element-wise solve does."""
+    cases = [(ReedSolomonCode(3, d), rs_rows(3, d)) for d in range(2, 8)]
+    cases += [(ReedSolomonCode(4, 6), rs_rows(4, 6)),
+              (ReedSolomonCode(5, 16), rs_rows(5, 16))]
+    cases += [(hyperoval_code(r), hyperoval_rows(r)) for r in (3, 4, 5)]
+    cases += [(ReedSolomonCode(5, 16, 3), rs_rows(5, 16, 3))]
     rng = random.Random(43)
     kinds = set()
     for code, rows in cases:
         field = code.field
         generator, info, parity = generic_build(field, rows, range(len(rows)))
-        assert (code.generator, code.info_positions, code.parity) == (
-            generator, info, parity
-        ), code
+        assert (_generator(code), code.info_positions) == (generator, info), code
         for _ in range(8):
             cw = code.encode([field(rng.randrange(field.size)) for _ in info])
             erased = set(rng.sample(range(code.length), rng.randint(0, code.length)))
