@@ -1,13 +1,17 @@
 """Supersingular short-Weierstrass curves over GF(p^2) and their points.
 
 The group of a supersingular curve over GF(p^2) is (Z/(p+1))^2, so the
-exponent is p+1; order computations strip prime factors from p+1.
+exponent is p+1; order computations strip prime factors from p+1.  The
+group law, j-invariant and singularity test run on the (c0, c1) int
+coordinates of their Fp2 inputs: sums stay unreduced, each output
+coordinate is reduced once, and a quotient n/d is n * conj(d) / |d|^2 with
+one pow(|d|^2, -1, p).
 """
 
 import random
 
 from .errors import NoSuchOrder, NotOnCurve, SingularCurve
-from .fields import Fp2, check_field_prime, factorize, fp2_from_int, fp2_sqrt
+from .fields import Fp2, check_field_prime, factorize, fp2_sqrt
 
 
 class CurveSpec:
@@ -20,9 +24,8 @@ class CurveSpec:
         self.a = a
         self.b = b
         self.p = p
-        four = fp2_from_int(4, p)
-        twenty_seven = fp2_from_int(27, p)
-        if not (four * a * a * a + twenty_seven * b * b):
+        n0, n1, m0, m1 = _cubic_terms(a, b, p)
+        if not ((n0 + m0) % p or (n1 + m1) % p):
             raise SingularCurve(f"4a^3 + 27b^2 = 0 for a={a}, b={b}")
 
     def key(self):
@@ -39,6 +42,19 @@ class CurveSpec:
 
     def __repr__(self):
         return f"CurveSpec(a={self.a}, b={self.b}, p={self.p})"
+
+
+def _cubic_terms(a: Fp2, b: Fp2, p: int) -> tuple[int, int, int, int]:
+    """4a^3 and 27b^2, as c0, c1 of each mod p: the two terms of the
+    discriminant, and of the j-invariant's denominator."""
+    a0, a1, b0, b1 = a.c0, a.c1, b.c0, b.c1
+    s0, s1 = a0 * a0 - a1 * a1, 2 * a0 * a1
+    return (
+        4 * (s0 * a0 - s1 * a1) % p,
+        4 * (s0 * a1 + s1 * a0) % p,
+        27 * (b0 * b0 - b1 * b1) % p,
+        54 * b0 * b1 % p,
+    )
 
 
 class CurvePoint:
@@ -93,22 +109,31 @@ def point_add(e: CurveSpec, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
 
 def _add(e: CurveSpec, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
     """The group law, unchecked: for points derived from checked ones."""
-    if p1.is_infinity:
+    if p1.x is None:
         return p2
-    if p2.is_infinity:
+    if p2.x is None:
         return p1
-    if p1.x == p2.x:
-        if p1.y != p2.y or not p1.y:
+    p = e.p
+    x0, x1, y0, y1 = p1.x.c0, p1.x.c1, p1.y.c0, p1.y.c1
+    z0, z1 = p2.x.c0, p2.x.c1
+    if x0 == z0 and x1 == z1:
+        if y0 != p2.y.c0 or y1 != p2.y.c1 or not (y0 or y1):
             return INFINITY
-        # Tangent line at a doubling.
-        three = fp2_from_int(3, e.p)
-        two = fp2_from_int(2, e.p)
-        slope = (three * p1.x * p1.x + e.a) / (two * p1.y)
+        # Tangent line at a doubling: slope (3x^2 + a) / 2y.
+        n0, n1 = 3 * (x0 * x0 - x1 * x1) + e.a.c0, 6 * x0 * x1 + e.a.c1
+        d0, d1 = y0 + y0, y1 + y1
     else:
-        slope = (p2.y - p1.y) / (p2.x - p1.x)
-    x3 = slope * slope - p1.x - p2.x
-    y3 = slope * (p1.x - x3) - p1.y
-    return CurvePoint(x3, y3)
+        n0, n1 = p2.y.c0 - y0, p2.y.c1 - y1
+        d0, d1 = z0 - x0, z1 - x1
+    k = pow((d0 * d0 + d1 * d1) % p, -1, p)
+    s0 = (n0 * d0 + n1 * d1) * k % p
+    s1 = (n1 * d0 - n0 * d1) * k % p
+    x3_0 = (s0 * s0 - s1 * s1 - x0 - z0) % p
+    x3_1 = (2 * s0 * s1 - x1 - z1) % p
+    t0, t1 = x0 - x3_0, x1 - x3_1
+    return CurvePoint(
+        Fp2(x3_0, x3_1, p), Fp2(s0 * t0 - s1 * t1 - y0, s0 * t1 + s1 * t0 - y1, p)
+    )
 
 
 def scalar_mul(e: CurveSpec, k: int, pt: CurvePoint) -> CurvePoint:
@@ -169,9 +194,12 @@ def random_point_of_order(e: CurveSpec, n: int, seed) -> CurvePoint:
 
 
 def j_invariant(e: CurveSpec) -> Fp2:
+    """1728 * 4a^3 / (4a^3 + 27b^2)."""
     p = e.p
-    a3 = fp2_from_int(4, p) * e.a * e.a * e.a
-    return fp2_from_int(1728, p) * a3 / (a3 + fp2_from_int(27, p) * e.b * e.b)
+    n0, n1, m0, m1 = _cubic_terms(e.a, e.b, p)
+    d0, d1 = n0 + m0, n1 + m1
+    k = 1728 * pow((d0 * d0 + d1 * d1) % p, -1, p)
+    return Fp2((n0 * d0 + n1 * d1) * k, (n1 * d0 - n0 * d1) * k, p)
 
 
 _supersingular_cache: dict[tuple, bool] = {}

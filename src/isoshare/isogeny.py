@@ -51,33 +51,41 @@ class IsogenyStep:
     def _velu(self, domain, kernel, ell, kernel_points, scale=None) -> "IsogenyStep":
         """Velu's formulas, unchecked: for a kernel of order ell derived from
         checked points, with kernel_points its ell-1 nonzero multiples.  The
-        first ell // 2 hold one Q of each pair {Q, -Q}, kept as (x_Q, v_Q,
-        u_Q): v_Q = 2 g_x(Q), or g_x(Q) at ell = 2, g_x(Q) = 3 x_Q^2 + a, and
-        u_Q = 4 y_Q^2."""
+        first ell // 2 hold one Q of each pair {Q, -Q}, kept as the ints
+        (x_Q, v_Q, u_Q) in c0, c1 pairs mod p: v_Q = 2 g_x(Q), or g_x(Q) at
+        ell = 2, g_x(Q) = 3 x_Q^2 + a, and u_Q = 4 y_Q^2."""
         self.domain = domain
         self.kernel = kernel
         self.ell = ell
         self.scale = scale if scale is not None else fp2_from_int(1, domain.p)
         self.kernel_points = kernel_points
         p = domain.p
-        self._pairs = []
-        t = w = Fp2(0, 0, p)
-        three = fp2_from_int(3, p)
+        a0, a1 = domain.a.c0, domain.a.c1
+        g = 1 if ell == 2 else 2
+        pairs = []
+        t0 = t1 = w0 = w1 = 0
         for q in kernel_points[: ell // 2]:
-            gx = three * q.x * q.x + domain.a
-            v = gx if ell == 2 else gx + gx
-            u = (q.y + q.y) * (q.y + q.y)
-            self._pairs.append((q.x, v, u))
-            t = t + v
-            w = w + u + q.x * v
-        a_new = domain.a - fp2_from_int(5, p) * t
-        b_new = domain.b - fp2_from_int(7, p) * w
-        u = self.scale
-        if u.c1 or u.c0 != 1:
-            u2 = u * u
-            u4 = u2 * u2
-            a_new, b_new = u4 * a_new, u4 * u2 * b_new
-        self.codomain = CurveSpec(a_new, b_new, p)
+            x0, x1, y0, y1 = q.x.c0, q.x.c1, q.y.c0, q.y.c1
+            v0 = g * (3 * (x0 * x0 - x1 * x1) + a0) % p
+            v1 = g * (6 * x0 * x1 + a1) % p
+            u0, u1 = 4 * (y0 * y0 - y1 * y1) % p, 8 * y0 * y1 % p
+            pairs.append((x0, x1, v0, v1, u0, u1))
+            t0 += v0
+            t1 += v1
+            w0 += u0 + x0 * v0 - x1 * v1
+            w1 += u1 + x0 * v1 + x1 * v0
+        self._pairs = pairs
+        # The codomain (a - 5t, b - 7w), times (u^4, u^6).
+        a0, a1 = (a0 - 5 * t0) % p, (a1 - 5 * t1) % p
+        b0, b1 = (domain.b.c0 - 7 * w0) % p, (domain.b.c1 - 7 * w1) % p
+        powers = _scale_powers(self.scale)
+        if powers:
+            s0, s1, c0, c1 = powers
+            f0, f1 = (s0 * s0 - s1 * s1) % p, 2 * s0 * s1 % p
+            h0, h1 = (c0 * c0 - c1 * c1) % p, 2 * c0 * c1 % p
+            a0, a1 = f0 * a0 - f1 * a1, f0 * a1 + f1 * a0
+            b0, b1 = h0 * b0 - h1 * b1, h0 * b1 + h1 * b0
+        self.codomain = CurveSpec(Fp2(a0, a1, p), Fp2(b0, b1, p), p)
         return self
 
     def with_scale(self, u: Fp2) -> "IsogenyStep":
@@ -93,29 +101,48 @@ class IsogenyStep:
         """evaluate, unchecked: for a point derived from checked ones, in
         Velu's rational form: X = x + sum(v/d + u/d^2), Y = y (1 - sum(v/d^2
         + 2u/d^3)), d = x - x_Q, which is 0 only at P = +-Q, mapped to O."""
-        if pt.is_infinity:
+        if pt.x is None:
             return INFINITY
-        x = pt.x
-        sx = sy = Fp2(0, 0, x.p)
-        for xq, v, u in self._pairs:
-            d = x - xq
-            if not d:
+        p = pt.x.p
+        x0, x1 = pt.x.c0, pt.x.c1
+        sx0 = sx1 = sy0 = sy1 = 0
+        for q0, q1, v0, v1, u0, u1 in self._pairs:
+            d0, d1 = x0 - q0, x1 - q1
+            if not (d0 or d1):
                 return INFINITY
-            inv = d.inverse()
-            ui = u * inv
-            vu = v + ui
-            sx = sx + vu * inv
-            sy = sy + (vu + ui) * inv * inv
-        x = x + sx
-        y = pt.y - pt.y * sy
-        u = self.scale
-        if u.c1 or u.c0 != 1:
-            u2 = u * u
-            x, y = u2 * x, u2 * u * y
-        return CurvePoint(x, y)
+            # i = 1/d, f = u/d, r = v + u/d; sx += r/d, sy += (r + u/d)/d^2.
+            k = pow((d0 * d0 + d1 * d1) % p, -1, p)
+            i0, i1 = d0 * k % p, -d1 * k % p
+            f0, f1 = (u0 * i0 - u1 * i1) % p, (u0 * i1 + u1 * i0) % p
+            r0, r1 = v0 + f0, v1 + f1
+            sx0 += r0 * i0 - r1 * i1
+            sx1 += r0 * i1 + r1 * i0
+            r0, r1 = r0 + f0, r1 + f1
+            j0, j1 = (i0 * i0 - i1 * i1) % p, 2 * i0 * i1 % p
+            sy0 += r0 * j0 - r1 * j1
+            sy1 += r0 * j1 + r1 * j0
+        y0, y1 = pt.y.c0, pt.y.c1
+        x0, x1 = (x0 + sx0) % p, (x1 + sx1) % p
+        sy0, sy1 = sy0 % p, sy1 % p
+        y0, y1 = (y0 - y0 * sy0 + y1 * sy1) % p, (y1 - y0 * sy1 - y1 * sy0) % p
+        powers = _scale_powers(self.scale)
+        if powers:
+            s0, s1, c0, c1 = powers
+            x0, x1 = s0 * x0 - s1 * x1, s0 * x1 + s1 * x0
+            y0, y1 = c0 * y0 - c1 * y1, c0 * y1 + c1 * y0
+        return CurvePoint(Fp2(x0, x1, p), Fp2(y0, y1, p))
 
     def kernel_key(self):
         return self.kernel.key()
+
+
+def _scale_powers(u: Fp2):
+    """u^2 and u^3 as c0, c1 of each mod p, or None for u = 1."""
+    if not u.c1 and u.c0 == 1:
+        return None
+    p, c0, c1 = u.p, u.c0, u.c1
+    s0, s1 = (c0 * c0 - c1 * c1) % p, 2 * c0 * c1 % p
+    return s0, s1, (s0 * c0 - s1 * c1) % p, (s0 * c1 + s1 * c0) % p
 
 
 class IsogenyChain:
@@ -192,13 +219,9 @@ def _multiples(e: CurveSpec, gen: CurvePoint, ell: int) -> list[CurvePoint]:
     return pts
 
 
-def _smallest(pts) -> CurvePoint:
-    return min(pts, key=CurvePoint.key)
-
-
 def _canonical_generator(e: CurveSpec, gen: CurvePoint, ell: int) -> CurvePoint:
     """Smallest-serialization generator of <gen>."""
-    return _smallest(_multiples(e, gen, ell))
+    return min(_multiples(e, gen, ell), key=CurvePoint.key)
 
 
 def require_rational_ell(p: int, ell: int) -> None:
@@ -209,8 +232,9 @@ def require_rational_ell(p: int, ell: int) -> None:
 
 
 # (p, ell, j) -> (the first model of that j-invariant that was sampled, the
-# ell-1 nonzero points of each of its ell+1 cyclic subgroups of E[ell]).
-_torsion_cache: dict[tuple, tuple[CurveSpec, list[list[CurvePoint]]]] = {}
+# keys (x.c0, x.c1, y.c0, y.c1) of the ell-1 nonzero points of each of its
+# ell+1 cyclic subgroups of E[ell]).
+_torsion_cache: dict[tuple, tuple[CurveSpec, list[list[tuple]]]] = {}
 
 
 def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
@@ -220,27 +244,33 @@ def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
     The subgroups, and the smallest point of each, depend on the model
     alone.  So E[ell] is sampled once per j-invariant, and another model of
     that j gets it through the isomorphism (x, y) -> (u^2 x, u^3 y) from the
-    sampled one, which maps subgroups onto subgroups.  A model with that j
-    but no isomorphism over GF(p^2) (a twist) is sampled itself.
+    sampled one, which maps subgroups onto subgroups; it is applied to the
+    points' int keys, and only the generators are built as points.  A model
+    with that j but no isomorphism over GF(p^2) (a twist) is sampled itself.
     """
     require_rational_ell(e.p, ell)
-    key = (e.p, ell, j_invariant(e).key())
+    p = e.p
+    key = (p, ell, j_invariant(e).key())
     entry = _torsion_cache.get(key)
-    if entry is None:
-        subgroups = _sample_subgroups(e, ell)
-        _torsion_cache[key] = (e, subgroups)
-    else:
-        model, subgroups = entry
-        scales = isomorphism_scales(model, e)
-        if scales:
-            u2 = scales[0] * scales[0]
-            u3 = u2 * scales[0]
-            subgroups = [
-                [CurvePoint(u2 * q.x, u3 * q.y) for q in pts] for pts in subgroups
+    scales = isomorphism_scales(entry[0], e) if entry is not None else None
+    if scales:
+        s0, s1, c0, c1 = _scale_powers(scales[0]) or (1, 0, 1, 0)
+        subgroups = [
+            [
+                ((s0 * x0 - s1 * x1) % p, (s0 * x1 + s1 * x0) % p,
+                 (c0 * y0 - c1 * y1) % p, (c0 * y1 + c1 * y0) % p)
+                for x0, x1, y0, y1 in pts
             ]
-        else:
-            subgroups = _sample_subgroups(e, ell)
-    return sorted((_smallest(pts) for pts in subgroups), key=CurvePoint.key)
+            for pts in entry[1]
+        ]
+    else:
+        subgroups = [[q.key() for q in pts] for pts in _sample_subgroups(e, ell)]
+        if entry is None:
+            _torsion_cache[key] = (e, subgroups)
+    return [
+        CurvePoint(Fp2(x0, x1, p), Fp2(y0, y1, p))
+        for x0, x1, y0, y1 in sorted(min(pts) for pts in subgroups)
+    ]
 
 
 def _sample_subgroups(e: CurveSpec, ell: int) -> list[list[CurvePoint]]:

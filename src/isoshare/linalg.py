@@ -11,22 +11,38 @@ def rref(rows, ncols, pivot_order=None):
     not listed are tried afterwards in natural order.  Returns the reduced
     rows (zero rows dropped) and the pivot column of each, in the order the
     pivots were found.  Columns outside every row's support are skipped
-    without a scan.
+    without a scan.  The pivot is the first remaining row holding the
+    column's bit; it leaves the remaining rows, and is XORed into those
+    after it and into the reduced rows that hold the bit.  Rows that reach
+    zero are dropped, and the scan ends when no row remains.
     """
     cols = list(range(ncols) if pivot_order is None else pivot_order)
     chosen = set(cols)
     cols += [c for c in range(ncols) if c not in chosen]
+    rows = [r for r in rows if r]
     support = 0
     for row in rows:
         support |= row
     reduced, pivots = [], []
     for col in cols:
+        if not rows:
+            break
         bit = 1 << col
-        pivot = next((r for r in rows if r & bit), 0) if support & bit else 0
-        if pivot:
-            rows = [r ^ pivot if r & bit else r for r in rows]
-            reduced = [r ^ pivot if r & bit else r for r in reduced] + [pivot]
-            pivots.append(col)
+        if not support & bit:
+            continue
+        for i, row in enumerate(rows):
+            if row & bit:
+                break
+        else:
+            continue
+        pivot = rows.pop(i)
+        # The rows before i do not hold the bit.
+        rows[i:] = [x for r in rows[i:] if (x := r ^ pivot if r & bit else r)]
+        for k, r in enumerate(reduced):
+            if r & bit:
+                reduced[k] = r ^ pivot
+        reduced.append(pivot)
+        pivots.append(col)
     return reduced, pivots
 
 

@@ -1,8 +1,10 @@
 """Reference answers for the tests: brute-force oracles, quadratic in p,
 for the closed-form arithmetic in isoshare; the unpruned walk enumeration
 of the recovery search, and the smallest matching walk among it, against
-which the pruned search is checked; Velu's formulas in translation-sum
-form, against which the steps' pair sums and rational images are checked;
+which the pruned search is checked; the chord-and-tangent law and the
+j-invariant on Fp2 objects, against which the int-coordinate kernels in
+isoshare.curves are checked; Velu's formulas in translation-sum form, with
+that law, against which the steps' pair sums and rational images are checked;
 codeword enumeration and minimum distance by brute force; dense
 field-element Gaussian elimination and the codes' generator rows as field
 elements, against which the packed construction and elimination of every
@@ -83,6 +85,33 @@ def torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
     return sorted((min(s, key=CurvePoint.key) for s in subgroups), key=CurvePoint.key)
 
 
+def chord_tangent_add(e: CurveSpec, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
+    """P1 + P2 by the chord-and-tangent law, computed on Fp2 objects."""
+    if p1.is_infinity:
+        return p2
+    if p2.is_infinity:
+        return p1
+    if p1.x == p2.x:
+        if p1.y != p2.y or not p1.y:
+            return INFINITY
+        # Tangent line at a doubling.
+        three = fp2_from_int(3, e.p)
+        two = fp2_from_int(2, e.p)
+        slope = (three * p1.x * p1.x + e.a) / (two * p1.y)
+    else:
+        slope = (p2.y - p1.y) / (p2.x - p1.x)
+    x3 = slope * slope - p1.x - p2.x
+    y3 = slope * (p1.x - x3) - p1.y
+    return CurvePoint(x3, y3)
+
+
+def fp2_j_invariant(e: CurveSpec) -> Fp2:
+    """1728 * 4a^3 / (4a^3 + 27b^2), computed on Fp2 objects."""
+    p = e.p
+    a3 = fp2_from_int(4, p) * e.a * e.a * e.a
+    return fp2_from_int(1728, p) * a3 / (a3 + fp2_from_int(27, p) * e.b * e.b)
+
+
 def translation_codomain(step) -> CurveSpec:
     """The codomain of step from kernel sums over all ell-1 nonzero kernel
     points Q: (a - 5t, b - 7w), t = sum g_x(Q), w = sum(2 y_Q^2 + x_Q g_x(Q)),
@@ -103,12 +132,13 @@ def translation_codomain(step) -> CurveSpec:
 
 def translation_image(step, pt: CurvePoint) -> CurvePoint:
     """step's image of pt as pt plus, over the nonzero kernel points Q,
-    (x(P + Q) - x(Q), y(P + Q) - y(Q)); then scaled by (u^2, u^3)."""
+    (x(P + Q) - x(Q), y(P + Q) - y(Q)), the sums by chord_tangent_add; then
+    scaled by (u^2, u^3)."""
     if pt.is_infinity or pt in step.kernel_points:
         return INFINITY
     x, y = pt.x, pt.y
     for q in step.kernel_points:
-        shifted = point_add(step.domain, pt, q)
+        shifted = chord_tangent_add(step.domain, pt, q)
         x = x + shifted.x - q.x
         y = y + shifted.y - q.y
     u = step.scale

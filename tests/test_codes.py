@@ -361,6 +361,25 @@ def test_xor_rref_matches_generic_rref():
         assert packed == [_packed(v) for v in basis], trial
 
 
+def test_xor_rref_matches_generic_rref_on_random_packed_systems():
+    # Packed rows as the decoders hand them over: zero and repeated rows,
+    # more rows than columns (so rows reach zero and the scan ends early),
+    # and a solve's augmented column left out of pivot_order.
+    rng = random.Random(41)
+    for trial in range(200):
+        nrows, ncols = rng.randint(0, 30), rng.randint(1, 20)
+        rows = [rng.getrandbits(ncols) if rng.random() < 0.8 else 0 for _ in range(nrows)]
+        rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))] if rows else []
+        cols = list(range(ncols))
+        rng.shuffle(cols)
+        for order in (None, cols, cols[: ncols // 2], range(ncols - 1)):
+            elements = [[GF2(r >> j & 1) for j in range(ncols)] for r in rows]
+            reduced, pivots = rref(elements, ncols, pivot_order=order)
+            packed, xor_pivots = linalg.rref(rows, ncols, pivot_order=order)
+            assert xor_pivots == pivots, (trial, order)
+            assert packed == [_packed(r) for r in reduced], (trial, order)
+
+
 def _check_decodes(code, generic, words):
     """Packed decoding agrees with the generic solve on every word, given
     the generic build's generator and parity; the kind of each outcome."""

@@ -3,7 +3,7 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from oracles import count_points, point_neg
+from oracles import chord_tangent_add, count_points, fp2_j_invariant, point_neg
 
 from isoshare import curves
 from isoshare.curves import (
@@ -132,6 +132,70 @@ def test_ordinary_curve_detected():
             break
     assert found is not None
     assert count_points(found) != (P + 1) ** 2
+
+
+# The int-coordinate kernels are checked against the Fp2-object oracles at
+# these primes, on curves of j = 1728, j = 0 and a generic j.
+KERNEL_PRIMES = (419, 431, 10079)
+
+
+def _kernel_curves(p):
+    """(curve, a point with y = 0 on it) for y^2 = x^3 + x, y^2 = x^3 + 1 and
+    a curve of generic j built around the root x = 2 + 7i of its cubic."""
+    zero, one = fp2_from_int(0, p), fp2_from_int(1, p)
+    a, root = Fp2(3, 5, p), Fp2(2, 7, p)
+    return [
+        (CurveSpec(one, zero, p), CurvePoint(zero, zero)),
+        (CurveSpec(zero, one, p), CurvePoint(-one, zero)),
+        (CurveSpec(a, -(root * root * root + a * root), p), CurvePoint(root, zero)),
+    ]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_group_law_matches_the_fp2_oracle(p):
+    rng = random.Random(f"add-{p}")
+    for e, two_torsion in _kernel_curves(p):
+        assert is_on_curve(e, two_torsion)
+        pts = [random_point(e, rng) for _ in range(12)]
+        pairs = [(INFINITY, INFINITY), (two_torsion, two_torsion)] + list(zip(pts, pts[1:]))
+        for q in pts:
+            pairs += [(INFINITY, q), (q, INFINITY), (q, point_neg(q)), (q, q),
+                      (two_torsion, q), (q, two_torsion)]
+        for p1, p2 in pairs:
+            expected = chord_tangent_add(e, p1, p2)
+            assert curves._add(e, p1, p2) == expected, (e, p1, p2)
+            assert point_add(e, p1, p2) == expected, (e, p1, p2)
+        assert curves._add(e, two_torsion, two_torsion) == INFINITY
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_j_invariant_matches_the_fp2_oracle(p):
+    rng = random.Random(f"j-{p}")
+    special = [e for e, _ in _kernel_curves(p)]
+    assert j_invariant(special[0]) == fp2_from_int(1728, p)
+    assert j_invariant(special[1]) == fp2_from_int(0, p)
+    assert j_invariant(special[2]) not in (fp2_from_int(0, p), fp2_from_int(1728, p))
+    values = [Fp2(rng.randrange(p), rng.randrange(p), p) for _ in range(6)]
+    for e in special + list(_curves(p, values)):
+        assert j_invariant(e) == fp2_j_invariant(e), e
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_singular_curves_are_refused_exactly(p):
+    # x^3 - 3c^2 x + 2c^3 = (x - c)^2 (x + 2c) is singular for every c.
+    rng = random.Random(f"disc-{p}")
+    for _ in range(10):
+        c = Fp2(rng.randrange(p), rng.randrange(p), p)
+        with pytest.raises(SingularCurve):
+            CurveSpec(fp2_from_int(-3, p) * c * c, fp2_from_int(2, p) * c * c * c, p)
+    values = [Fp2(rng.randrange(p), rng.randrange(p), p) for _ in range(5)]
+    for a in values + [fp2_from_int(0, p)]:
+        for b in values + [fp2_from_int(0, p)]:
+            if fp2_from_int(4, p) * a * a * a + fp2_from_int(27, p) * b * b:
+                assert CurveSpec(a, b, p).key() == (p, a.key(), b.key())
+            else:
+                with pytest.raises(SingularCurve):
+                    CurveSpec(a, b, p)
 
 
 def _curves(p, values):

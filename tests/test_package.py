@@ -1,11 +1,24 @@
 import ast
 import importlib
+import json
 import pathlib
+import subprocess
+import sys
 import types
+
+import pytest
 
 import isoshare
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+# sha256 of the chains that `perfbench/run.py --trace 1 --seed 1` recovers.
+TRACED_CHAINS = {
+    "search-deep": "1bf8f2ec67b1a4370c75e19108ab7ff1014786dbf29868a397e3a98dad6767b4",
+    "decode-wide": "8439fa9a1feed4e86d5455a79309bf3f8aebb5e83f59453e169d93e20512d3b1",
+    "cli-cold": "3354aa54be89bdc6758bc41f3acffe8b468ac7bcf74c8eabc2146a96475b3a55",
+}
 
 
 def test_all_names_resolve_to_non_module_attributes():
@@ -31,3 +44,18 @@ def test_perfbench_imports_resolve():
                     if alias.name.split(".")[0] == "isoshare":
                         importlib.import_module(alias.name)
     assert names
+
+
+@pytest.mark.parametrize("workload", list(TRACED_CHAINS))
+def test_perfbench_traced_run_recovers_the_pinned_chains(workload):
+    """The traced benchmark wraps the public functions it divides by, so a
+    change that stops calling one fails here, as does a changed chain."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1",
+         "--seed", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert json.loads(lines[-1])["correct"] is True
+    assert f"recovered chains sha256 {TRACED_CHAINS[workload]}" in [line.strip() for line in lines]
