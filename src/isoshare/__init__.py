@@ -14,7 +14,7 @@ from .codes import (
     hyperoval_code,
     subfield_code,
 )
-from .codec import PointBits, decode_point, encode_point
+from .codec import decode_point, encode_point
 from .curves import (
     CurvePoint,
     CurveSpec,
@@ -53,7 +53,7 @@ from .scheme import (
 __all__ = [
     "BinaryExpandedCode", "LinearCode", "ReedSolomonCode", "hyperoval_code",
     "subfield_code",
-    "PointBits", "decode_point", "encode_point",
+    "decode_point", "encode_point",
     "CurvePoint", "CurveSpec", "INFINITY", "is_supersingular", "j_invariant",
     "point_add", "point_order", "random_point_of_order", "scalar_mul",
     "BinaryField", "BinaryFieldElement", "Fp2", "fp2_sqrt",

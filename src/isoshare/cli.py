@@ -53,9 +53,9 @@ EXIT_CORRUPT = 6
 
 # The largest e_iso a config or public file may name.  The recovery search
 # meets in the middle, but its work still grows exponentially in e_iso: a
-# cold demo `recover` takes 0.2-0.3 s at 9 and 0.4-0.5 s at 10 (CPython 3.11,
-# Xeon vCPU), so an unbounded e_iso would deal a secret that no coalition
-# recovers in bounded time.
+# cold demo `recover` takes 0.2 s at 9 and 0.3 s at 10 (median of five,
+# CPython 3.11, Xeon vCPU), so an unbounded e_iso would deal a secret that no
+# coalition recovers in bounded time.
 MAX_E_ISO = 10
 
 # The largest ell_iso a config or public file may name.  `deal` lists all
@@ -67,10 +67,11 @@ MAX_E_ISO = 10
 MAX_ELL_ISO = 401
 
 # The largest code.r a config or public file may name.  A cold code build
-# grows about 5-7x per step of r (CPython 3.11, Xeon vCPU): 0.07 s at r = 6,
-# 0.33-0.37 s at r = 7 and 2.4 s at r = 8 for BinaryExpandedCode(r, 6), nearly
-# all of it the packed elimination, quadratic in the 2^r * r rows; 0.01 s and
-# 0.03-0.05 s at r = 6 and 7 for the subfield code of hyperoval_code(r).
+# grows about 5-7x per step of r (CPython 3.11, Xeon vCPU): 0.05-0.06 s at
+# r = 6, 0.26-0.30 s at r = 7 and 1.8-2.0 s at r = 8 for BinaryExpandedCode(r,
+# 6), nearly all of it the packed elimination, quadratic in the 2^r * r rows;
+# 0.01 s and 0.02-0.04 s at r = 6 and 7 for the subfield code of
+# hyperoval_code(r).
 MAX_CODE_R = 6
 
 # Config keys that may be left out, with their values.

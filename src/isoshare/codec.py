@@ -17,30 +17,6 @@ from .errors import (
 from .fields import Fp2, fp2_sqrt
 
 
-class PointBits:
-    """A fixed-length bit vector encoding one affine curve point."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        bits = tuple(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        self.bits = bits
-
-    def __len__(self):
-        return len(self.bits)
-
-    def __eq__(self, other):
-        return isinstance(other, PointBits) and self.bits == other.bits
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    def __repr__(self):
-        return f"PointBits({''.join(map(str, self.bits))})"
-
-
 def component_bits(p: int) -> int:
     """Width of one GF(p) component: ceil(log2 p)."""
     return (p - 1).bit_length()
@@ -65,7 +41,7 @@ def bits_to_int(bits) -> int:
     return value
 
 
-def encode_point(e: CurveSpec, pt: CurvePoint, length: int) -> PointBits:
+def encode_point(e: CurveSpec, pt: CurvePoint, length: int) -> tuple[int, ...]:
     if pt.is_infinity:
         raise IdentityNotEncodable("the identity has no affine encoding")
     if not is_on_curve(e, pt):
@@ -76,19 +52,19 @@ def encode_point(e: CurveSpec, pt: CurvePoint, length: int) -> PointBits:
         raise LengthTooSmall(f"L = {length} < {needed} for p = {e.p}")
     canonical = fp2_sqrt(e.rhs(pt.x))
     sign = 1 if pt.y == canonical else 0
-    bits = (
+    return (
         (sign,)
         + int_to_bits(pt.x.c0, width)
         + int_to_bits(pt.x.c1, width)
         + (0,) * (length - needed)
     )
-    return PointBits(bits)
 
 
-def decode_point(e: CurveSpec, encoded: PointBits) -> CurvePoint:
+def decode_point(e: CurveSpec, bits) -> CurvePoint:
     width = component_bits(e.p)
     needed = min_encoding_length(e.p)
-    bits = encoded.bits
+    if any(b not in (0, 1) for b in bits):
+        raise InvalidEncoding("bits must be 0 or 1")
     if len(bits) < needed:
         raise InvalidEncoding(f"encoding shorter than {needed} bits")
     if any(bits[needed:]):

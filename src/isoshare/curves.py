@@ -2,10 +2,10 @@
 
 The group of a supersingular curve over GF(p^2) is (Z/(p+1))^2, so the
 exponent is p+1; order computations strip prime factors from p+1.  The
-group law, j-invariant and singularity test run on the (c0, c1) int
-coordinates of their Fp2 inputs: sums stay unreduced, each output
-coordinate is reduced once, and a quotient n/d is n * conj(d) / |d|^2 with
-one pow(|d|^2, -1, p).
+group law, and the j-invariant a curve computes once with its singularity
+test, run on the (c0, c1) int coordinates of their Fp2 inputs: sums stay
+unreduced, each output coordinate is reduced once, and a quotient n/d is
+n * conj(d) / |d|^2 with one pow(|d|^2, -1, p).
 """
 
 import random
@@ -15,18 +15,27 @@ from .fields import Fp2, check_field_prime, factorize, fp2_sqrt
 
 
 class CurveSpec:
-    """y^2 = x^3 + a*x + b over GF(p^2); rejects singular coefficients."""
+    """y^2 = x^3 + a*x + b over GF(p^2); rejects singular coefficients.
 
-    __slots__ = ("a", "b", "p")
+    Carries its j-invariant j = 1728 * 4a^3 / (4a^3 + 27b^2), whose
+    denominator is the singularity test's."""
+
+    __slots__ = ("a", "b", "p", "j")
 
     def __init__(self, a: Fp2, b: Fp2, p: int):
         check_field_prime(p)
         self.a = a
         self.b = b
         self.p = p
-        n0, n1, m0, m1 = _cubic_terms(a, b, p)
-        if not ((n0 + m0) % p or (n1 + m1) % p):
+        a0, a1, b0, b1 = a.c0, a.c1, b.c0, b.c1
+        s0, s1 = a0 * a0 - a1 * a1, 2 * a0 * a1
+        n0, n1 = 4 * (s0 * a0 - s1 * a1) % p, 4 * (s0 * a1 + s1 * a0) % p
+        d0, d1 = (n0 + 27 * (b0 * b0 - b1 * b1)) % p, (n1 + 54 * b0 * b1) % p
+        norm = (d0 * d0 + d1 * d1) % p
+        if not norm:
             raise SingularCurve(f"4a^3 + 27b^2 = 0 for a={a}, b={b}")
+        k = 1728 * pow(norm, -1, p)
+        self.j = Fp2((n0 * d0 + n1 * d1) * k, (n1 * d0 - n0 * d1) * k, p)
 
     def key(self):
         return (self.p, self.a.key(), self.b.key())
@@ -42,19 +51,6 @@ class CurveSpec:
 
     def __repr__(self):
         return f"CurveSpec(a={self.a}, b={self.b}, p={self.p})"
-
-
-def _cubic_terms(a: Fp2, b: Fp2, p: int) -> tuple[int, int, int, int]:
-    """4a^3 and 27b^2, as c0, c1 of each mod p: the two terms of the
-    discriminant, and of the j-invariant's denominator."""
-    a0, a1, b0, b1 = a.c0, a.c1, b.c0, b.c1
-    s0, s1 = a0 * a0 - a1 * a1, 2 * a0 * a1
-    return (
-        4 * (s0 * a0 - s1 * a1) % p,
-        4 * (s0 * a1 + s1 * a0) % p,
-        27 * (b0 * b0 - b1 * b1) % p,
-        54 * b0 * b1 % p,
-    )
 
 
 class CurvePoint:
@@ -194,12 +190,8 @@ def random_point_of_order(e: CurveSpec, n: int, seed) -> CurvePoint:
 
 
 def j_invariant(e: CurveSpec) -> Fp2:
-    """1728 * 4a^3 / (4a^3 + 27b^2)."""
-    p = e.p
-    n0, n1, m0, m1 = _cubic_terms(e.a, e.b, p)
-    d0, d1 = n0 + m0, n1 + m1
-    k = 1728 * pow((d0 * d0 + d1 * d1) % p, -1, p)
-    return Fp2((n0 * d0 + n1 * d1) * k, (n1 * d0 - n0 * d1) * k, p)
+    """1728 * 4a^3 / (4a^3 + 27b^2), as the curve computed it."""
+    return e.j
 
 
 _supersingular_cache: dict[tuple, bool] = {}

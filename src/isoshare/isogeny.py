@@ -21,7 +21,6 @@ from .curves import (
     _add,
     is_on_curve,
     is_supersingular,
-    j_invariant,
     random_point,
     scalar_mul,
 )
@@ -132,9 +131,6 @@ class IsogenyStep:
             y0, y1 = c0 * y0 - c1 * y1, c0 * y1 + c1 * y0
         return CurvePoint(Fp2(x0, x1, p), Fp2(y0, y1, p))
 
-    def kernel_key(self):
-        return self.kernel.key()
-
 
 def _scale_powers(u: Fp2):
     """u^2 and u^3 as c0, c1 of each mod p, or None for u = 1."""
@@ -181,7 +177,7 @@ class IsogenyChain:
         return chain
 
     def sort_key(self):
-        return tuple(step.kernel_key() for step in self.steps)
+        return tuple(step.kernel.key() for step in self.steps)
 
     def __len__(self):
         return len(self.steps)
@@ -250,7 +246,7 @@ def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
     """
     require_rational_ell(e.p, ell)
     p = e.p
-    key = (p, ell, j_invariant(e).key())
+    key = (p, ell, e.j.key())
     entry = _torsion_cache.get(key)
     scales = isomorphism_scales(entry[0], e) if entry is not None else None
     if scales:
@@ -334,41 +330,32 @@ def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
 
 
 def isomorphism_scales(src: CurveSpec, dst: CurveSpec) -> list[Fp2]:
-    """All u with (u^4 a, u^6 b) = (a', b'), i.e. isomorphisms src -> dst."""
-    p = src.p
+    """All u with (u^4 a, u^6 b) = (a', b'), i.e. isomorphisms src -> dst,
+    sorted.
+
+    The candidates v for u^2 are a b'/(a' b), or the square roots of a'/a
+    when b = 0 (j = 1728), or the cube roots of b'/b when a = 0 (j = 0);
+    u = +-sqrt(v) for each v with v^2 a = a' and v^3 b = b'.  The zeros of
+    a and b pick the case, not j, which is 0 for every curve at p = 3.
+    """
     if bool(src.a) != bool(dst.a) or bool(src.b) != bool(dst.b):
         return []
-    candidates: list[Fp2] = []
     if src.a and src.b:
-        u2 = (src.a * dst.b) / (dst.a * src.b)
-        u = fp2_sqrt(u2)
-        if u is not None:
-            candidates = [u, -u]
+        squares = [(src.a * dst.b) / (dst.a * src.b)]
     elif src.b:
-        # j = 0: u^6 = b'/b, via cube roots then square roots.
-        for v in _cube_roots(dst.b / src.b):
-            s = fp2_sqrt(v)
-            if s is not None:
-                candidates.extend([s, -s])
+        squares = _cube_roots(dst.b / src.b)
     else:
-        # j = 1728: u^4 = a'/a.
-        w = dst.a / src.a
-        s = fp2_sqrt(w)
-        if s is not None:
-            for u2 in (s, -s):
-                t = fp2_sqrt(u2)
-                if t is not None:
-                    candidates.extend([t, -t])
-    seen = set()
-    result = []
-    for u in candidates:
-        u2 = u * u
-        u4 = u2 * u2
-        if u.key() not in seen and u4 * src.a == dst.a and u4 * u2 * src.b == dst.b:
-            seen.add(u.key())
-            result.append(u)
-    result.sort(key=lambda u: u.key())
-    return result
+        s = fp2_sqrt(dst.a / src.a)
+        squares = [] if s is None else [s, -s]
+    # The v are distinct and nonzero, so no u comes up twice.
+    scales = []
+    for v in squares:
+        v2 = v * v
+        if v2 * src.a == dst.a and v2 * v * src.b == dst.b:
+            u = fp2_sqrt(v)
+            if u is not None:
+                scales += [u, -u]
+    return sorted(scales, key=Fp2.key)
 
 
 def _cube_roots(c: Fp2) -> list[Fp2]:
@@ -423,16 +410,13 @@ def _meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
     b-walk's codomain and its image of `image`, or None if b = 0.  Raises
     NoSuchOrder if E[ell] of the target is not rational (b > 0)."""
     leaves = list(_walks(target, ell, b, image))
-    # Walks that share a prefix share its steps: one j per step.
-    steps = {step for walk, _ in leaves for step in walk.steps}
-    j_keys = {step: j_invariant(step.codomain).key() for step in steps}
-    layers = [{j_invariant(target).key()}] + [
-        {j_keys[walk.steps[r]] for walk, _ in leaves} for r in range(b)
+    layers = [{target.j.key()}] + [
+        {walk.steps[r].codomain.j.key() for walk, _ in leaves} for r in range(b)
     ]
     if not b:
         return layers, None
     return layers, {
-        (j_keys[walk.steps[-1]], _iso_invariant(walk.codomain, pt)) for walk, pt in leaves
+        (walk.codomain.j.key(), _iso_invariant(walk.codomain, pt)) for walk, pt in leaves
     }
 
 
@@ -471,7 +455,7 @@ def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
             step = _velu_step(current, kernel, ell)
             codomain = step.codomain
             if remaining <= b:
-                j_key = j_invariant(codomain).key()
+                j_key = codomain.j.key()
                 if j_key not in layers[remaining]:
                     continue
             moved = None if carried is None else step._image(carried)

@@ -10,12 +10,7 @@ the isogeny-recovery oracle to get the chain back.
 import math
 from dataclasses import dataclass, field
 
-from .codec import (
-    PointBits,
-    decode_point,
-    encode_point,
-    min_encoding_length,
-)
+from .codec import decode_point, encode_point, min_encoding_length
 from .codes import ERASED, BinaryExpandedCode, LinearCode, contract_binary
 from .curves import CurvePoint, CurveSpec, is_supersingular, point_order
 from .errors import (
@@ -226,7 +221,7 @@ def share_isogeny_path(
     half = params.code.dimension // 2
     s_p = encode_point(params.curve, point, half)
     s_q = encode_point(e1, image, half)
-    msg = [GF2(b) for b in s_p.bits + s_q.bits]
+    msg = [GF2(b) for b in s_p + s_q]
     codeword = params.code.encode(msg)
     bits = tuple(int(s) for s in codeword)
     return DealResult(
@@ -265,8 +260,8 @@ def _erasure_word(by_index, params: SchemeParams):
 
 def _finish(message_bits, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
     half = params.code.dimension // 2
-    point = decode_point(params.curve, PointBits(message_bits[:half]))
-    image = decode_point(e1, PointBits(message_bits[half:]))
+    point = decode_point(params.curve, message_bits[:half])
+    image = decode_point(e1, message_bits[half:])
     chain = recover_isogeny(
         params.curve, e1, point, image, params.ell_iso, params.e_iso
     )

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoshare import cli
 from isoshare.cli import (
     EXIT_CORRUPT,
     EXIT_DIGEST,
@@ -27,9 +28,12 @@ from isoshare.cli import (
     bits_to_hex,
     context_digest,
     hex_to_bits,
+    load_public,
+    load_share,
     main,
 )
 from isoshare.fields import is_prime
+from isoshare.scheme import recover_isogeny_path
 
 CONFIG = """\
 # desk-scale demo deal
@@ -135,6 +139,59 @@ def test_deal_then_recover_roundtrip(config_path, tmp_path, capsys):
     assert "degree: 9" in out
     assert "steps: 2" in out
     assert "point_x:" in out and "image_y:" in out
+
+
+# The decode-wide benchmark's parameters: a [186,80] code whose 6-bit
+# blocks meet both burst conditions, so `recover` decodes through the base
+# RS code.
+BURST_CONFIG = """\
+p = 431
+a = 1
+b = 0
+n = 31
+t = 24
+gamma = 6
+lambda = 8
+N = 16
+ell_iso = 3
+e_iso = 1
+code.kind = binary-expanded-rs
+code.r = 5
+code.d = 16
+seed = burst
+"""
+
+
+def test_recover_takes_the_burst_branch(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "burst.cfg"
+    config.write_text(BURST_CONFIG)
+    assert main(["check", "-c", str(config)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "burst_width_condition: ok" in out
+    assert "burst_distance_condition: ok" in out
+    assert "valid: yes" in out
+    outdir = tmp_path / "deal"
+    assert main(["deal", "-c", str(config), "-o", str(outdir)]) == EXIT_OK
+    public = str(outdir / "public.isoshare")
+    paths = [str(outdir / f"share_{i}.isoshare") for i in range(7, 31)]
+    calls = []
+    burst_recover = cli.burst_recover
+    monkeypatch.setattr(cli, "burst_recover",
+                        lambda *args: calls.append(args) or burst_recover(*args))
+    capsys.readouterr()
+    assert main(["recover", "-p", public, *paths]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    params, e1, digest = load_public(public)
+    shares = [load_share(path, digest, params.gamma) for path in paths]
+    chain = recover_isogeny_path(shares, params, e1).chain
+    assert "degree: 3\nsteps: 1\n" in out
+    step = chain.steps[0]
+    for name, value in (("kernel_x", step.kernel.x), ("kernel_y", step.kernel.y),
+                        ("j", step.codomain.j)):
+        assert f"step_0_{name}: {value.c0},{value.c1}\n" in out
+    assert f"codomain_a: {chain.codomain.a.c0},{chain.codomain.a.c1}\n" in out
+    assert f"codomain_b: {chain.codomain.b.c0},{chain.codomain.b.c1}\n" in out
 
 
 # The sha256 of each file the demo `deal` writes, and of `recover`'s

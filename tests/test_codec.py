@@ -3,7 +3,6 @@ import random
 import pytest
 
 from isoshare.codec import (
-    PointBits,
     bits_to_int,
     component_bits,
     decode_point,
@@ -49,7 +48,7 @@ def test_roundtrip_with_padding(e0):
         q = random_point(e0, rng)
         enc = encode_point(e0, q, 25)
         assert len(enc) == 25
-        assert enc.bits[19:] == (0,) * 6
+        assert enc[19:] == (0,) * 6
         assert decode_point(e0, enc) == q
 
 
@@ -82,17 +81,17 @@ def test_length_too_small(e0):
 def test_decode_rejects_nonzero_padding(e0):
     rng = random.Random(24)
     q = random_point(e0, rng)
-    bits = list(encode_point(e0, q, 25).bits)
+    bits = list(encode_point(e0, q, 25))
     bits[-1] = 1
     with pytest.raises(InvalidEncoding):
-        decode_point(e0, PointBits(bits))
+        decode_point(e0, tuple(bits))
 
 
 def test_decode_rejects_out_of_range_component(e0):
     # c0 = 511 >= 431 with c1 = 0.
     bits = (1,) + int_to_bits(511, 9) + (0,) * 9
     with pytest.raises(InvalidEncoding):
-        decode_point(e0, PointBits(bits))
+        decode_point(e0, tuple(bits))
 
 
 def test_decode_rejects_nonsquare_abscissa(e0):
@@ -102,16 +101,25 @@ def test_decode_rejects_nonsquare_abscissa(e0):
         if fp2_sqrt(e0.rhs(x)) is None:
             bits = (1,) + int_to_bits(c0, 9) + int_to_bits(3, 9)
             with pytest.raises(InvalidEncoding):
-                decode_point(e0, PointBits(bits))
+                decode_point(e0, tuple(bits))
             hit += 1
             if hit == 5:
                 break
     assert hit == 5
 
 
+def test_decode_rejects_entries_other_than_bits(e0):
+    q = random_point(e0, random.Random(26))
+    for bad in (2, -1, "1"):
+        bits = list(encode_point(e0, q, 25))
+        bits[3] = bad
+        with pytest.raises(InvalidEncoding):
+            decode_point(e0, tuple(bits))
+
+
 def test_decode_rejects_short_encoding(e0):
     with pytest.raises(InvalidEncoding):
-        decode_point(e0, PointBits((0,) * 10))
+        decode_point(e0, (0,) * 10)
 
 
 def test_sign_bit_distinguishes_negatives(e0):
@@ -123,5 +131,5 @@ def test_sign_bit_distinguishes_negatives(e0):
         neg = type(q)(q.x, -q.y)
         e_pos = encode_point(e0, q, 19)
         e_neg = encode_point(e0, neg, 19)
-        assert e_pos.bits[1:] == e_neg.bits[1:]
-        assert e_pos.bits[0] != e_neg.bits[0]
+        assert e_pos[1:] == e_neg[1:]
+        assert e_pos[0] != e_neg[0]

@@ -28,7 +28,13 @@ from isoshare.curves import (
     random_point_of_order,
     scalar_mul,
 )
-from isoshare.errors import BadKernel, NoIsogenyFound, NoSuchOrder, NotOnCurve
+from isoshare.errors import (
+    BadKernel,
+    NoIsogenyFound,
+    NoSuchOrder,
+    NotOnCurve,
+    SingularCurve,
+)
 from isoshare.fields import Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
@@ -362,6 +368,43 @@ def test_isomorphism_scales_j0():
     u = Fp2(5, 7, p)
     twisted = CurveSpec(fp2_from_int(0, p), u**6, p)
     assert u in isomorphism_scales(e, twisted)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 19, 23])
+def test_isomorphism_scales_match_brute_force(p):
+    """Against every u in GF(p^2)*, from a generic, a j = 1728 and (p > 3;
+    at p = 3 every a = 0 model is singular) a j = 0 model onto all their
+    models (c^2 a, c^3 b), copies and quadratic twists, and (c a, c b),
+    which holds the quartic and sextic twists and other j-invariants."""
+    units = [Fp2(c0, c1, p) for c0 in range(p) for c1 in range(p) if c0 or c1]
+    zero, one = fp2_from_int(0, p), fp2_from_int(1, p)
+    models = [CurveSpec(Fp2(1, 1, p), one, p), CurveSpec(one, zero, p)]
+    if p > 3:
+        models.append(CurveSpec(zero, one, p))
+        assert [m.j for m in models[1:]] == [fp2_from_int(1728, p), zero]
+        assert models[0].j not in (zero, fp2_from_int(1728, p))
+    targets = {}
+    for m in models:
+        for c in units:
+            for a, b in ((c * c * m.a, c * c * c * m.b), (c * m.a, c * m.b)):
+                try:
+                    target = CurveSpec(a, b, p)
+                except SingularCurve:
+                    continue
+                targets[target.key()] = target
+    for src in models:
+        brute: dict[tuple, list] = {}
+        for u in units:
+            u2 = u * u
+            image = (p, (u2 * u2 * src.a).key(), (u2 * u2 * u2 * src.b).key())
+            brute.setdefault(image, []).append(u.key())
+        found = twists = 0
+        for key, dst in targets.items():
+            scales = [u.key() for u in isomorphism_scales(src, dst)]
+            assert scales == sorted(brute.get(key, [])), (src, dst)
+            found += bool(scales)
+            twists += not scales and dst.j == src.j
+        assert found and twists, src
 
 
 # p = 3: cubing is a bijection; 19 and 71: the 3-Sylow subgroup of
