@@ -53,7 +53,7 @@ EXIT_CORRUPT = 6
 
 # The largest e_iso a config or public file may name.  The recovery search
 # meets in the middle, but its work still grows exponentially in e_iso: a
-# cold demo `recover` takes 0.2 s at 9 and 0.3 s at 10 (median of five,
+# cold demo `recover` takes 0.2 s at 9 and 0.2 s at 10 (median of five,
 # CPython 3.11, Xeon vCPU), so an unbounded e_iso would deal a secret that no
 # coalition recovers in bounded time.
 MAX_E_ISO = 10

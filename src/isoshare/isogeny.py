@@ -47,7 +47,7 @@ class IsogenyStep:
             raise BadKernel(f"kernel generator does not have order {ell}")
         self._velu(domain, kernel, ell, pts)
 
-    def _velu(self, domain, kernel, ell, kernel_points, scale=None) -> "IsogenyStep":
+    def _velu(self, domain, kernel, ell, kernel_points) -> "IsogenyStep":
         """Velu's formulas, unchecked: for a kernel of order ell derived from
         checked points, with kernel_points its ell-1 nonzero multiples.  The
         first ell // 2 hold one Q of each pair {Q, -Q}, kept as the ints
@@ -56,7 +56,7 @@ class IsogenyStep:
         self.domain = domain
         self.kernel = kernel
         self.ell = ell
-        self.scale = scale if scale is not None else fp2_from_int(1, domain.p)
+        self.scale = fp2_from_int(1, domain.p)
         self.kernel_points = kernel_points
         p = domain.p
         a0, a1 = domain.a.c0, domain.a.c1
@@ -74,22 +74,23 @@ class IsogenyStep:
             w0 += u0 + x0 * v0 - x1 * v1
             w1 += u1 + x0 * v1 + x1 * v0
         self._pairs = pairs
-        # The codomain (a - 5t, b - 7w), times (u^4, u^6).
+        # The codomain (a - 5t, b - 7w).
         a0, a1 = (a0 - 5 * t0) % p, (a1 - 5 * t1) % p
         b0, b1 = (domain.b.c0 - 7 * w0) % p, (domain.b.c1 - 7 * w1) % p
-        powers = _scale_powers(self.scale)
-        if powers:
-            s0, s1, c0, c1 = powers
-            f0, f1 = (s0 * s0 - s1 * s1) % p, 2 * s0 * s1 % p
-            h0, h1 = (c0 * c0 - c1 * c1) % p, 2 * c0 * c1 % p
-            a0, a1 = f0 * a0 - f1 * a1, f0 * a1 + f1 * a0
-            b0, b1 = h0 * b0 - h1 * b1, h0 * b1 + h1 * b0
         self.codomain = CurveSpec(Fp2(a0, a1, p), Fp2(b0, b1, p), p)
         return self
 
     def with_scale(self, u: Fp2) -> "IsogenyStep":
+        """This step followed by (x, y) -> (u^2 x, u^3 y): the kernel sums
+        stay, and the codomain (a', b') becomes (u^4 a', u^6 b')."""
         new = object.__new__(IsogenyStep)
-        return new._velu(self.domain, self.kernel, self.ell, self.kernel_points, u)
+        for name in ("domain", "kernel", "ell", "kernel_points", "_pairs"):
+            setattr(new, name, getattr(self, name))
+        new.scale = self.scale * u
+        u2 = u * u
+        a, b = self.codomain.a, self.codomain.b
+        new.codomain = CurveSpec(u2 * u2 * a, u2 * u2 * u2 * b, self.domain.p)
+        return new
 
     def evaluate(self, pt: CurvePoint) -> CurvePoint:
         if not is_on_curve(self.domain, pt):
@@ -422,7 +423,9 @@ def _meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
 
 def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
     """(chain, its image of point) for the non-backtracking length-e walks
-    out of e0, kernels in canonical sorted order.
+    out of e0, kernels in canonical sorted order.  The search is depth
+    first and takes each chain's children in increasing kernel key order,
+    so the walks come out in strictly increasing sort_key order.
 
     meet = _meet(target, ell, b, image), b = e // 2, prunes the walks that
     cannot end on target with point sent to image.  A child with r <= b
@@ -488,10 +491,11 @@ def recover_isogeny(
     walk's image of `point` to `image`.  The walks are pruned by one
     enumeration of the b-walks out of e1, b = e // 2: by the j-invariants
     those reach at each depth, and by a meet in the middle at depth b (see
-    _walks).  The pruning skips only walks that cannot match, so that chain
-    is the smallest over all walks.  The winning chain's final step is
-    rescaled so its codomain equals e1 and its action sends point to image
-    literally.
+    _walks).  _walks takes children in increasing kernel key order, so its
+    walks come in increasing sort_key order, and the pruning skips only
+    walks that cannot match: the first match is the smallest over all
+    walks, and the search stops there.  Its final step is rescaled so its
+    codomain equals e1 and its action sends point to image literally.
 
     e0 must be supersingular (NoSuchOrder otherwise).  Every curve
     isogenous to it then has E = (Z/(p+1))^2, so a target whose E[ell] is
@@ -504,7 +508,6 @@ def recover_isogeny(
     require_rational_ell(e0.p, ell)
     if not is_supersingular(e0):
         raise NoSuchOrder(f"{e0} is not supersingular")
-    best = None
     if e <= 0:
         if e == 0 and e1 == e0 and image == point:
             return IsogenyChain(e0)
@@ -521,15 +524,7 @@ def recover_isogeny(
                 adjusted_pt = INFINITY
             else:
                 adjusted_pt = CurvePoint(u2 * mapped.x, u2 * u * mapped.y)
-            if adjusted_pt != image:
-                continue
-            last = chain.steps[-1].with_scale(chain.steps[-1].scale * u)
-            candidate = IsogenyChain(e0, chain.steps[:-1] + (last,))
-            if best is None or candidate.sort_key() < best.sort_key():
-                best = candidate
-            break
-    if best is None:
-        raise NoIsogenyFound(
-            f"no degree {ell}^{e} chain maps the torsion point as required"
-        )
-    return best
+            if adjusted_pt == image:
+                last = chain.steps[-1].with_scale(u)
+                return IsogenyChain(e0, chain.steps[:-1] + (last,))
+    raise NoIsogenyFound(f"no degree {ell}^{e} chain maps the torsion point as required")
