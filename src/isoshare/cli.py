@@ -9,7 +9,6 @@ codeword.
 import argparse
 import hashlib
 import os
-import string
 import sys
 
 from .codec import bits_to_int, int_to_bits
@@ -53,7 +52,7 @@ EXIT_CORRUPT = 6
 
 # The largest e_iso a config or public file may name.  The recovery search
 # meets in the middle, but its work still grows exponentially in e_iso: a
-# cold demo `recover` takes 0.2 s at 9 and 0.2 s at 10 (median of five,
+# cold demo `recover` takes 0.08 s at 9 and 0.10 s at 10 (median of 21,
 # CPython 3.11, Xeon vCPU), so an unbounded e_iso would deal a secret that no
 # coalition recovers in bounded time.
 MAX_E_ISO = 10
@@ -76,7 +75,7 @@ MAX_CODE_R = 6
 
 # Config keys that may be left out, with their values.
 CONFIG_DEFAULTS = {"lambda": "128", "code.m": "0"}
-HEX_DIGITS = frozenset(string.hexdigits)
+HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class CliError(Exception):
@@ -223,12 +222,17 @@ def context_digest(lines: list[str]) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write `path` through `path`.tmp, removing the temp file on failure."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as ex:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
         raise CliError(EXIT_IO, f"cannot write {path}: {ex}") from ex
 
 

@@ -8,10 +8,9 @@ the isogeny-recovery oracle to get the chain back.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .codec import decode_point, encode_point, min_encoding_length
-from .codes import ERASED, BinaryExpandedCode, LinearCode, contract_binary
+from .codes import ERASED, BinaryExpandedCode, contract_binary
 from .curves import CurvePoint, CurveSpec, is_supersingular, point_order
 from .errors import (
     Ambiguous,
@@ -25,21 +24,56 @@ from .fields import GF2, factorize
 from .isogeny import IsogenyChain, evaluate_chain, recover_isogeny, require_rational_ell
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class _Record:
+    """A read-only record of its __slots__: a compiled __init__ takes them by
+    position or keyword (defaults from `_defaults`) and runs the subclass's
+    `_check`, if any; ==, hash and repr go field by field.  Compiled, the
+    __init__ builds a record as fast as a hand-written one would."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        params = ", ".join(f"{n}=_defaults[{n!r}]" if n in cls._defaults else n
+                           for n in cls.__slots__)
+        body = "".join(f"    _set(self, {n!r}, {n})\n" for n in cls.__slots__)
+        body += "    self._check()\n" if hasattr(cls, "_check") else ""
+        scope = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        exec(f"def __init__(self, {params}):\n{body}", scope)
+        cls.__init__ = scope["__init__"]
+
+    def _fields(self):
+        return tuple(getattr(self, n) for n in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class SchemeParams(_Record):
     """Public parameters of one threshold deal."""
 
-    n: int
-    t: int
-    gamma: int
-    curve: CurveSpec
-    torsion_order: int
-    ell_iso: int
-    e_iso: int
-    code: LinearCode
-    security_bits: int = 128
+    __slots__ = ("n", "t", "gamma", "curve", "torsion_order", "ell_iso", "e_iso",
+                 "code", "security_bits")
+    _defaults = {"security_bits": 128}
 
-    def __post_init__(self):
+    def _check(self):
         # Values the arithmetic cannot run on at all; everything else is
         # reported by validate_params.
         if self.gamma < 1:
@@ -54,32 +88,26 @@ class SchemeParams:
         return self.ell_iso**self.e_iso
 
 
-@dataclass(frozen=True)
-class Share:
-    index: int
-    bits: tuple[int, ...]
+class Share(_Record):
+    """Participant `index`'s block: a tuple of gamma code `bits`, each 0 or 1."""
+    __slots__ = ("index", "bits")
 
 
-@dataclass(frozen=True)
-class DealResult:
-    shares: tuple[Share, ...]
-    e0: CurveSpec
-    e1: CurveSpec
-    params: SchemeParams
+class DealResult(_Record):
+    """The `shares` of a deal, its curves `e0` and `e1` = I(E0), and its `params`."""
+    __slots__ = ("shares", "e0", "e1", "params")
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
-    chain: IsogenyChain
-    point: CurvePoint
-    image: CurvePoint
+class RecoveryResult(_Record):
+    """The recovered IsogenyChain `chain` and the decoded pair `point`, `image`."""
+    __slots__ = ("chain", "point", "image")
 
 
-@dataclass
 class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    t_interval: tuple[int, int] | None = None
+    def __init__(self):
+        self.violations: list[str] = []
+        self.warnings: list[str] = []
+        self.t_interval: tuple[int, int] | None = None
 
     @property
     def ok(self) -> bool:

@@ -308,6 +308,15 @@ def test_missing_files_are_io_errors(config_path, tmp_path, capsys):
     )
 
 
+def test_failed_write_leaves_no_temp_file(config_path, tmp_path, capsys):
+    # A directory in the way of share_1 makes the rename fail after the
+    # temp file is written.
+    outdir = tmp_path / "deal"
+    (outdir / "share_1.isoshare").mkdir(parents=True)
+    assert _deal(config_path, str(outdir)) == EXIT_IO
+    assert not list(outdir.glob("*.tmp"))
+
+
 def test_invalid_config_rejected(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(CONFIG.replace("code.kind = binary-expanded-rs",

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -25,6 +26,20 @@ def test_all_names_resolve_to_non_module_attributes():
     assert len(isoshare.__all__) == len(set(isoshare.__all__)) <= 36
     for name in isoshare.__all__:
         assert not isinstance(getattr(isoshare, name), types.ModuleType), name
+
+
+def test_cli_import_pulls_in_no_heavy_stdlib_modules():
+    """`import isoshare.cli` adds none of these over a bare interpreter,
+    which may preload modules of its own through `site`."""
+    listing = "import sys; print(*sorted(sys.modules))"
+    def loaded(code):
+        done = subprocess.run([sys.executable, "-c", f"{code}\n{listing}"], cwd=ROOT,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, check=True, timeout=60)
+        return set(done.stdout.split())
+    added = loaded("import isoshare.cli") - loaded("pass")
+    assert "isoshare.scheme" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "string"}
 
 
 def test_perfbench_imports_resolve():

@@ -1,5 +1,5 @@
-import dataclasses
 import itertools
+import pickle
 
 import pytest
 
@@ -28,14 +28,15 @@ from isoshare.scheme import (
 N_TORSION = 16
 
 
-def _params(e0, n, t, gamma, d, e_iso=2, security_bits=8):
+def _params(e0, n, t, gamma, d, e_iso=2, security_bits=8, torsion_order=N_TORSION,
+            ell_iso=3):
     return SchemeParams(
         n=n,
         t=t,
         gamma=gamma,
         curve=e0,
-        torsion_order=N_TORSION,
-        ell_iso=3,
+        torsion_order=torsion_order,
+        ell_iso=ell_iso,
         e_iso=e_iso,
         code=BinaryExpandedCode(4, d),
         security_bits=security_bits,
@@ -120,12 +121,32 @@ def test_coprimality_decided_by_ell(e0, e_iso, flagged):
 @pytest.mark.parametrize("field, value", [("gamma", 0), ("torsion_order", 0), ("e_iso", -1)])
 def test_params_the_arithmetic_cannot_use_are_refused(e0, field, value):
     with pytest.raises(InvalidParams):
-        dataclasses.replace(_params(e0, 3, 2, 25, 6), **{field: value})
+        _params(e0, **{"n": 3, "t": 2, "gamma": 25, "d": 6, field: value})
+
+
+def test_records_are_read_only_value_objects(e0):
+    code = BinaryExpandedCode(4, 6)
+    params = SchemeParams(3, 2, 25, e0, N_TORSION, 3, 2, code)
+    twin = SchemeParams(n=3, t=2, gamma=25, curve=e0, torsion_order=N_TORSION,
+                        ell_iso=3, e_iso=2, code=code)
+    assert params == twin and hash(params) == hash(twin)
+    assert params.security_bits == 128
+    assert "security_bits=128" in repr(params)
+    with pytest.raises(AttributeError):
+        params.n = 4
+    with pytest.raises(InvalidParams):
+        SchemeParams(3, 2, 0, e0, N_TORSION, 3, 2, code)
+    bits = (0, 1, 1)
+    assert Share(0, bits) == Share(index=0, bits=bits)
+    assert Share(0, bits) != Share(1, bits)
+    assert Share(0, bits) != (0, bits)
+    assert repr(Share(0, bits)) == "Share(index=0, bits=(0, 1, 1))"
+    assert pickle.loads(pickle.dumps(Share(0, bits))) == Share(0, bits)
 
 
 @pytest.mark.parametrize("ell", [1, 4, 5])
 def test_validate_rejects_ell_not_a_prime_dividing_p_plus_1(e0, ell):
-    report = validate_params(dataclasses.replace(_params(e0, 3, 2, 25, 6), ell_iso=ell))
+    report = validate_params(_params(e0, 3, 2, 25, 6, ell_iso=ell))
     assert any(f"ell = {ell} " in v for v in report.violations)
 
 
