@@ -7,7 +7,6 @@ codeword.
 """
 
 import argparse
-import hashlib
 import os
 import sys
 
@@ -218,6 +217,9 @@ def _context_lines(params: SchemeParams, e1: CurveSpec) -> list[str]:
 
 
 def context_digest(lines: list[str]) -> str:
+    # hashlib is imported where a digest is made: `check` makes none, and
+    # _hashlib's OpenSSL set-up costs a cold process some 4 ms.
+    import hashlib
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -261,6 +263,7 @@ def cmd_deal(args) -> int:
             print(f"violation: {violation}")
         if not args.force:
             raise CliError(EXIT_INVALID, "parameter validation failed")
+    import hashlib
     seed = args.seed or config.get("seed", "0")
     walk_seed = hashlib.sha256(f"{seed}/walk".encode()).hexdigest()
     point_seed = hashlib.sha256(f"{seed}/point".encode()).hexdigest()

@@ -7,14 +7,9 @@ is 1 iff y is the canonical square root of x^3 + a x + b, so decoding is
 unambiguous.  Padding must be zero, making corruption detectable.
 """
 
-from .curves import CurvePoint, CurveSpec, is_on_curve
-from .errors import (
-    IdentityNotEncodable,
-    InvalidEncoding,
-    LengthTooSmall,
-    NotOnCurve,
-)
-from .fields import Fp2, fp2_sqrt
+from .curves import CurvePoint, CurveSpec, _point, is_on_curve
+from .errors import IdentityNotEncodable, InvalidEncoding, LengthTooSmall, NotOnCurve
+from .fields import _sqrt
 
 
 def component_bits(p: int) -> int:
@@ -50,14 +45,10 @@ def encode_point(e: CurveSpec, pt: CurvePoint, length: int) -> tuple[int, ...]:
     needed = min_encoding_length(e.p)
     if length < needed:
         raise LengthTooSmall(f"L = {length} < {needed} for p = {e.p}")
-    canonical = fp2_sqrt(e.rhs(pt.x))
-    sign = 1 if pt.y == canonical else 0
-    return (
-        (sign,)
-        + int_to_bits(pt.x.c0, width)
-        + int_to_bits(pt.x.c1, width)
-        + (0,) * (length - needed)
-    )
+    x0, x1, y0, y1 = pt.xy
+    sign = 1 if (y0, y1) == _sqrt(e._rhs(x0, x1), e.p) else 0
+    bits = int_to_bits(x0, width) + int_to_bits(x1, width)
+    return (sign,) + bits + (0,) * (length - needed)
 
 
 def decode_point(e: CurveSpec, bits) -> CurvePoint:
@@ -74,12 +65,12 @@ def decode_point(e: CurveSpec, bits) -> CurvePoint:
     c1 = bits_to_int(bits[1 + width : 1 + 2 * width])
     if c0 >= e.p or c1 >= e.p:
         raise InvalidEncoding("coordinate component out of range")
-    x = Fp2(c0, c1, e.p)
-    canonical = fp2_sqrt(e.rhs(x))
-    if canonical is None:
+    y = _sqrt(e._rhs(c0, c1), e.p)
+    if y is None:
         raise InvalidEncoding("x is not the abscissa of a curve point")
-    if not canonical and sign == 0:
+    if y == (0, 0) and sign == 0:
         # y = 0 points only ever encode with sign 1.
         raise InvalidEncoding("invalid sign bit for a two-torsion abscissa")
-    y = canonical if sign else -canonical
-    return CurvePoint(x, y)
+    if not sign:
+        y = (-y[0] % e.p, -y[1] % e.p)
+    return _point((c0, c1) + y, e.p)

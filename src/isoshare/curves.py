@@ -1,44 +1,54 @@
 """Supersingular short-Weierstrass curves over GF(p^2) and their points.
 
 The group of a supersingular curve over GF(p^2) is (Z/(p+1))^2, so the
-exponent is p+1; order computations strip prime factors from p+1.  The
-group law, and the j-invariant a curve computes once with its singularity
-test, run on the (c0, c1) int coordinates of their Fp2 inputs: sums stay
-unreduced, each output coordinate is reduced once, and a quotient n/d is
-n * conj(d) / |d|^2 with one pow(|d|^2, -1, p).
+exponent is p+1; order computations strip prime factors from p+1.
+
+Curves and points hold the reduced (c0, c1) ints of each GF(p^2) element;
+the public constructors convert their Fp2 arguments once, and .a, .b, .j,
+.x and .y build an Fp2 on each read.  The group law runs on a point's xy
+tuple (x0, x1, y0, y1), () for O, which is also its key(): sums stay
+unreduced, each output is reduced once, and n/d is n * conj(d) / |d|^2.
 """
 
 import random
 
 from .errors import NoSuchOrder, NotOnCurve, SingularCurve
-from .fields import Fp2, check_field_prime, factorize, fp2_sqrt
+from .fields import Fp2, _sqrt, check_field_prime, factorize
 
 
 class CurveSpec:
     """y^2 = x^3 + a*x + b over GF(p^2); rejects singular coefficients.
 
     Carries its j-invariant j = 1728 * 4a^3 / (4a^3 + 27b^2), whose
-    denominator is the singularity test's."""
+    denominator is the singularity test's.  akey, bkey and jkey are the
+    (c0, c1) pairs of a, b and j."""
 
-    __slots__ = ("a", "b", "p", "j")
+    __slots__ = ("p", "akey", "bkey", "jkey")
 
     def __init__(self, a: Fp2, b: Fp2, p: int):
         check_field_prime(p)
-        self.a = a
-        self.b = b
-        self.p = p
-        a0, a1, b0, b1 = a.c0, a.c1, b.c0, b.c1
+        self._set(p, a.key(), b.key())
+
+    def _set(self, p, akey, bkey) -> "CurveSpec":
+        """__init__ on reduced pairs, for a p already checked."""
+        self.p, self.akey, self.bkey = p, akey, bkey
+        (a0, a1), (b0, b1) = akey, bkey
         s0, s1 = a0 * a0 - a1 * a1, 2 * a0 * a1
         n0, n1 = 4 * (s0 * a0 - s1 * a1) % p, 4 * (s0 * a1 + s1 * a0) % p
         d0, d1 = (n0 + 27 * (b0 * b0 - b1 * b1)) % p, (n1 + 54 * b0 * b1) % p
         norm = (d0 * d0 + d1 * d1) % p
         if not norm:
-            raise SingularCurve(f"4a^3 + 27b^2 = 0 for a={a}, b={b}")
+            raise SingularCurve(f"4a^3 + 27b^2 = 0 for a={self.a}, b={self.b}")
         k = 1728 * pow(norm, -1, p)
-        self.j = Fp2((n0 * d0 + n1 * d1) * k, (n1 * d0 - n0 * d1) * k, p)
+        self.jkey = (n0 * d0 + n1 * d1) * k % p, (n1 * d0 - n0 * d1) * k % p
+        return self
+
+    a = property(lambda self: Fp2(*self.akey, self.p))
+    b = property(lambda self: Fp2(*self.bkey, self.p))
+    j = property(lambda self: Fp2(*self.jkey, self.p))
 
     def key(self):
-        return (self.p, self.a.key(), self.b.key())
+        return (self.p, self.akey, self.bkey)
 
     def __eq__(self, other):
         return isinstance(other, CurveSpec) and self.key() == other.key()
@@ -47,79 +57,93 @@ class CurveSpec:
         return hash(self.key())
 
     def rhs(self, x: Fp2) -> Fp2:
-        return x * x * x + self.a * x + self.b
+        return Fp2(*self._rhs(x.c0, x.c1), self.p)
+
+    def _rhs(self, x0, x1) -> tuple[int, int]:
+        """x^3 + a*x + b as a reduced pair."""
+        (a0, a1), (b0, b1), p = self.akey, self.bkey, self.p
+        s0, s1 = x0 * x0 - x1 * x1 + a0, 2 * x0 * x1 + a1
+        return (s0 * x0 - s1 * x1 + b0) % p, (s0 * x1 + s1 * x0 + b1) % p
 
     def __repr__(self):
         return f"CurveSpec(a={self.a}, b={self.b}, p={self.p})"
 
 
 class CurvePoint:
-    """Affine point or the identity O."""
+    """Affine point or the identity O, as its xy tuple (see the module
+    docstring) and the p of its coordinates."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("xy", "p")
 
     def __init__(self, x: Fp2 | None = None, y: Fp2 | None = None):
-        self.x = x
-        self.y = y
+        self.xy = () if x is None else (x.c0, x.c1, y.c0, y.c1)
+        self.p = None if x is None else x.p
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
+    x = property(lambda self: Fp2(*self.xy[:2], self.p) if self.xy else None)
+    y = property(lambda self: Fp2(*self.xy[2:], self.p) if self.xy else None)
+
+    is_infinity = property(lambda self: not self.xy)
 
     def key(self):
-        if self.is_infinity:
-            return ()
-        return (self.x.c0, self.x.c1, self.y.c0, self.y.c1)
+        return self.xy
 
     def __eq__(self, other):
-        return isinstance(other, CurvePoint) and self.key() == other.key()
+        return isinstance(other, CurvePoint) and self.xy == other.xy
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.xy)
 
     def __repr__(self):
-        if self.is_infinity:
-            return "CurvePoint(O)"
-        return f"CurvePoint(x={self.x}, y={self.y})"
+        return f"CurvePoint(x={self.x}, y={self.y})" if self.xy else "CurvePoint(O)"
 
 
 INFINITY = CurvePoint()
 
 
+def _point(xy, p: int) -> CurvePoint:
+    """The CurvePoint of an xy tuple with coordinates mod p."""
+    pt = object.__new__(CurvePoint)
+    pt.xy, pt.p = xy, p
+    return pt
+
+
 def is_on_curve(e: CurveSpec, pt: CurvePoint) -> bool:
     if pt.is_infinity:
         return True
-    return pt.y * pt.y == e.rhs(pt.x)
+    x0, x1, y0, y1 = pt.xy
+    return ((y0 * y0 - y1 * y1) % e.p, 2 * y0 * y1 % e.p) == e._rhs(x0, x1)
 
 
-def _require_on_curve(e: CurveSpec, pt: CurvePoint) -> None:
+def _checked(e: CurveSpec, pt: CurvePoint):
+    """pt's xy tuple, once pt is found on e."""
     if not is_on_curve(e, pt):
         raise NotOnCurve(f"{pt} not on {e}")
+    return pt.xy
 
 
 def point_add(e: CurveSpec, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
-    _require_on_curve(e, p1)
-    _require_on_curve(e, p2)
-    return _add(e, p1, p2)
+    return _point(_add(e, _checked(e, p1), _checked(e, p2)), e.p)
 
 
-def _add(e: CurveSpec, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
-    """The group law, unchecked: for points derived from checked ones."""
-    if p1.x is None:
+def _add(e: CurveSpec, p1, p2):
+    """The group law on xy tuples, unchecked: for points derived from
+    checked ones."""
+    if not p1:
         return p2
-    if p2.x is None:
+    if not p2:
         return p1
     p = e.p
-    x0, x1, y0, y1 = p1.x.c0, p1.x.c1, p1.y.c0, p1.y.c1
-    z0, z1 = p2.x.c0, p2.x.c1
+    x0, x1, y0, y1 = p1
+    z0, z1, w0, w1 = p2
     if x0 == z0 and x1 == z1:
-        if y0 != p2.y.c0 or y1 != p2.y.c1 or not (y0 or y1):
-            return INFINITY
+        if y0 != w0 or y1 != w1 or not (y0 or y1):
+            return ()
         # Tangent line at a doubling: slope (3x^2 + a) / 2y.
-        n0, n1 = 3 * (x0 * x0 - x1 * x1) + e.a.c0, 6 * x0 * x1 + e.a.c1
+        a0, a1 = e.akey
+        n0, n1 = 3 * (x0 * x0 - x1 * x1) + a0, 6 * x0 * x1 + a1
         d0, d1 = y0 + y0, y1 + y1
     else:
-        n0, n1 = p2.y.c0 - y0, p2.y.c1 - y1
+        n0, n1 = w0 - y0, w1 - y1
         d0, d1 = z0 - x0, z1 - x1
     k = pow((d0 * d0 + d1 * d1) % p, -1, p)
     s0 = (n0 * d0 + n1 * d1) * k % p
@@ -127,33 +151,34 @@ def _add(e: CurveSpec, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
     x3_0 = (s0 * s0 - s1 * s1 - x0 - z0) % p
     x3_1 = (2 * s0 * s1 - x1 - z1) % p
     t0, t1 = x0 - x3_0, x1 - x3_1
-    return CurvePoint(
-        Fp2(x3_0, x3_1, p), Fp2(s0 * t0 - s1 * t1 - y0, s0 * t1 + s1 * t0 - y1, p)
-    )
+    return x3_0, x3_1, (s0 * t0 - s1 * t1 - y0) % p, (s0 * t1 + s1 * t0 - y1) % p
 
 
 def scalar_mul(e: CurveSpec, k: int, pt: CurvePoint) -> CurvePoint:
     if k < 0:
         raise ValueError("scalar must be nonnegative")
-    _require_on_curve(e, pt)
-    result = INFINITY
-    addend = pt
+    return _point(_times(e, k, _checked(e, pt)), e.p)
+
+
+def _times(e: CurveSpec, k: int, xy):
+    """scalar_mul on an xy tuple, unchecked, by double and add."""
+    result = ()
     while k:
         if k & 1:
-            result = _add(e, result, addend)
-        addend = _add(e, addend, addend)
+            result = _add(e, result, xy)
+        xy = _add(e, xy, xy)
         k >>= 1
     return result
 
 
 def point_order(e: CurveSpec, pt: CurvePoint) -> int:
     """Exact multiplicative order, stripping prime factors from p+1."""
-    _require_on_curve(e, pt)
+    xy = _checked(e, pt)
     m = e.p + 1
-    if not scalar_mul(e, m, pt).is_infinity:
+    if _times(e, m, xy):
         raise NotOnCurve("point order does not divide p+1; curve not supersingular?")
     for q in factorize(m):
-        while m % q == 0 and scalar_mul(e, m // q, pt).is_infinity:
+        while m % q == 0 and not _times(e, m // q, xy):
             m //= q
     return m
 
@@ -162,13 +187,13 @@ def random_point(e: CurveSpec, rng: random.Random) -> CurvePoint:
     """A uniformly sampled affine point (deterministic given rng state)."""
     p = e.p
     while True:
-        x = Fp2(rng.randrange(p), rng.randrange(p), p)
-        root = fp2_sqrt(e.rhs(x))
+        x0, x1 = rng.randrange(p), rng.randrange(p)
+        root = _sqrt(e._rhs(x0, x1), p)
         if root is None:
             continue
-        if root and rng.getrandbits(1):
-            root = -root
-        return CurvePoint(x, root)
+        if root != (0, 0) and rng.getrandbits(1):
+            root = (-root[0] % p, -root[1] % p)
+        return _point((x0, x1) + root, p)
 
 
 def random_point_of_order(e: CurveSpec, n: int, seed) -> CurvePoint:
@@ -182,10 +207,8 @@ def random_point_of_order(e: CurveSpec, n: int, seed) -> CurvePoint:
     rng = random.Random(seed)
     cofactor = (e.p + 1) // n
     while True:
-        candidate = scalar_mul(e, cofactor, random_point(e, rng))
-        if candidate.is_infinity:
-            continue
-        if point_order(e, candidate) == n:
+        candidate = _point(_times(e, cofactor, random_point(e, rng).xy), e.p)
+        if not candidate.is_infinity and point_order(e, candidate) == n:
             return candidate
 
 
@@ -222,22 +245,22 @@ def _certify_supersingular(e: CurveSpec) -> bool:
     if p == 3:
         # Hasse's floor (p-1)^2 = 4 admits #E = 4 or 8 with an exponent
         # dividing p+1 = 4, which no sample could refute.
-        roots = [fp2_sqrt(e.rhs(Fp2(c0, c1, p))) for c0 in range(p) for c1 in range(p)]
-        return 1 + sum(2 if r else 1 for r in roots if r is not None) == (p + 1) ** 2
+        roots = [_sqrt(e._rhs(c0, c1), p) for c0 in range(p) for c1 in range(p)]
+        return 1 + sum(1 + any(r) for r in roots if r is not None) == (p + 1) ** 2
     m = p + 1
     rng = random.Random(0x5517)
     # Prime q of p+1 -> the span <R> of its first nonzero R, or None.
     spans: dict[int, set | None] = dict.fromkeys(factorize(m))
     while spans:
-        pt = random_point(e, rng)
-        if not scalar_mul(e, m, pt).is_infinity:
+        pt = random_point(e, rng).xy
+        if _times(e, m, pt):
             return False
         for q, span in list(spans.items()):
-            r = scalar_mul(e, m // q, pt)
-            if r.is_infinity:
+            r = _times(e, m // q, pt)
+            if not r:
                 continue
             if span is None:
-                spans[q] = {scalar_mul(e, i, r) for i in range(q)}
+                spans[q] = {_times(e, i, r) for i in range(q)}
             elif r not in span:
                 del spans[q]
     return True

@@ -1,10 +1,10 @@
 """Exact arithmetic over GF(p^2) = GF(p)(i) and GF(2^r), and the integer
 primality and factorization under them.
 
-GF(p^2) is always realized as GF(p) adjoined i with i^2 = -1, which forces
-p = 3 (mod 4).  GF(2^r) uses a fixed primitive polynomial per degree so the
-designated generator tau is reproducible across runs.
-"""
+GF(p^2) is GF(p) adjoined i with i^2 = -1, which forces p = 3 (mod 4).  The
+package computes on (c0, c1) int pairs (_mul, _inv, _pow, _sqrt); Fp2 is the
+value type users build and read.  GF(2^r) uses a fixed primitive polynomial
+per degree so the designated generator tau is reproducible across runs."""
 
 import math
 
@@ -136,7 +136,8 @@ def sqrt_mod_p(u: int, p: int):
 
 
 class Fp2:
-    """An element c0 + c1*i of GF(p^2) with i^2 = -1."""
+    """An element c0 + c1*i of GF(p^2) with i^2 = -1, as users build and
+    read it; the package computes on its key() pair (see _mul)."""
 
     __slots__ = ("c0", "c1", "p")
 
@@ -152,42 +153,22 @@ class Fp2:
         return Fp2(self.c0 - other.c0, self.c1 - other.c1, self.p)
 
     def __mul__(self, other):
-        a, b, c, d, p = self.c0, self.c1, other.c0, other.c1, self.p
-        return Fp2(a * c - b * d, a * d + b * c, p)
+        return Fp2(*_mul(self.key(), other.key(), self.p), self.p)
 
     def __neg__(self):
         return Fp2(-self.c0, -self.c1, self.p)
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Fp2(1, 0, self.p)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return Fp2(*_pow(self.key(), e, self.p), self.p)
 
     def inverse(self):
-        p = self.p
-        n = (self.c0 * self.c0 + self.c1 * self.c1) % p
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p^2)")
-        ninv = pow(n, p - 2, p)
-        return Fp2(self.c0 * ninv, -self.c1 * ninv, p)
+        return Fp2(*_inv(self.key(), self.p), self.p)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Fp2)
-            and self.c0 == other.c0
-            and self.c1 == other.c1
-            and self.p == other.p
-        )
+        return isinstance(other, Fp2) and self.key() == other.key() and self.p == other.p
 
     def __hash__(self):
         return hash((self.c0, self.c1, self.p))
@@ -207,43 +188,67 @@ def fp2_from_int(c0: int, p: int) -> Fp2:
     return Fp2(c0, 0, p)
 
 
-def fp2_sqrt(a: Fp2):
-    """Canonical square root in GF(p^2), or None if a is a non-square.
+# GF(p^2) on (c0, c1) int pairs, each result reduced mod p.
+def _mul(x, y, p: int) -> tuple[int, int]:
+    return (x[0] * y[0] - x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
 
-    The canonical root is the one whose (c1, c0) integer pair is
-    lexicographically smaller, so callers get a deterministic sign.
-    """
-    p = a.p
-    if not a:
-        return Fp2(0, 0, p)
-    if a.c1 == 0:
-        s = sqrt_mod_p(a.c0, p)
-        if s is not None:
-            root = Fp2(s, 0, p)
-        else:
-            # c0 is a non-residue, so -c0 is a residue and (t*i)^2 = -t^2.
-            t = sqrt_mod_p(-a.c0 % p, p)
-            root = Fp2(0, t, p)
+
+def _inv(x, p: int) -> tuple[int, int]:
+    """1/x = conj(x) / |x|^2, with one pow(|x|^2, -1, p)."""
+    n = (x[0] * x[0] + x[1] * x[1]) % p
+    if not n:
+        raise ZeroDivisionError("inverse of zero in GF(p^2)")
+    k = pow(n, -1, p)
+    return x[0] * k % p, -x[1] * k % p
+
+
+def _div(x, y, p: int) -> tuple[int, int]:
+    return _mul(x, _inv(y, p), p)
+
+
+def _pow(x, e: int, p: int) -> tuple[int, int]:
+    if e < 0:
+        x, e = _inv(x, p), -e
+    result = (1, 0)
+    while e:
+        if e & 1:
+            result = _mul(result, x, p)
+        x = _mul(x, x, p)
+        e >>= 1
+    return result
+
+
+def _sqrt(a, p: int):
+    """Canonical square root of the reduced pair a in GF(p^2), or None if
+    a is a non-square: of the two roots, the one whose (c1, c0) pair is
+    lexicographically smaller, so callers get a deterministic sign."""
+    c0, c1 = a
+    if not c1:
+        s = sqrt_mod_p(c0, p)
+        # A non-residue c0 has -c0 a residue, and (t*i)^2 = -t^2.
+        root = (s, 0) if s is not None else (0, sqrt_mod_p(-c0, p))
     else:
         # Norm must be a residue for a to be a square.
-        n = (a.c0 * a.c0 + a.c1 * a.c1) % p
-        s = sqrt_mod_p(n, p)
+        s = sqrt_mod_p(c0 * c0 + c1 * c1, p)
         if s is None:
             return None
-        inv2 = pow(2, p - 2, p)
-        x = sqrt_mod_p((a.c0 + s) * inv2 % p, p)
+        half = (p + 1) // 2
+        x = sqrt_mod_p((c0 + s) * half, p)
         if x is None:
-            x = sqrt_mod_p((a.c0 - s) * inv2 % p, p)
-        if x is None or x == 0:
+            x = sqrt_mod_p((c0 - s) * half, p)
+        if not x:
             return None
-        y = a.c1 * inv2 % p * pow(x, p - 2, p) % p
-        root = Fp2(x, y, p)
-    if root * root != a:
+        root = (x, c1 * half * pow(x, -1, p) % p)
+    if _mul(root, root, p) != (c0, c1):
         return None
-    other = -root
-    if (other.c1, other.c0) < (root.c1, root.c0):
-        root = other
-    return root
+    other = (-root[0] % p, -root[1] % p)
+    return other if (other[1], other[0]) < (root[1], root[0]) else root
+
+
+def fp2_sqrt(a: Fp2):
+    """_sqrt on an Fp2: the canonical root as an Fp2, or None."""
+    root = _sqrt(a.key(), a.p)
+    return None if root is None else Fp2(*root, a.p)
 
 
 def _carryless_mul(a: int, b: int) -> int:

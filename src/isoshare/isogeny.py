@@ -10,28 +10,26 @@ search meets in the middle: one enumeration of the walks of half the
 length out of the target gives the j-invariants each depth reaches and the
 keys at the middle, and these decide which walks out of the start are
 extended (see _walks).
+
+All of it runs on the ints of isoshare.curves, scales u as (c0, c1) pairs;
+an Fp2 or CurvePoint is built only for a caller that reads one.
 """
 
+import math
 import random
 
-from .curves import (
-    INFINITY,
-    CurvePoint,
-    CurveSpec,
-    _add,
-    is_on_curve,
-    is_supersingular,
-    random_point,
-    scalar_mul,
-)
+from .curves import CurvePoint, CurveSpec, _add, _point, _times, is_on_curve
+from .curves import is_supersingular, random_point, scalar_mul
 from .errors import BadKernel, NoIsogenyFound, NoSuchOrder, NotOnCurve
-from .fields import Fp2, fp2_from_int, fp2_sqrt, is_prime
+from .fields import Fp2, _div, _mul, _pow, _sqrt, is_prime
 
 
 class IsogenyStep:
-    """One degree-ell isogeny with cyclic kernel <K>."""
+    """One degree-ell isogeny with cyclic kernel <K>, followed by the
+    isomorphism (x, y) -> (u^2 x, u^3 y) for its scale u (1 unless set by
+    with_scale)."""
 
-    __slots__ = ("domain", "kernel", "ell", "scale", "kernel_points", "codomain", "_pairs")
+    __slots__ = ("domain", "kernel", "ell", "codomain", "_pairs", "_u")
 
     def __init__(self, domain: CurveSpec, kernel: CurvePoint, ell: int):
         if not is_prime(ell):
@@ -39,107 +37,96 @@ class IsogenyStep:
         if kernel.is_infinity or not is_on_curve(domain, kernel):
             raise BadKernel("kernel generator must be a finite point on the domain")
         # As ell is prime and K != O, ell*K = O alone proves ord(K) = ell.
-        # With h = ell // 2 that is (h+1)K = -(ell-h-1)K, the point that
-        # _multiples puts after hK (O at ell = 2): one addition more.
-        pts = _multiples(domain, kernel, ell)
-        h = ell // 2
-        if _add(domain, pts[h - 1], kernel) != (pts + [INFINITY])[h]:
+        if _times(domain, ell, kernel.xy):
             raise BadKernel(f"kernel generator does not have order {ell}")
-        self._velu(domain, kernel, ell, pts)
+        self._velu(domain, kernel, ell, _multiples(domain, kernel.xy, ell))
 
-    def _velu(self, domain, kernel, ell, kernel_points) -> "IsogenyStep":
+    def _velu(self, domain, kernel, ell, points) -> "IsogenyStep":
         """Velu's formulas, unchecked: for a kernel of order ell derived from
-        checked points, with kernel_points its ell-1 nonzero multiples.  The
-        first ell // 2 hold one Q of each pair {Q, -Q}, kept as the ints
-        (x_Q, v_Q, u_Q) in c0, c1 pairs mod p: v_Q = 2 g_x(Q), or g_x(Q) at
-        ell = 2, g_x(Q) = 3 x_Q^2 + a, and u_Q = 4 y_Q^2."""
-        self.domain = domain
-        self.kernel = kernel
-        self.ell = ell
-        self.scale = fp2_from_int(1, domain.p)
-        self.kernel_points = kernel_points
+        checked points, with points the xy tuples of the ell-1 nonzero points
+        of <K> as _multiples lists them from some generator.  The first
+        ell // 2 hold one Q of each pair {Q, -Q}, kept as the ints (x_Q, v_Q,
+        u_Q) in c0, c1 pairs mod p: v_Q = 2 g_x(Q), or g_x(Q) at ell = 2,
+        g_x(Q) = 3 x_Q^2 + a, and u_Q = 4 y_Q^2."""
+        self.domain, self.kernel, self.ell = domain, kernel, ell
+        self._u = (1, 0)
         p = domain.p
-        a0, a1 = domain.a.c0, domain.a.c1
+        (a0, a1), (b0, b1) = domain.akey, domain.bkey
         g = 1 if ell == 2 else 2
         pairs = []
         t0 = t1 = w0 = w1 = 0
-        for q in kernel_points[: ell // 2]:
-            x0, x1, y0, y1 = q.x.c0, q.x.c1, q.y.c0, q.y.c1
+        for x0, x1, y0, y1 in points[: ell // 2]:
             v0 = g * (3 * (x0 * x0 - x1 * x1) + a0) % p
             v1 = g * (6 * x0 * x1 + a1) % p
             u0, u1 = 4 * (y0 * y0 - y1 * y1) % p, 8 * y0 * y1 % p
             pairs.append((x0, x1, v0, v1, u0, u1))
-            t0 += v0
-            t1 += v1
-            w0 += u0 + x0 * v0 - x1 * v1
-            w1 += u1 + x0 * v1 + x1 * v0
+            t0, t1 = t0 + v0, t1 + v1
+            w0, w1 = w0 + u0 + x0 * v0 - x1 * v1, w1 + u1 + x0 * v1 + x1 * v0
         self._pairs = pairs
         # The codomain (a - 5t, b - 7w).
-        a0, a1 = (a0 - 5 * t0) % p, (a1 - 5 * t1) % p
-        b0, b1 = (domain.b.c0 - 7 * w0) % p, (domain.b.c1 - 7 * w1) % p
-        self.codomain = CurveSpec(Fp2(a0, a1, p), Fp2(b0, b1, p), p)
+        a = (a0 - 5 * t0) % p, (a1 - 5 * t1) % p
+        b = (b0 - 7 * w0) % p, (b1 - 7 * w1) % p
+        self.codomain = object.__new__(CurveSpec)._set(p, a, b)
         return self
 
+    scale = property(lambda self: Fp2(*self._u, self.domain.p))
+    kernel_points = property(lambda self: [_point(q, self.domain.p) for q in _multiples(
+        self.domain, self.kernel.xy, self.ell)])
+
     def with_scale(self, u: Fp2) -> "IsogenyStep":
-        """This step followed by (x, y) -> (u^2 x, u^3 y): the kernel sums
-        stay, and the codomain (a', b') becomes (u^4 a', u^6 b')."""
+        return self._scaled(u.key())
+
+    def _scaled(self, u) -> "IsogenyStep":
+        """This step followed by (x, y) -> (u^2 x, u^3 y), u a pair: the
+        kernel sums stay, and the codomain (a', b') becomes (u^4 a', u^6 b')."""
         new = object.__new__(IsogenyStep)
-        for name in ("domain", "kernel", "ell", "kernel_points", "_pairs"):
+        for name in ("domain", "kernel", "ell", "_pairs"):
             setattr(new, name, getattr(self, name))
-        new.scale = self.scale * u
-        u2 = u * u
-        a, b = self.codomain.a, self.codomain.b
-        new.codomain = CurveSpec(u2 * u2 * a, u2 * u2 * u2 * b, self.domain.p)
+        p, c = self.domain.p, self.codomain
+        new._u = _mul(self._u, u, p)
+        ab = _moved(c.akey + c.bkey, _mul(u, u, p), p)
+        new.codomain = object.__new__(CurveSpec)._set(p, ab[:2], ab[2:])
         return new
 
     def evaluate(self, pt: CurvePoint) -> CurvePoint:
         if not is_on_curve(self.domain, pt):
             raise NotOnCurve(f"{pt} not on step domain")
-        return self._image(pt)
+        return _point(self._image(pt.xy), self.domain.p)
 
-    def _image(self, pt: CurvePoint) -> CurvePoint:
-        """evaluate, unchecked: for a point derived from checked ones, in
-        Velu's rational form: X = x + sum(v/d + u/d^2), Y = y (1 - sum(v/d^2
-        + 2u/d^3)), d = x - x_Q, which is 0 only at P = +-Q, mapped to O."""
-        if pt.x is None:
-            return INFINITY
-        p = pt.x.p
-        x0, x1 = pt.x.c0, pt.x.c1
+    def _image(self, xy):
+        """evaluate on an xy tuple, unchecked: for a point derived from
+        checked ones, in Velu's rational form: X = x + sum(v/d + u/d^2),
+        Y = y (1 - sum(v/d^2 + 2u/d^3)), d = x - x_Q, which is 0 only at
+        P = +-Q, mapped to O."""
+        if not xy:
+            return ()
+        p = self.domain.p
+        x0, x1, y0, y1 = xy
         sx0 = sx1 = sy0 = sy1 = 0
         for q0, q1, v0, v1, u0, u1 in self._pairs:
             d0, d1 = x0 - q0, x1 - q1
             if not (d0 or d1):
-                return INFINITY
+                return ()
             # i = 1/d, f = u/d, r = v + u/d; sx += r/d, sy += (r + u/d)/d^2.
             k = pow((d0 * d0 + d1 * d1) % p, -1, p)
             i0, i1 = d0 * k % p, -d1 * k % p
             f0, f1 = (u0 * i0 - u1 * i1) % p, (u0 * i1 + u1 * i0) % p
             r0, r1 = v0 + f0, v1 + f1
-            sx0 += r0 * i0 - r1 * i1
-            sx1 += r0 * i1 + r1 * i0
+            sx0, sx1 = sx0 + r0 * i0 - r1 * i1, sx1 + r0 * i1 + r1 * i0
             r0, r1 = r0 + f0, r1 + f1
             j0, j1 = (i0 * i0 - i1 * i1) % p, 2 * i0 * i1 % p
-            sy0 += r0 * j0 - r1 * j1
-            sy1 += r0 * j1 + r1 * j0
-        y0, y1 = pt.y.c0, pt.y.c1
-        x0, x1 = (x0 + sx0) % p, (x1 + sx1) % p
+            sy0, sy1 = sy0 + r0 * j0 - r1 * j1, sy1 + r0 * j1 + r1 * j0
         sy0, sy1 = sy0 % p, sy1 % p
-        y0, y1 = (y0 - y0 * sy0 + y1 * sy1) % p, (y1 - y0 * sy1 - y1 * sy0) % p
-        powers = _scale_powers(self.scale)
-        if powers:
-            s0, s1, c0, c1 = powers
-            x0, x1 = s0 * x0 - s1 * x1, s0 * x1 + s1 * x0
-            y0, y1 = c0 * y0 - c1 * y1, c0 * y1 + c1 * y0
-        return CurvePoint(Fp2(x0, x1, p), Fp2(y0, y1, p))
+        y = (y0 - y0 * sy0 + y1 * sy1) % p, (y1 - y0 * sy1 - y1 * sy0) % p
+        return _moved(((x0 + sx0) % p, (x1 + sx1) % p) + y, self._u, p)
 
 
-def _scale_powers(u: Fp2):
-    """u^2 and u^3 as c0, c1 of each mod p, or None for u = 1."""
-    if not u.c1 and u.c0 == 1:
-        return None
-    p, c0, c1 = u.p, u.c0, u.c1
-    s0, s1 = (c0 * c0 - c1 * c1) % p, 2 * c0 * c1 % p
-    return s0, s1, (s0 * c0 - s1 * c1) % p, (s0 * c1 + s1 * c0) % p
+def _moved(xy, u, p: int):
+    """The image of an xy tuple under (x, y) -> (u^2 x, u^3 y)."""
+    if not xy or u == (1, 0):
+        return xy
+    u2 = _mul(u, u, p)
+    return _mul(u2, xy[:2], p) + _mul(_mul(u2, u, p), xy[2:], p)
 
 
 class IsogenyChain:
@@ -163,22 +150,16 @@ class IsogenyChain:
 
     @property
     def degree(self) -> int:
-        d = 1
-        for step in self.steps:
-            d *= step.ell
-        return d
+        return math.prod(step.ell for step in self.steps)
 
     def extended(self, step: IsogenyStep) -> "IsogenyChain":
         # The earlier steps already chain, so only the new link is checked.
         if step.domain != self.codomain:
             raise NotOnCurve("consecutive steps do not chain")
-        chain = object.__new__(IsogenyChain)
-        chain.domain = self.domain
-        chain.steps = self.steps + (step,)
-        return chain
+        return _chain(self.domain, self.steps + (step,))
 
     def sort_key(self):
-        return tuple(step.kernel.key() for step in self.steps)
+        return tuple(step.kernel.xy for step in self.steps)
 
     def __len__(self):
         return len(self.steps)
@@ -187,38 +168,41 @@ class IsogenyChain:
         return f"IsogenyChain(degree={self.degree}, steps={len(self.steps)})"
 
 
+def _chain(domain: CurveSpec, steps: tuple) -> IsogenyChain:
+    """IsogenyChain, unchecked: for steps that chain by construction."""
+    chain = object.__new__(IsogenyChain)
+    chain.domain, chain.steps = domain, steps
+    return chain
+
+
 def evaluate_chain(chain: IsogenyChain, pt: CurvePoint) -> CurvePoint:
     if not is_on_curve(chain.domain, pt):
         raise NotOnCurve(f"{pt} not on chain domain")
+    xy = pt.xy
     for step in chain.steps:
-        pt = step._image(pt)
-    return pt
+        xy = step._image(xy)
+    return _point(xy, chain.domain.p)
 
 
 def velu_step(e: CurveSpec, kernel: CurvePoint, ell: int) -> IsogenyStep:
     return IsogenyStep(e, kernel, ell)
 
 
-def _velu_step(e: CurveSpec, kernel: CurvePoint, ell: int) -> IsogenyStep:
-    """velu_step, unchecked: for a kernel from ell_torsion_subgroups."""
-    return object.__new__(IsogenyStep)._velu(e, kernel, ell, _multiples(e, kernel, ell))
-
-
-def _multiples(e: CurveSpec, gen: CurvePoint, ell: int) -> list[CurvePoint]:
-    """The ell-1 nonzero points gen, 2gen, ..., (ell-1)gen of <gen>, gen of
-    order ell: the first ell // 2 by additions, the rest as (ell-j)gen = -(j gen)."""
+def _multiples(e: CurveSpec, gen, ell: int) -> list[tuple]:
+    """The xy tuples of the ell-1 nonzero points gen, 2gen, ..., (ell-1)gen
+    of <gen>, gen of order ell: the first ell // 2 by additions, the rest as
+    (ell-j)gen = -(j gen)."""
     pts = [gen]
     for _ in range(ell // 2 - 1):
         pts.append(_add(e, pts[-1], gen))
-    # O passes through: the checked constructor lists gen of any order.
-    for q in reversed(pts[: (ell - 1) // 2]):
-        pts.append(q if q.is_infinity else CurvePoint(q.x, -q.y))
-    return pts
+    p = e.p
+    return pts + [(x0, x1, -y0 % p, -y1 % p)
+                  for x0, x1, y0, y1 in reversed(pts[: (ell - 1) // 2])]
 
 
-def _canonical_generator(e: CurveSpec, gen: CurvePoint, ell: int) -> CurvePoint:
-    """Smallest-serialization generator of <gen>."""
-    return min(_multiples(e, gen, ell), key=CurvePoint.key)
+def _canonical_generator(e: CurveSpec, gen, ell: int):
+    """Smallest xy tuple among the generators of <gen>, gen an xy tuple."""
+    return min(_multiples(e, gen, ell))
 
 
 def require_rational_ell(p: int, ell: int) -> None:
@@ -228,9 +212,23 @@ def require_rational_ell(p: int, ell: int) -> None:
         raise NoSuchOrder(f"ell = {ell} is not a prime dividing p+1 = {p + 1}")
 
 
+class _Generator(CurvePoint):
+    """A subgroup's smallest point, as ell_torsion_subgroups returns it; `points`
+    holds the subgroup's ell-1 nonzero xy tuples, listed as _multiples lists them."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, points, p: int):
+        self.xy, self.p, self.points = min(points), p, points
+
+    def step(self, e: CurveSpec, ell: int) -> IsogenyStep:
+        """velu_step(e, self, ell), unchecked: Velu's sums over `points`."""
+        return object.__new__(IsogenyStep)._velu(e, self, ell, self.points)
+
+
 # (p, ell, j) -> (the first model of that j-invariant that was sampled, the
-# keys (x.c0, x.c1, y.c0, y.c1) of the ell-1 nonzero points of each of its
-# ell+1 cyclic subgroups of E[ell]).
+# xy tuples of the ell-1 nonzero points of each of its ell+1 cyclic
+# subgroups of E[ell], each list in _multiples order).
 _torsion_cache: dict[tuple, tuple[CurveSpec, list[list[tuple]]]] = {}
 
 
@@ -241,53 +239,46 @@ def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
     The subgroups, and the smallest point of each, depend on the model
     alone.  So E[ell] is sampled once per j-invariant, and another model of
     that j gets it through the isomorphism (x, y) -> (u^2 x, u^3 y) from the
-    sampled one, which maps subgroups onto subgroups; it is applied to the
-    points' int keys, and only the generators are built as points.  A model
-    with that j but no isomorphism over GF(p^2) (a twist) is sampled itself.
+    sampled one, which maps subgroups onto subgroups.  A model with that j
+    but no isomorphism over GF(p^2) (a twist) is sampled itself.  Each
+    generator carries the points of its subgroup (see _Generator).
     """
-    require_rational_ell(e.p, ell)
-    p = e.p
-    key = (p, ell, e.j.key())
+    p, key = e.p, (e.p, ell, e.jkey)
+    require_rational_ell(p, ell)
     entry = _torsion_cache.get(key)
-    scales = isomorphism_scales(entry[0], e) if entry is not None else None
+    scales = entry and _scales(entry[0], e)
     if scales:
-        s0, s1, c0, c1 = _scale_powers(scales[0]) or (1, 0, 1, 0)
-        subgroups = [
-            [
-                ((s0 * x0 - s1 * x1) % p, (s0 * x1 + s1 * x0) % p,
-                 (c0 * y0 - c1 * y1) % p, (c0 * y1 + c1 * y0) % p)
-                for x0, x1, y0, y1 in pts
-            ]
-            for pts in entry[1]
-        ]
+        s0, s1 = _mul(scales[0], scales[0], p)
+        c0, c1 = _mul((s0, s1), scales[0], p)
+        subgroups = [[((s0 * x0 - s1 * x1) % p, (s0 * x1 + s1 * x0) % p,
+                       (c0 * y0 - c1 * y1) % p, (c0 * y1 + c1 * y0) % p)
+                      for x0, x1, y0, y1 in pts] for pts in entry[1]]
     else:
-        subgroups = [[q.key() for q in pts] for pts in _sample_subgroups(e, ell)]
+        subgroups = _sample_subgroups(e, ell)
         if entry is None:
             _torsion_cache[key] = (e, subgroups)
-    return [
-        CurvePoint(Fp2(x0, x1, p), Fp2(y0, y1, p))
-        for x0, x1, y0, y1 in sorted(min(pts) for pts in subgroups)
-    ]
+    return sorted((_Generator(pts, p) for pts in subgroups), key=CurvePoint.key)
 
 
-def _sample_subgroups(e: CurveSpec, ell: int) -> list[list[CurvePoint]]:
-    """The nonzero points of each cyclic subgroup of E[ell], from random points."""
+def _sample_subgroups(e: CurveSpec, ell: int) -> list[list[tuple]]:
+    """The nonzero points of each cyclic subgroup of E[ell], from random
+    points, as _torsion_cache holds them."""
     rng = random.Random(("torsion", e.key(), ell).__repr__())
     cofactor = (e.p + 1) // ell
     valuation = 1
     while cofactor % ell ** valuation == 0:
         valuation += 1
 
-    def sample() -> CurvePoint:
+    def sample():
         while True:
-            q = scalar_mul(e, cofactor, random_point(e, rng))
-            if q.is_infinity:
+            q = _times(e, cofactor, random_point(e, rng).xy)
+            if not q:
                 continue
             # ell * q = (p+1) * P = O at once when the exponent divides
             # p+1; on any other curve, strip at most v_ell(p+1) factors.
             for _ in range(valuation):
-                q_ell = scalar_mul(e, ell, q)
-                if q_ell.is_infinity:
+                q_ell = _times(e, ell, q)
+                if not q_ell:
                     return q
                 q = q_ell
             raise NoSuchOrder(f"{e} has points whose order does not divide p+1")
@@ -302,10 +293,7 @@ def _sample_subgroups(e: CurveSpec, ell: int) -> list[list[CurvePoint]]:
 
 
 def _other_subgroup_point(subgroups, chosen: CurvePoint) -> CurvePoint:
-    for g in subgroups:
-        if g != chosen:
-            return g
-    raise AssertionError("ell+1 >= 2 subgroups always exist")
+    return next(g for g in subgroups if g != chosen)
 
 
 def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
@@ -317,92 +305,96 @@ def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
     rng = random.Random(("walk", repr(seed)).__repr__())
     chain = IsogenyChain(e0)
     forbidden = None
-    current = e0
     for _ in range(e):
-        subgroups = ell_torsion_subgroups(current, ell)
-        allowed = [g for g in subgroups if g != forbidden]
+        subgroups = ell_torsion_subgroups(chain.codomain, ell)
+        allowed = [g for g in subgroups if g.xy != forbidden]
         kernel = allowed[rng.randrange(len(allowed))]
-        step = _velu_step(current, kernel, ell)
+        step = kernel.step(chain.codomain, ell)
         aux = _other_subgroup_point(subgroups, kernel)
-        forbidden = _canonical_generator(step.codomain, step._image(aux), ell)
+        forbidden = _canonical_generator(step.codomain, step._image(aux.xy), ell)
         chain = chain.extended(step)
-        current = step.codomain
     return chain
 
 
 def isomorphism_scales(src: CurveSpec, dst: CurveSpec) -> list[Fp2]:
-    """All u with (u^4 a, u^6 b) = (a', b'), i.e. isomorphisms src -> dst,
-    sorted.
+    """All u with (u^4 a, u^6 b) = (a', b'), sorted: see _scales."""
+    return [Fp2(*u, src.p) for u in _scales(src, dst)]
+
+
+def _scales(src: CurveSpec, dst: CurveSpec) -> list[tuple]:
+    """isomorphism_scales as sorted (c0, c1) pairs.
 
     The candidates v for u^2 are a b'/(a' b), or the square roots of a'/a
     when b = 0 (j = 1728), or the cube roots of b'/b when a = 0 (j = 0);
     u = +-sqrt(v) for each v with v^2 a = a' and v^3 b = b'.  The zeros of
     a and b pick the case, not j, which is 0 for every curve at p = 3.
     """
-    if bool(src.a) != bool(dst.a) or bool(src.b) != bool(dst.b):
+    p = src.p
+    a, b, a2, b2 = src.akey, src.bkey, dst.akey, dst.bkey
+    if any(a) != any(a2) or any(b) != any(b2):
         return []
-    if src.a and src.b:
-        squares = [(src.a * dst.b) / (dst.a * src.b)]
-    elif src.b:
-        squares = _cube_roots(dst.b / src.b)
+    if any(a) and any(b):
+        squares = [_div(_mul(a, b2, p), _mul(a2, b, p), p)]
+    elif any(b):
+        squares = _cube_roots(_div(b2, b, p), p)
     else:
-        s = fp2_sqrt(dst.a / src.a)
-        squares = [] if s is None else [s, -s]
+        s = _sqrt(_div(a2, a, p), p)
+        squares = [] if s is None else [s, (-s[0] % p, -s[1] % p)]
     # The v are distinct and nonzero, so no u comes up twice.
     scales = []
     for v in squares:
-        v2 = v * v
-        if v2 * src.a == dst.a and v2 * v * src.b == dst.b:
-            u = fp2_sqrt(v)
+        if _moved(a + b, v, p) == a2 + b2:
+            u = _sqrt(v, p)
             if u is not None:
-                scales += [u, -u]
-    return sorted(scales, key=Fp2.key)
+                scales += [u, (-u[0] % p, -u[1] % p)]
+    return sorted(scales)
 
 
-def _cube_roots(c: Fp2) -> list[Fp2]:
-    """All x in GF(p^2) with x^3 = c, sorted (Adleman-Manders-Miller, r = 3)."""
-    p = c.p
+def _cube_roots(c, p: int) -> list[tuple]:
+    """All x in GF(p^2) with x^3 = c, for c a (c0, c1) pair, sorted
+    (Adleman-Manders-Miller, r = 3)."""
     order = p * p - 1
-    if not c:
+    if not any(c):
         return [c]
     if order % 3:
         # Cubing permutes GF(p^2)*, so the root is unique.
-        return [c ** pow(3, -1, order)]
-    one = fp2_from_int(1, p)
-    if c ** (order // 3) != one:
+        return [_pow(c, pow(3, -1, order), p)]
+    one = (1, 0)
+    if _pow(c, order // 3, p) != one:
         return []
     s, t = 0, order
     while t % 3 == 0:
         s, t = s + 1, t // 3
     # g generates the 3-Sylow subgroup of GF(p^2)*, of order 3^s, and w is
     # a primitive cube root of unity.
-    z = next(z for z in (Fp2(k, 1, p) for k in range(p)) if z ** (order // 3) != one)
-    g = z**t
-    w = g ** (3 ** (s - 1))
+    z = next(z for z in ((k, 1) for k in range(p)) if _pow(z, order // 3, p) != one)
+    g = _pow(z, t, p)
+    w = _pow(g, 3 ** (s - 1), p)
     # x^3 = c * b, where b = c^(3u - 1) lies in <g> as 3u = 1 (mod t).
     u = pow(3, -1, t)
-    x = c**u
-    b = c ** (3 * u - 1)
+    x = _pow(c, u, p)
+    b = _pow(c, 3 * u - 1, p)
     # b = g^k by base-3 digits (Pohlig-Hellman); 3 | k as c is a cube.
     k = 0
     for i in range(s):
-        h = (b * g ** (-k)) ** (3 ** (s - 1 - i))
+        h = _pow(_mul(b, _pow(g, -k, p), p), 3 ** (s - 1 - i), p)
         k += (0 if h == one else 1 if h == w else 2) * 3**i
-    root = x * g ** (-(k // 3))
-    return sorted((root, root * w, root * w * w), key=Fp2.key)
+    root = _mul(x, _pow(g, -(k // 3), p), p)
+    return sorted(_mul(root, _pow(w, i, p), p) for i in range(3))
 
 
-def _iso_invariant(e: CurveSpec, pt: CurvePoint):
-    """A key of pt that every isomorphism (x, y) -> (u^2 x, u^3 y) out of e
-    keeps, automorphisms included: x*a/b, or x^2/a at j = 1728 (b = 0), or
-    x^3/b at j = 0 (a = 0); () for O."""
-    if pt.is_infinity:
+def _iso_invariant(e: CurveSpec, xy):
+    """A key of the point xy that every isomorphism (x, y) -> (u^2 x, u^3 y)
+    out of e keeps, automorphisms included: x*a/b, or x^2/a at j = 1728
+    (b = 0), or x^3/b at j = 0 (a = 0); () for O."""
+    if not xy:
         return ()
-    if not e.a:
-        return (pt.x * pt.x * pt.x / e.b).key()
-    if not e.b:
-        return (pt.x * pt.x / e.a).key()
-    return (pt.x * e.a / e.b).key()
+    p, x, a, b = e.p, xy[:2], e.akey, e.bkey
+    if not any(a):
+        return _div(_mul(_mul(x, x, p), x, p), b, p)
+    if not any(b):
+        return _div(_mul(x, x, p), a, p)
+    return _div(_mul(x, a, p), b, p)
 
 
 def _meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
@@ -411,21 +403,18 @@ def _meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
     b-walk's codomain and its image of `image`, or None if b = 0.  Raises
     NoSuchOrder if E[ell] of the target is not rational (b > 0)."""
     leaves = list(_walks(target, ell, b, image))
-    layers = [{target.j.key()}] + [
-        {walk.steps[r].codomain.j.key() for walk, _ in leaves} for r in range(b)
-    ]
+    layers = [{target.jkey}]
+    layers += [{w.steps[r].codomain.jkey for w, _ in leaves} for r in range(b)]
     if not b:
         return layers, None
-    return layers, {
-        (walk.codomain.j.key(), _iso_invariant(walk.codomain, pt)) for walk, pt in leaves
-    }
+    return layers, {(w.codomain.jkey, _iso_invariant(w.codomain, xy)) for w, xy in leaves}
 
 
 def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
-    """(chain, its image of point) for the non-backtracking length-e walks
-    out of e0, kernels in canonical sorted order.  The search is depth
-    first and takes each chain's children in increasing kernel key order,
-    so the walks come out in strictly increasing sort_key order.
+    """(chain, the xy tuple of its image of point) for the non-backtracking
+    length-e walks out of e0, kernels in canonical sorted order.  The search
+    is depth first and takes each chain's children in increasing kernel key
+    order, so the walks come out in strictly increasing sort_key order.
 
     meet = _meet(target, ell, b, image), b = e // 2, prunes the walks that
     cannot end on target with point sent to image.  A child with r <= b
@@ -437,28 +426,28 @@ def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
     target, is such an r-walk psi' out of target, ending on j(codomain of
     F).  [ell^b]point is computed once on e0 and its image carried down each
     walk to that depth, as F([ell^b]P) = [ell^b]F(P); a child's image of
-    point is taken only once it passes.
+    point is taken only once it passes.  Each child's steps chain by
+    construction, so no link is checked.
     """
     layers, keys = meet
     b = len(layers) - 1
-    carried = scalar_mul(e0, ell**b, point) if keys is not None else None
-    stack = [(IsogenyChain(e0), point, carried, None)]
+    carried = scalar_mul(e0, ell**b, point).xy if keys is not None else None
+    stack = [((), e0, point.xy, carried, None)]
     while stack:
-        chain, mapped, carried, forbidden = stack.pop()
-        if len(chain) == e:
-            yield chain, mapped
+        steps, current, mapped, carried, forbidden = stack.pop()
+        if len(steps) == e:
+            yield _chain(e0, steps), mapped
             continue
         # Steps a child still has to take after its own.
-        remaining = e - len(chain) - 1
-        current = chain.codomain
+        remaining = e - len(steps) - 1
         subgroups = ell_torsion_subgroups(current, ell)
         for kernel in reversed(subgroups):
-            if forbidden is not None and kernel == forbidden:
+            if kernel.xy == forbidden:
                 continue
-            step = _velu_step(current, kernel, ell)
+            step = kernel.step(current, ell)
             codomain = step.codomain
             if remaining <= b:
-                j_key = codomain.j.key()
+                j_key = codomain.jkey
                 if j_key not in layers[remaining]:
                     continue
             moved = None if carried is None else step._image(carried)
@@ -471,18 +460,12 @@ def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
             if remaining:
                 # A leaf never expands, so it needs no kernel to forbid.
                 aux = _other_subgroup_point(subgroups, kernel)
-                next_forbidden = _canonical_generator(codomain, step._image(aux), ell)
-            stack.append((chain.extended(step), child, moved, next_forbidden))
+                next_forbidden = _canonical_generator(codomain, step._image(aux.xy), ell)
+            stack.append((steps + (step,), codomain, child, moved, next_forbidden))
 
 
-def recover_isogeny(
-    e0: CurveSpec,
-    e1: CurveSpec,
-    point: CurvePoint,
-    image: CurvePoint,
-    ell: int,
-    e: int,
-) -> IsogenyChain:
+def recover_isogeny(e0: CurveSpec, e1: CurveSpec, point: CurvePoint, image: CurvePoint,
+                    ell: int, e: int) -> IsogenyChain:
     """Exact stand-in for the torsion-point isogeny recovery oracle.
 
     Searches the non-backtracking ell-walks of length e out of e0 and
@@ -518,13 +501,8 @@ def recover_isogeny(
         raise NoIsogenyFound(f"E[{ell}] of the target curve is not rational") from None
     for chain, mapped in _walks(e0, ell, e, point, meet):
         # Codomains of another j have no isomorphism onto e1.
-        for u in isomorphism_scales(chain.codomain, e1):
-            u2 = u * u
-            if mapped.is_infinity:
-                adjusted_pt = INFINITY
-            else:
-                adjusted_pt = CurvePoint(u2 * mapped.x, u2 * u * mapped.y)
-            if adjusted_pt == image:
-                last = chain.steps[-1].with_scale(u)
-                return IsogenyChain(e0, chain.steps[:-1] + (last,))
+        for u in _scales(chain.codomain, e1):
+            if _moved(mapped, u, e0.p) == image.xy:
+                last = chain.steps[-1]._scaled(u)
+                return _chain(e0, chain.steps[:-1] + (last,))
     raise NoIsogenyFound(f"no degree {ell}^{e} chain maps the torsion point as required")

@@ -156,12 +156,12 @@ def exhaustive_walks(e0: CurveSpec, ell: int, e: int):
         current = chain.codomain
         subgroups = ell_torsion_subgroups(current, ell)
         for kernel in reversed(subgroups):
-            if forbidden is not None and kernel == forbidden:
+            if forbidden is not None and kernel.key() == forbidden:
                 continue
             step = velu_step(current, kernel, ell)
             aux = _other_subgroup_point(subgroups, kernel)
             next_forbidden = _canonical_generator(
-                step.codomain, step.evaluate(aux), ell
+                step.codomain, step.evaluate(aux).key(), ell
             )
             stack.append((chain.extended(step), next_forbidden))
 

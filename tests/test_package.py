@@ -39,7 +39,8 @@ def test_cli_import_pulls_in_no_heavy_stdlib_modules():
         return set(done.stdout.split())
     added = loaded("import isoshare.cli") - loaded("pass")
     assert "isoshare.scheme" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "string"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "string",
+                        "hashlib", "_hashlib", "_blake2"}
 
 
 def test_perfbench_imports_resolve():
