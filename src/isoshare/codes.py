@@ -4,10 +4,13 @@ subfield codes and binary expansions, and erasure decoding.
 Every code is built, held and eliminated as its binary image: a row or a
 word is an int whose bits r*j .. r*j + r - 1 are the coefficients of
 symbol j, and each constructor hands LinearCode its generator rows in that
-form.  Erasure decoding solves the parity-check system restricted to the
-erased coordinates, so it works uniformly for every code here and succeeds
-on any pattern that pins the codeword down uniquely, not just the
-worst-case d - 1 bound.
+form.  Each parity check has exactly one bit off the information
+positions, its own check bit.  Erasure decoding sets aside the checks
+whose own bit is erased, solves the rest for the erased information bits
+alone (an early-stopping XOR elimination, see isoshare.linalg), then fills
+in each erased check bit by the parity of its check.  It works uniformly
+for every code here and succeeds on any pattern that pins the codeword
+down uniquely, not just the worst-case d - 1 bound.
 """
 
 from . import linalg
@@ -96,8 +99,10 @@ class LinearCode:
             for g in reduced[i : i + r]:
                 table += [t ^ g for t in table]
             self._multiples.append(table)
-        # The checks on the image, in closed form from the systematic rows.
+        # The checks on the image, in closed form from the systematic rows:
+        # each has one bit off the pivots, its own check bit.
         self._par_bits = linalg.nullspace(reduced, pivots, r * length)
+        self._info_bits = sum(1 << pc for pc in pivots)
 
     def _pack(self, word):
         """A word of field elements as an int, symbol j at bits r*j on."""
@@ -133,25 +138,44 @@ class LinearCode:
         return tuple(cw[j] for j in self.info_positions)
 
     def erasure_decode(self, word):
-        """The unique codeword agreeing with `word` off its ERASED slots."""
+        """The unique codeword agreeing with `word` off its ERASED slots.
+
+        A check whose own bit is erased only defines that bit, so it is set
+        aside; the other checks, cut to the erased information bits with the
+        parity of their known part as rhs, are the system solved.  Its
+        solutions and the full system's are in one-to-one correspondence, so
+        it is consistent exactly when the full one is, with as many free
+        bits.  The checks set aside then fill in their own bits by parity.
+        """
         word = list(word)
         if len(word) != self.length:
             raise LengthMismatch(f"word length {len(word)} != {self.length}")
         r, full = self.field.r, self.field.size - 1
-        # The image's checks cut to the erased bits, with the parity of their
-        # known part as rhs; the solve counts the known (all-zero) columns as
-        # free.  The solutions are a GF(2^r)-affine space: 2^free is size^(free/r).
+        ncols = r * self.length
         erased = sum(full << r * j for j, s in enumerate(word) if s is ERASED)
+        unknown = erased & self._info_bits
+        erased_checks = erased ^ unknown
         known = self._pack(word)
-        rows = [h & erased for h in self._par_bits]
-        rhs = [(h & known).bit_count() & 1 for h in self._par_bits]
-        solution, free = linalg.solve(rows, rhs, r * self.length)
+        rows, rhs, deferred = [], [], []
+        for h in self._par_bits:
+            if h & erased_checks:
+                deferred.append(h)
+            else:
+                rows.append(h & unknown)
+                rhs.append((h & known).bit_count() & 1)
+        solution, free = linalg.solve(rows, rhs, ncols)
         if solution is None:
             raise Inconsistent("known symbols violate the parity checks")
-        free -= r * self.length - erased.bit_count()
+        # The solve counts every column off `unknown` as free.  The solutions
+        # are a GF(2^r)-affine space: 2^free is size^(free/r).
+        free -= ncols - unknown.bit_count()
         if free:
             raise Ambiguous(2**free)
-        return self._unpack(known | solution)
+        bits = known | solution
+        for h in deferred:
+            if (h & bits).bit_count() & 1:
+                bits |= h & erased_checks
+        return self._unpack(bits)
 
     def __repr__(self):
         return (

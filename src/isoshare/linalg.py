@@ -1,6 +1,10 @@
-"""Gaussian elimination over GF(2) on rows packed as ints, bit j for
-column j, by XOR.  A GF(2^r) code eliminates on its binary image (see
+"""Linear algebra over GF(2) on rows packed as ints, bit j for column j,
+by XOR.  A GF(2^r) code eliminates on its binary image (see
 isoshare.codes), so this one path serves every code.  All is exact.
+
+rref and nullspace build the codes; solve, which erasure decoding calls
+for every word, keeps a XOR basis keyed by each row's lowest bit and stops
+reducing rows once every column it can reach has a pivot.
 """
 
 
@@ -57,15 +61,46 @@ def nullspace(reduced, pivots, ncols):
 def solve(rows, rhs, ncols):
     """Solve rows . x = rhs for packed rows and 0/1 rhs.
 
-    Returns (x, num_free) with x packed and its free variables zero, or
-    (None, 0) when the system is inconsistent.
+    Each row, its rhs at bit ncols, is reduced against a XOR basis keyed by
+    lowest set bit and joins it under its own lowest bit; a row that
+    reduces to the rhs bit alone reads 0 = 1.  Once every column in the
+    rows' support has a basis row, the rows not yet reduced are only
+    checked, by parity, against the solution.  The basis's lowest bits are
+    the lowest bits of the row space, the pivots rref finds in natural
+    column order, so back-substitution in decreasing pivot order gives the
+    solution with the free variables zero.
+
+    Returns (x, num_free) with x packed, or (None, 0) when the system is
+    inconsistent.
     """
-    aug = [row | b << ncols for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug, ncols + 1, pivot_order=range(ncols))
-    # A pivot in the augmented column means 0 = 1.
-    if ncols in pivots:
-        return None, 0
+    top = 1 << ncols
+    support = 0
+    for row in rows:
+        support |= row
+    columns = support.bit_count()
+    basis = {}
+    pairs = iter(zip(rows, rhs))
+    for row, b in pairs:
+        row |= b << ncols
+        while row:
+            low = row & -row
+            pivot = basis.get(low)
+            if pivot is None:
+                break
+            row ^= pivot
+        if row == top:
+            return None, 0
+        if row:
+            basis[low] = row
+            if len(basis) == columns:
+                break
     solution = 0
-    for row, pc in zip(reduced, pivots):
-        solution |= (row >> ncols) << pc
-    return solution, ncols - len(pivots)
+    for low in sorted(basis, reverse=True):
+        # The row's other bits lie above its pivot: solved, or free at zero.
+        row = basis[low]
+        if ((row & solution).bit_count() ^ row >> ncols) & 1:
+            solution |= low
+    for row, b in pairs:
+        if (row & solution).bit_count() & 1 != b:
+            return None, 0
+    return solution, ncols - len(basis)

@@ -306,7 +306,8 @@ def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> Recover
         raise NotEnoughShares(
             f"{amb.count} codewords fit the {len(by_index)} known blocks"
         ) from amb
-    message_bits = tuple(int(s) for s in params.code.extract(codeword))
+    # A decoded word is a codeword: read its message, no checks re-run.
+    message_bits = tuple(int(codeword[j]) for j in params.code.info_positions)
     return _finish(message_bits, params, e1)
 
 
@@ -337,6 +338,6 @@ def burst_recover(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult
             f"{amb.count} base codewords fit the known symbols"
         ) from amb
     # Message bit r*j + b is bit b of RS message symbol j.
-    message_bits = tuple(s.val >> b & 1 for s in code.base.extract(rs_codeword)
+    message_bits = tuple(rs_codeword[j].val >> b & 1 for j in code.base.info_positions
                          for b in range(code.r))
     return _finish(message_bits, params, e1)

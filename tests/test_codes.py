@@ -18,6 +18,7 @@ from oracles import (
     poly_divmod,
     rref,
     rs_rows,
+    solve,
 )
 
 from isoshare import linalg
@@ -378,6 +379,118 @@ def test_xor_rref_matches_generic_rref_on_random_packed_systems():
             packed, xor_pivots = linalg.rref(rows, ncols, pivot_order=order)
             assert xor_pivots == pivots, (trial, order)
             assert packed == [_packed(r) for r in reduced], (trial, order)
+
+
+def _parity(bits):
+    return bits.bit_count() & 1
+
+
+def _generic_solve(rows, rhs, ncols):
+    """The element-wise solve of packed rows, its solution packed."""
+    x, free = solve([[GF2(r >> j & 1) for j in range(ncols)] for r in rows],
+                    [GF2(b) for b in rhs], ncols, GF2)
+    return (None if x is None else _packed(x)), free
+
+
+def test_solve_matches_generic_solve_on_random_packed_systems():
+    # No rows, zero rows, repeated rows and systems short of full rank, each
+    # consistent and with one rhs flipped: the same solution, free bits zero,
+    # and the same free count.
+    rng = random.Random(45)
+    assert linalg.solve([], [], 7) == _generic_solve([], [], 7) == (0, 7)
+    outcomes = set()
+    for trial in range(300):
+        ncols = rng.randint(1, 16)
+        basis = [rng.getrandbits(ncols) for _ in range(rng.randint(0, ncols))]
+        rows = []
+        for _ in range(rng.randint(0, 24)):
+            row = 0
+            for b in basis:
+                row ^= b * rng.getrandbits(1)
+            rows.append(row)
+        rows += [0] * rng.randint(0, 2)
+        rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))] if rows else []
+        rng.shuffle(rows)
+        x = rng.getrandbits(ncols)
+        rhs = [_parity(row & x) for row in rows]
+        systems = [rhs]
+        if rows:
+            flipped = list(rhs)
+            flipped[rng.randrange(len(rows))] ^= 1
+            systems.append(flipped)
+        support = 0
+        for row in rows:
+            support |= row
+        for b in systems:
+            got = linalg.solve(rows, b, ncols)
+            assert got == _generic_solve(rows, b, ncols), trial
+            # Full rank on the support leaves only the columns off it free.
+            outcomes.add("inconsistent" if got[0] is None else
+                         "full" if got[1] == ncols - support.bit_count() else "short")
+    assert outcomes == {"full", "short", "inconsistent"}
+
+
+def test_solve_checks_the_rows_after_full_rank():
+    # One row per column of the support reaches full rank on it, so the
+    # later rows are only checked against the solution; one that disagrees
+    # still makes the system inconsistent.
+    rng = random.Random(46)
+    for trial in range(100):
+        ncols = rng.randint(1, 16)
+        support = rng.getrandbits(ncols) or 1
+        cols = [c for c in range(ncols) if support >> c & 1]
+        head = [1 << c | rng.getrandbits(ncols) & support & -(2 << c) for c in cols]
+        rng.shuffle(head)
+        tail = []
+        for _ in range(rng.randint(1, 6)):
+            row = 0
+            while not row:
+                for h in head:
+                    row ^= h * rng.getrandbits(1)
+            tail.append(row)
+        rows = head + tail
+        x = rng.getrandbits(ncols)
+        rhs = [_parity(row & x) for row in rows]
+        expected = (x & support, ncols - len(cols))
+        assert linalg.solve(rows, rhs, ncols) == _generic_solve(rows, rhs, ncols) == expected
+        rhs[len(head) + rng.randrange(len(tail))] ^= 1
+        assert linalg.solve(rows, rhs, ncols) == _generic_solve(rows, rhs, ncols) == (None, 0)
+
+
+def test_decode_solves_only_for_erased_information_bits(monkeypatch):
+    # A 13-share coalition of the [186,80] code (gamma = 6), as perfbench's
+    # decode-wide rejects, and a 24-share one: the solve gets one row per
+    # check whose own bit is known, at most, and no column but the erased
+    # information bits.
+    code = BinaryExpandedCode(5, 16)
+    info = set(code.info_positions)
+    systems = []
+    solve_packed = linalg.solve
+
+    def recording(rows, rhs, ncols):
+        systems.append(list(rows))
+        return solve_packed(rows, rhs, ncols)
+
+    monkeypatch.setattr(linalg, "solve", recording)
+    rng = random.Random(47)
+    cw = code.encode([GF2(rng.getrandbits(1)) for _ in range(code.dimension)])
+    for size in (13, 24):
+        coalition = set(rng.sample(range(31), size))
+        word = [s if j // 6 in coalition else ERASED for j, s in enumerate(cw)]
+        erased = {j for j, s in enumerate(word) if s is ERASED}
+        if size == 13:
+            with pytest.raises(Ambiguous):
+                code.erasure_decode(word)
+        else:
+            assert code.erasure_decode(word) == cw
+        (rows,) = systems
+        systems.clear()
+        known_checks = code.length - len(info) - len(erased - info)
+        assert len(rows) <= known_checks, size
+        support = 0
+        for row in rows:
+            support |= row
+        assert support & ~sum(1 << j for j in erased & info) == 0, size
 
 
 def _check_decodes(code, generic, words):

@@ -779,35 +779,28 @@ def test_meet_in_the_middle_bounds_the_search_work(e0, e0_large, monkeypatch):
 def test_search_work_is_bounded(e0, monkeypatch):
     # A warm e = 6 recovery at p = 431.  Summing all ell-1 translates of the
     # kernel, each with its own inversion, and a scalar_mul by ell^b for each
-    # child at the meet took 7,766 Fp2 multiplications and 26 scalar_muls;
-    # the pair sums and the carried [ell^b]P take 4,344 and 1.  With the
-    # Velu, group-law and j-invariant kernels on (c0, c1) ints, 705 of the
-    # products are left in Fp2 objects, and 465 once a curve carries its j.
-    # Stopping at the first match, not draining every walk for the
-    # smallest, takes 309; the bound is that plus 10%.
+    # child at the meet took 26 scalar_muls; the carried [ell^b]P takes 1.
+    # The search's work is its Velu steps, not Fp2 products: with its
+    # kernels on (c0, c1) ints it multiplies no Fp2 objects (it took 309
+    # products before).  It builds 74 steps; the bound is that plus 10%.
     secret = random_walk(e0, 3, 6, "work-6")
     q = random_point_of_order(e0, 16, "work-6p")
     image = evaluate_chain(secret, q)
     _torsion_cache.clear()
     recover_isogeny(e0, secret.codomain, q, image, 3, 6)
-    muls, smuls = [], []
-    mul = Fp2.__mul__
-
-    def counting_mul(a, b):
-        muls.append(1)
-        return mul(a, b)
+    smuls = []
 
     def counting_smul(*args):
         smuls.append(1)
         return scalar_mul(*args)
 
-    monkeypatch.setattr(Fp2, "__mul__", counting_mul)
+    built = _counting_steps(monkeypatch)
     monkeypatch.setattr(isogeny, "scalar_mul", counting_smul)
     found = recover_isogeny(e0, secret.codomain, q, image, 3, 6)
     monkeypatch.undo()
     assert evaluate_chain(found, q) == image
     assert len(smuls) == 1
-    assert len(muls) <= 339, len(muls)
+    assert len(built) <= 81, len(built)
 
 
 def test_warm_recovery_builds_no_fp2(e0, monkeypatch):
