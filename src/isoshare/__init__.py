@@ -41,7 +41,6 @@ from .scheme import (
     Share,
     admissible_t_interval,
     attack_cost_bits,
-    burst_recover,
     distribute_bits,
     recover_isogeny_path,
     share_isogeny_path,
@@ -49,7 +48,7 @@ from .scheme import (
 )
 
 # The package-level API.  Helpers such as velu_step, contract_binary or
-# element_to_bits stay importable from their own modules.
+# burst_recover stay importable from their own modules.
 __all__ = [
     "BinaryExpandedCode", "LinearCode", "ReedSolomonCode", "hyperoval_code",
     "subfield_code",
@@ -60,7 +59,7 @@ __all__ = [
     "IsogenyChain", "IsogenyStep", "evaluate_chain", "random_walk",
     "recover_isogeny",
     "DealResult", "RecoveryResult", "SchemeParams", "Share",
-    "admissible_t_interval", "attack_cost_bits", "burst_recover",
+    "admissible_t_interval", "attack_cost_bits",
     "distribute_bits", "recover_isogeny_path", "share_isogeny_path",
     "validate_params",
 ]

@@ -32,7 +32,6 @@ from .scheme import (
     Share,
     admissible_t_interval,
     attack_cost_bits,
-    burst_recover,
     burst_violations,
     recover_isogeny_path,
     share_isogeny_path,
@@ -336,10 +335,7 @@ def cmd_recover(args) -> int:
     params, e1, digest = load_public(args.public)
     shares = [load_share(path, digest, params.gamma) for path in args.shares]
     try:
-        if burst_violations(params):
-            result = recover_isogeny_path(shares, params, e1)
-        else:
-            result = burst_recover(shares, params, e1)
+        result = recover_isogeny_path(shares, params, e1)
     except (InvalidParams, DuplicateShare) as ex:
         raise CliError(EXIT_INVALID, f"bad share set: {ex}") from ex
     except (NoSuchOrder, LengthMismatch) as ex:

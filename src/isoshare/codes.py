@@ -1,16 +1,23 @@
 """Linear codes over GF(2) and GF(2^r): Reed-Solomon codes, their binary
 subfield codes and binary expansions, and erasure decoding.
 
-Every code is built, held and eliminated as its binary image: a row or a
-word is an int whose bits r*j .. r*j + r - 1 are the coefficients of
-symbol j, and each constructor hands LinearCode its generator rows in that
-form.  Each parity check has exactly one bit off the information
-positions, its own check bit.  Erasure decoding sets aside the checks
-whose own bit is erased, solves the rest for the erased information bits
-alone (an early-stopping XOR elimination, see isoshare.linalg), then fills
-in each erased check bit by the parity of its check.  It works uniformly
-for every code here and succeeds on any pattern that pins the codeword
-down uniquely, not just the worst-case d - 1 bound.
+A word is a sequence of symbols, each an int in 0 .. 2^r - 1 whose bit b
+is its coefficient of x^b, with ERASED where a symbol is unknown.  Every
+code is built, held and eliminated as its binary image: a row is an int
+whose bits r*j .. r*j + r - 1 are symbol j, and each constructor hands
+LinearCode its generator rows in that form.  Each parity check has
+exactly one bit off the information positions, its own check bit.
+Erasure decoding sets aside the checks whose own bit is erased, solves the
+rest for the erased information bits alone (an early-stopping XOR
+elimination, see isoshare.linalg), then fills in each erased check bit by
+the parity of its check.  It works uniformly for every code here and
+succeeds on any pattern that pins the codeword down uniquely, not just the
+worst-case d - 1 bound.
+
+The paper's burst decoding runs at bit level too: once
+erase_damaged_blocks has erased the damaged blocks of a binary-expanded
+word, its decode succeeds, fails or counts solutions exactly as the base
+RS code's decode of the contracted symbols (contract_binary) would.
 """
 
 from . import linalg
@@ -21,7 +28,7 @@ from .errors import (
     LengthMismatch,
     NotACodeword,
 )
-from .fields import GF2, BinaryField, element_from_bits
+from .fields import GF2, BinaryField
 
 ERASED = None
 
@@ -55,10 +62,10 @@ class LinearCode:
     Message symbols are carried verbatim at `info_positions` (the first k
     coordinates unless the construction dictates otherwise).
 
-    Rows and words are the code's binary image: an int whose bits
-    r*j .. r*j + r - 1 are the coefficients of symbol j (x^0 first, as
-    element_to_bits lists them).  A GF(2^r)-linear code is GF(2)-linear on
-    these bits, and GF(2) is r = 1.
+    Words are sequences of symbol ints, ERASED where unknown (see the module
+    docstring); rows are the code's binary image, an int whose bits
+    r*j .. r*j + r - 1 are symbol j.  A GF(2^r)-linear code is GF(2)-linear
+    on these bits, and GF(2) is r = 1.
     """
 
     def __init__(self, field, length, rows, info_positions=None, kind="generic",
@@ -68,7 +75,7 @@ class LinearCode:
         self.length = length
         self.kind = kind
         self.design_distance = design_distance
-        self._symbols = tuple(field.elements())
+        self._alphabet = frozenset(range(field.size)) | {ERASED}
         # Row g over GF(2^r) spans g, x*g, ..., x^(r-1)*g over GF(2).  x*g
         # shifts every symbol up one bit and reduces each that overflowed
         # (its top bit, in `top`) by x^r = `low`.
@@ -104,26 +111,34 @@ class LinearCode:
         self._par_bits = linalg.nullspace(reduced, pivots, r * length)
         self._info_bits = sum(1 << pc for pc in pivots)
 
+    def _check_symbols(self, symbols):
+        # A symbol outside the field would carry into its neighbour's bits.
+        if not set(symbols) <= self._alphabet:
+            raise ValueError(f"symbols must be ints in 0..{self.field.size - 1}")
+
     def _pack(self, word):
-        """A word of field elements as an int, symbol j at bits r*j on."""
+        """A word as an int, symbol j at bits r*j on; ERASED packs as 0."""
+        self._check_symbols(word)
         r = self.field.r
-        return sum(s.val << r * j for j, s in enumerate(word) if s)
+        return sum(s << r * j for j, s in enumerate(word) if s)
 
     def _unpack(self, bits):
-        """Inverse of _pack, as a tuple of `length` field elements."""
-        r, mask, symbols = self.field.r, self.field.size - 1, self._symbols
-        return tuple(symbols[bits >> i & mask] for i in range(0, r * self.length, r))
+        """Inverse of _pack, as a tuple of `length` symbols."""
+        r, mask = self.field.r, self.field.size - 1
+        return tuple(bits >> i & mask for i in range(0, r * self.length, r))
 
     def encode(self, msg):
-        """Systematic encoding of a length-k message."""
-        msg = list(msg)
+        """Systematic encoding of a length-k message, read symbol by symbol
+        with int(), so field elements encode as their ints."""
+        msg = [int(coeff) for coeff in msg]
         if len(msg) != self.dimension:
             raise LengthMismatch(
                 f"message length {len(msg)} != dimension {self.dimension}"
             )
+        self._check_symbols(msg)
         bits = 0
         for coeff, table in zip(msg, self._multiples):
-            bits ^= table[coeff.val]
+            bits ^= table[coeff]
         return self._unpack(bits)
 
     def contains(self, cw) -> bool:
@@ -244,12 +259,21 @@ def subfield_code(code: LinearCode) -> LinearCode:
                       design_distance=code.design_distance)
 
 
-def contract_binary(base: ReedSolomonCode, word):
-    """Collapse a binary word with erasures back to RS symbols.
+def erase_damaged_blocks(word: list, r: int) -> None:
+    """Erase, in place, every (r+1)-bit block of a binary-expanded word
+    that holds an erased bit or fails its parity: the blocks that do not
+    pin down their RS symbol."""
+    block = r + 1
+    for i in range(0, len(word), block):
+        chunk = word[i : i + block]
+        if ERASED in chunk or sum(chunk) & 1:
+            word[i : i + block] = [ERASED] * block
 
-    A block with any erased bit, or a failing parity check, becomes an
-    erased symbol; clean blocks collapse through the coefficient map.
-    """
+
+def contract_binary(base: ReedSolomonCode, word):
+    """Collapse a binary word with erasures back to RS symbols: a block
+    erase_damaged_blocks erases becomes an erased symbol, and any other
+    block the symbol of its r data bits."""
     r = base.r
     block = r + 1
     word = list(word)
@@ -257,14 +281,10 @@ def contract_binary(base: ReedSolomonCode, word):
         raise LengthMismatch(
             f"binary word length {len(word)} != {block * base.length}"
         )
-    symbols = []
-    for i in range(base.length):
-        chunk = word[i * block : (i + 1) * block]
-        if any(b is ERASED for b in chunk) or sum(map(int, chunk)) & 1:
-            symbols.append(ERASED)
-        else:
-            symbols.append(element_from_bits(map(int, chunk[:r]), base.field))
-    return symbols
+    erase_damaged_blocks(word, r)
+    return [ERASED if word[i] is ERASED else
+            sum(b << j for j, b in enumerate(word[i : i + r]))
+            for i in range(0, len(word), block)]
 
 
 class BinaryExpandedCode(LinearCode):

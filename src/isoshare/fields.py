@@ -8,7 +8,6 @@ per degree so the designated generator tau is reproducible across runs."""
 
 import math
 
-from .errors import LengthMismatch
 
 # Primitive polynomials over GF(2), bit i = coefficient of x^i.
 # One fixed choice per degree; tests verify tau has full multiplicative order.
@@ -362,21 +361,3 @@ class BinaryFieldElement:
 
 
 GF2 = BinaryField(1)
-
-
-def element_to_bits(c: BinaryFieldElement) -> tuple[int, ...]:
-    """Coefficient vector of c in the polynomial basis, x^0 first."""
-    return tuple((c.val >> i) & 1 for i in range(c.field.r))
-
-
-def element_from_bits(bits, field: BinaryField) -> BinaryFieldElement:
-    """Inverse of element_to_bits; rejects vectors of the wrong length."""
-    bits = tuple(bits)
-    if len(bits) != field.r:
-        raise LengthMismatch(f"expected {field.r} bits, got {len(bits)}")
-    val = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        val |= b << i
-    return BinaryFieldElement(val, field)

@@ -4,13 +4,16 @@ A dealer encodes the torsion pair (P, I(P)) of a secret isogeny chain I
 into a codeword of a binary erasure-correcting code and hands each of the
 n participants one gamma-bit block.  Any t participants rebuild the
 codeword (missing blocks are erasures), decode the two points, and call
-the isogeny-recovery oracle to get the chain back.
+the isogeny-recovery oracle to get the chain back.  Where the paper's
+burst conditions hold, recovery decodes as the paper's symbol-level burst
+decoder does, at bit level: a block of r data bits and their parity bit
+that is not intact is erased whole, as the RS symbol it stands for.
 """
 
 import math
 
 from .codec import decode_point, encode_point, min_encoding_length
-from .codes import ERASED, BinaryExpandedCode, contract_binary
+from .codes import ERASED, BinaryExpandedCode, erase_damaged_blocks
 from .curves import CurvePoint, CurveSpec, is_supersingular, point_order
 from .errors import (
     Ambiguous,
@@ -20,7 +23,7 @@ from .errors import (
     NoSuchOrder,
     NotEnoughShares,
 )
-from .fields import GF2, factorize
+from .fields import factorize
 from .isogeny import IsogenyChain, evaluate_chain, recover_isogeny, require_rational_ell
 
 
@@ -199,8 +202,8 @@ def validate_params(params: SchemeParams) -> ValidationReport:
 
 
 def burst_violations(params: SchemeParams) -> dict[str, str]:
-    """Why symbol-level burst recovery is not sure to succeed, keyed "code",
-    "width" or "distance"; empty when it is.
+    """Why burst recovery is not sure to succeed, keyed "code", "width" or
+    "distance"; empty when it is.
 
     Width r > gamma - 2 keeps each missing block within a short run of RS
     symbols, and distance d >= 2(n - t) + 1 lets the base code fill the
@@ -249,11 +252,9 @@ def share_isogeny_path(
     half = params.code.dimension // 2
     s_p = encode_point(params.curve, point, half)
     s_q = encode_point(e1, image, half)
-    msg = [GF2(b) for b in s_p + s_q]
-    codeword = params.code.encode(msg)
-    bits = tuple(int(s) for s in codeword)
+    codeword = params.code.encode(s_p + s_q)
     return DealResult(
-        shares=distribute_bits(bits, params.gamma, params.n),
+        shares=distribute_bits(codeword, params.gamma, params.n),
         e0=params.curve,
         e1=e1,
         params=params,
@@ -272,17 +273,17 @@ def _check_shares(shares, params: SchemeParams) -> dict[int, tuple[int, ...]]:
                 f"share {share.index} has {len(share.bits)} bits, "
                 f"expected {params.gamma}"
             )
+        if not set(share.bits) <= {0, 1}:
+            raise InvalidParams(f"share {share.index} has a bit other than 0 or 1")
         by_index[share.index] = tuple(share.bits)
     return by_index
 
 
 def _erasure_word(by_index, params: SchemeParams):
+    missing = (ERASED,) * params.gamma
     word = []
     for i in range(params.n):
-        if i in by_index:
-            word.extend(GF2(b) for b in by_index[i])
-        else:
-            word.extend([ERASED] * params.gamma)
+        word.extend(by_index.get(i, missing))
     return word
 
 
@@ -297,9 +298,16 @@ def _finish(message_bits, params: SchemeParams, e1: CurveSpec) -> RecoveryResult
 
 
 def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
-    """Rebuild the codeword from >= t shares and recover the secret chain."""
+    """Rebuild the codeword from >= t shares and recover the secret chain.
+
+    Under the burst conditions (burst_violations empty) every block that
+    erase_damaged_blocks names is erased first, so a share with a flipped
+    bit costs an RS symbol instead of making the word inconsistent.
+    """
     by_index = _check_shares(shares, params)
     word = _erasure_word(by_index, params)
+    if not burst_violations(params):
+        erase_damaged_blocks(word, params.code.r)
     try:
         codeword = params.code.erasure_decode(word)
     except Ambiguous as amb:
@@ -307,37 +315,14 @@ def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> Recover
             f"{amb.count} codewords fit the {len(by_index)} known blocks"
         ) from amb
     # A decoded word is a codeword: read its message, no checks re-run.
-    message_bits = tuple(int(codeword[j]) for j in params.code.info_positions)
+    message_bits = tuple(codeword[j] for j in params.code.info_positions)
     return _finish(message_bits, params, e1)
 
 
 def burst_recover(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
-    """Recovery through the base RS code of a binary-expanded code.
-
-    Each missing gamma-bit block erases a bounded run of adjacent RS
-    symbols; decoding happens at symbol level, and the message bits are
-    the coefficient bits of the RS message symbols.
-    """
+    """recover_isogeny_path, for params that meet the burst conditions
+    only: InvalidParams names the ones they break."""
     violations = burst_violations(params)
     if violations:
         raise InvalidParams("; ".join(violations.values()))
-    code = params.code
-    by_index = _check_shares(shares, params)
-    word = _erasure_word(by_index, params)
-    symbols = contract_binary(code.base, word)
-    erased = sum(1 for s in symbols if s is ERASED)
-    if erased > code.base.d - 1:
-        raise NotEnoughShares(
-            f"{erased} symbol erasures exceed the {code.base.d - 1} the base "
-            "code is sure to correct"
-        )
-    try:
-        rs_codeword = code.base.erasure_decode(symbols)
-    except Ambiguous as amb:
-        raise NotEnoughShares(
-            f"{amb.count} base codewords fit the known symbols"
-        ) from amb
-    # Message bit r*j + b is bit b of RS message symbol j.
-    message_bits = tuple(rs_codeword[j].val >> b & 1 for j in code.base.info_positions
-                         for b in range(code.r))
-    return _finish(message_bits, params, e1)
+    return recover_isogeny_path(shares, params, e1)

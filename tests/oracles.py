@@ -8,7 +8,9 @@ that law, against which the steps' pair sums and rational images are checked;
 codeword enumeration and minimum distance by brute force; dense
 field-element Gaussian elimination and the codes' generator rows as field
 elements, against which the packed construction and elimination of every
-code's binary image are checked; and helpers only the tests use."""
+code's binary image are checked; the paper's symbol-level burst decode over
+GF(2^r) elements, against which recovery's block-erased bit-level decode is
+checked; and helpers only the tests use."""
 
 import functools
 
@@ -24,7 +26,7 @@ from isoshare.curves import (
     scalar_mul,
 )
 from isoshare.errors import Ambiguous, Inconsistent, IsoshareError
-from isoshare.fields import GF2, BinaryField, Fp2, element_to_bits, fp2_from_int
+from isoshare.fields import GF2, BinaryField, Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
     _canonical_generator,
@@ -410,14 +412,20 @@ def hyperoval_rows(r: int):
     ]
 
 
+def element_to_bits(c) -> tuple[int, ...]:
+    """Coefficient vector of c in the polynomial basis, x^0 first."""
+    return tuple((c.val >> i) & 1 for i in range(c.field.r))
+
+
 def expand_binary(base, cw):
-    """Binary image of an RS codeword: per symbol, its r coefficient bits
-    followed by one overall parity bit."""
+    """Binary image of an RS codeword, its symbols ints or elements, as
+    int bits: per symbol, its r coefficient bits followed by one overall
+    parity bit."""
     out = []
     for sym in cw:
-        bits = element_to_bits(sym)
-        out.extend(GF2(b) for b in bits)
-        out.append(GF2(sum(bits) & 1))
+        bits = element_to_bits(base.field(int(sym)))
+        out.extend(bits)
+        out.append(sum(bits) & 1)
     return tuple(out)
 
 
@@ -430,5 +438,34 @@ def expansion_rows(base):
         for b in range(base.r):
             msg = [base.field.zero] * base.dimension
             msg[j] = base.field(1 << b)
-            rows.append(expand_binary(base, base.encode(msg)))
+            rows.append([GF2(bit) for bit in expand_binary(base, base.encode(msg))])
     return rows
+
+
+@functools.cache
+def _rs_generic(r: int, d: int, m: int):
+    return generic_build(BinaryField(r), rs_rows(r, d, m), range(2**r - d))
+
+
+def burst_decode(code, word):
+    """The paper's symbol-level burst decode of a word of the
+    BinaryExpandedCode `code`: each (r+1)-bit block becomes an RS symbol,
+    erased where a bit is erased or the block's parity fails; the base RS
+    code is erasure-decoded by the element-wise solve over GF(2^r); the
+    message bits are the coefficient bits of the RS message symbols.
+    ("unique", message bits), ("ambiguous", count) or ("inconsistent",
+    None); more erased symbols than d - 1 are ambiguous, as the base code
+    is MDS."""
+    base, r = code.base, code.r
+    symbols = []
+    for i in range(0, len(word), r + 1):
+        block = word[i : i + r + 1]
+        if any(b is ERASED for b in block) or sum(block) & 1:
+            symbols.append(ERASED)
+        else:
+            symbols.append(base.field(sum(b << j for j, b in enumerate(block[:r]))))
+    generator, _, parity = _rs_generic(r, base.d, base.m)
+    kind, value = generic_erasure_outcome(base.field, generator, parity, symbols)
+    if kind == "unique":
+        value = tuple(value[j].val >> b & 1 for j in range(base.dimension) for b in range(r))
+    return kind, value

@@ -242,7 +242,7 @@ def test_burst_recovery_conditions(e0):
         word = [ERASED] * (bad.gamma * bad.n)
         for share in subset:
             start = share.index * bad.gamma
-            word[start : start + bad.gamma] = [GF2(b) for b in share.bits]
+            word[start : start + bad.gamma] = share.bits
         symbols = contract_binary(base, word)
         if sum(s is ERASED for s in symbols) <= base.d - 1:
             with pytest.raises(Ambiguous):

@@ -5,6 +5,7 @@ import pytest
 
 from isoshare.codes import BinaryExpandedCode
 from isoshare.curves import random_point_of_order
+from isoshare.fields import BinaryFieldElement
 from isoshare.errors import (
     DuplicateShare,
     Inconsistent,
@@ -222,6 +223,38 @@ def test_duplicate_and_bad_shares_rejected(e0):
         recover_isogeny_path([Share(7, s0.bits)], params, deal.e1)
     with pytest.raises(LengthMismatch):
         recover_isogeny_path([Share(0, s0.bits[:-1])], params, deal.e1)
+
+
+def test_share_bits_other_than_0_or_1_are_refused(e0):
+    # A share bit is one bit of the code word: a 2 would carry into the
+    # next bit of the packed word, and a -1 or a "1" is no bit at all.
+    params = _params(e0, 3, 2, 25, 6)
+    _, _, deal = _deal(e0, params)
+    s0, s1 = deal.shares[:2]
+    for bad in (2, -1, "1"):
+        bits = s0.bits[:3] + (bad,) + s0.bits[4:]
+        with pytest.raises(InvalidParams, match="share 0"):
+            recover_isogeny_path([Share(0, bits), s1], params, deal.e1)
+
+
+def test_deal_and_recovery_build_no_binary_field_elements(e0, monkeypatch):
+    # Words are symbol ints from encode to decode, on the demo code and on
+    # one that meets the burst conditions: once the code is built, a deal
+    # and a recovery make no GF(2^r) element.
+    built = []
+    init = BinaryFieldElement.__init__
+    burst = SchemeParams(
+        n=15, t=13, gamma=5, curve=e0, torsion_order=16, ell_iso=3, e_iso=2,
+        code=BinaryExpandedCode(4, 5), security_bits=8,
+    )
+    for params in (_params(e0, 3, 2, 25, 6), burst):
+        monkeypatch.setattr(BinaryFieldElement, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        secret, point, deal = _deal(e0, params)
+        result = recover_isogeny_path(list(deal.shares[:params.t]), params, deal.e1)
+        monkeypatch.undo()
+        assert result.point == point
+    assert built == []
 
 
 def test_corrupted_share_detected(e0):
