@@ -11,7 +11,7 @@ import os
 import sys
 
 from .codec import bits_to_int, int_to_bits
-from .codes import BinaryExpandedCode, hyperoval_code, subfield_code
+from .codes import BinaryExpandedCode
 from .curves import CurveSpec, j_invariant, random_point_of_order
 from .errors import (
     DuplicateShare,
@@ -30,7 +30,6 @@ from .isogeny import random_walk
 from .scheme import (
     SchemeParams,
     Share,
-    admissible_t_interval,
     attack_cost_bits,
     burst_violations,
     recover_isogeny_path,
@@ -64,11 +63,10 @@ MAX_E_ISO = 10
 MAX_ELL_ISO = 401
 
 # The largest code.r a config or public file may name.  A cold code build
-# grows about 5-7x per step of r (CPython 3.11, Xeon vCPU): 0.05-0.06 s at
-# r = 6, 0.26-0.30 s at r = 7 and 1.8-2.0 s at r = 8 for BinaryExpandedCode(r,
-# 6), nearly all of it the packed elimination, quadratic in the 2^r * r rows;
-# 0.01 s and 0.02-0.04 s at r = 6 and 7 for the subfield code of
-# hyperoval_code(r).
+# grows about 3-5x per step of r (CPython 3.11, Xeon vCPU): 0.02 s at r = 6,
+# 0.06-0.09 s at r = 7 and 0.29-0.36 s at r = 8 for BinaryExpandedCode(r, 6),
+# most of it reading the checks off the systematic rows (linalg.nullspace)
+# and assembling the expanded rows, each some r * 4^r steps.
 MAX_CODE_R = 6
 
 # Config keys that may be left out, with their values.
@@ -140,8 +138,6 @@ def build_code(kind: str, fields: dict[str, str]):
         return BinaryExpandedCode(
             int(fields["code.r"]), int(fields["code.d"]), int(fields["code.m"])
         )
-    if kind == "subfield-hyperoval":
-        return subfield_code(hyperoval_code(int(fields["code.r"])))
     raise ValueError(f"unknown code.kind {kind!r}")
 
 
@@ -191,7 +187,7 @@ def build_params(fields: dict[str, str], source: str) -> SchemeParams:
 
 def _context_lines(params: SchemeParams, e1: CurveSpec) -> list[str]:
     code = params.code
-    lines = [
+    return [
         f"p {params.curve.p}",
         f"a {_fp2_str(params.curve.a)}",
         f"b {_fp2_str(params.curve.b)}",
@@ -205,14 +201,10 @@ def _context_lines(params: SchemeParams, e1: CurveSpec) -> list[str]:
         f"ell_iso {params.ell_iso}",
         f"e_iso {params.e_iso}",
         f"code.kind {code.kind}",
+        f"code.r {code.r}",
+        f"code.d {code.base.d}",
+        f"code.m {code.base.m}",
     ]
-    if isinstance(code, BinaryExpandedCode):
-        lines += [
-            f"code.r {code.r}",
-            f"code.d {code.base.d}",
-            f"code.m {code.base.m}",
-        ]
-    return lines
 
 
 def context_digest(lines: list[str]) -> str:
@@ -369,18 +361,10 @@ def cmd_check(args) -> int:
         print(f"t_interval: [{lower}, {upper}]")
     for s in range(params.n + 1):
         print(f"cost_bits_s{s}: {attack_cost_bits(params, s)}")
-    code = params.code
-    if code.kind == "subfield":
-        slo, shi = admissible_t_interval(
-            params.n, params.gamma, code.dimension, params.security_bits
-        )
-        print(f"subfield_t_interval: [{slo}, {shi}]" if slo <= shi
-              else "subfield_t_interval: none")
     burst = burst_violations(params)
-    if "code" not in burst:
-        for condition in ("width", "distance"):
-            print(f"burst_{condition}_condition: "
-                  f"{'violated' if condition in burst else 'ok'}")
+    for condition in ("width", "distance"):
+        print(f"burst_{condition}_condition: "
+              f"{'violated' if condition in burst else 'ok'}")
     for warning in report.warnings:
         print(f"warning: {warning}")
     for violation in report.violations:

@@ -5,14 +5,17 @@ A word is a sequence of symbols, each an int in 0 .. 2^r - 1 whose bit b
 is its coefficient of x^b, with ERASED where a symbol is unknown.  Every
 code is built, held and eliminated as its binary image: a row is an int
 whose bits r*j .. r*j + r - 1 are symbol j, and each constructor hands
-LinearCode its generator rows in that form.  Each parity check has
-exactly one bit off the information positions, its own check bit.
-Erasure decoding sets aside the checks whose own bit is erased, solves the
-rest for the erased information bits alone (an early-stopping XOR
-elimination, see isoshare.linalg), then fills in each erased check bit by
-the parity of its check.  It works uniformly for every code here and
-succeeds on any pattern that pins the codeword down uniquely, not just the
-worst-case d - 1 bound.
+LinearCode its generator rows in that form.  No constructor names its
+information positions: the elimination (isoshare.linalg) takes its pivots
+in natural column order, so they are the earliest coordinates that form
+an information set, the first k symbols of an RS code and the data bits of
+the first k blocks of its binary expansion.  Each parity check has exactly
+one bit off the information positions, its own check bit.  Erasure
+decoding sets aside the checks whose own bit is erased, solves the rest
+for the erased information bits alone (the same elimination, which stops
+early), then fills in each erased check bit by the parity of its check.
+It works uniformly for every code here and succeeds on any pattern that
+pins the codeword down uniquely, not just the worst-case d - 1 bound.
 
 The paper's burst decoding runs at bit level too: once
 erase_damaged_blocks has erased the damaged blocks of a binary-expanded
@@ -31,6 +34,7 @@ from .errors import (
 from .fields import GF2, BinaryField
 
 ERASED = None
+_SYMBOL_TYPES = frozenset({int, bool, type(ERASED)})
 
 
 def poly_mul(a, b):
@@ -59,8 +63,10 @@ def rs_generator_poly(r: int, d: int, m: int = 0):
 class LinearCode:
     """A linear code given by a generator matrix, held in systematic form.
 
-    Message symbols are carried verbatim at `info_positions` (the first k
-    coordinates unless the construction dictates otherwise).
+    Message symbols are carried verbatim at `info_positions`, the earliest
+    coordinates that form an information set: the pivots of the generator's
+    elimination in natural column order.  Any k coordinates of an MDS code,
+    such as an RS code, form one, so there they are the first k.
 
     Words are sequences of symbol ints, ERASED where unknown (see the module
     docstring); rows are the code's binary image, an int whose bits
@@ -68,8 +74,7 @@ class LinearCode:
     on these bits, and GF(2) is r = 1.
     """
 
-    def __init__(self, field, length, rows, info_positions=None, kind="generic",
-                 design_distance=None):
+    def __init__(self, field, length, rows, kind="generic", design_distance=None):
         r = field.r
         self.field = field
         self.length = length
@@ -90,12 +95,10 @@ class LinearCode:
                 over = bits & top
                 bits = (bits ^ over) << 1 ^ (over >> r - 1) * low
                 image.append(bits)
-        # Pivots come r at a time, the r bits of one information position.
-        order = None if info_positions is None else [
-            r * j + b for j in info_positions for b in range(r)]
-        reduced, pivots = linalg.rref(image, r * length, pivot_order=order)
-        if order is not None and (pivots, len(reduced)) != (order, len(image)):
-            raise ValueError("info positions are not an information set")
+        # Pivots come r at a time, the r bits of one information position:
+        # the code's words cut to their first j symbols form a GF(2^r)-space,
+        # so symbol j adds r bits to its binary dimension or none.
+        reduced, pivots = linalg.rref(image)
         self.info_positions = tuple(pc // r for pc in pivots[::r])
         self.dimension = len(reduced) // r
         # Per message symbol, the image of each multiple of its generator row,
@@ -112,8 +115,10 @@ class LinearCode:
         self._info_bits = sum(1 << pc for pc in pivots)
 
     def _check_symbols(self, symbols):
-        # A symbol outside the field would carry into its neighbour's bits.
-        if not set(symbols) <= self._alphabet:
+        # A symbol outside the field would carry into its neighbour's bits,
+        # and a float such as 1.0 equals its int but cannot be shifted.
+        if not (self._alphabet.issuperset(symbols)
+                and _SYMBOL_TYPES.issuperset(map(type, symbols))):
             raise ValueError(f"symbols must be ints in 0..{self.field.size - 1}")
 
     def _pack(self, word):
@@ -212,7 +217,6 @@ class ReedSolomonCode(LinearCode):
             field,
             field.size - 1,
             [packed << r * i for i in range(k)],
-            info_positions=range(k),
             kind="reed-solomon",
             design_distance=d,
         )
@@ -234,14 +238,7 @@ def hyperoval_code(r: int) -> LinearCode:
         sum(a.val << r * a.val for a in field.elements()) | 1 << r * size,
         sum((a * a).val << r * a.val for a in field.elements()) | 1 << r * (size + 1),
     ]
-    return LinearCode(
-        field,
-        size + 2,
-        rows,
-        info_positions=range(3),
-        kind="hyperoval",
-        design_distance=size,
-    )
+    return LinearCode(field, size + 2, rows, kind="hyperoval", design_distance=size)
 
 
 def subfield_code(code: LinearCode) -> LinearCode:
@@ -254,7 +251,7 @@ def subfield_code(code: LinearCode) -> LinearCode:
     """
     n, r = code.length, code.field.r
     rows = [sum((h >> r * j & 1) << j for j in range(n)) for h in code._par_bits]
-    gen = linalg.nullspace(*linalg.rref(rows, n), n)
+    gen = linalg.nullspace(*linalg.rref(rows), n)
     return LinearCode(GF2, n, gen, kind="subfield",
                       design_distance=code.design_distance)
 
@@ -296,7 +293,6 @@ class BinaryExpandedCode(LinearCode):
 
     def __init__(self, r: int, d: int, m: int = 0):
         base = ReedSolomonCode(r, d, m)
-        info = [(r + 1) * j + b for j in range(base.dimension) for b in range(r)]
         # Message bit r*j + b is coefficient b of RS message symbol j: its
         # row is the base image of x^b at symbol j, each r-bit symbol
         # followed by its parity bit.
@@ -308,8 +304,8 @@ class BinaryExpandedCode(LinearCode):
                 bits = table[1 << b]
                 rows.append(sum(with_parity[bits >> r * i & mask] << (r + 1) * i
                                 for i in range(base.length)))
-        super().__init__(GF2, (r + 1) * base.length, rows, info_positions=info,
-                         kind="binary-expanded-rs", design_distance=2 * d)
+        super().__init__(GF2, (r + 1) * base.length, rows, kind="binary-expanded-rs",
+                         design_distance=2 * d)
         self.base = base
         self.r = r
 

@@ -2,52 +2,66 @@
 by XOR.  A GF(2^r) code eliminates on its binary image (see
 isoshare.codes), so this one path serves every code.  All is exact.
 
-rref and nullspace build the codes; solve, which erasure decoding calls
-for every word, keeps a XOR basis keyed by each row's lowest bit and stops
-reducing rows once every column it can reach has a pivot.
+One elimination serves rref, which builds the codes, and solve, which
+erasure decoding calls for every word: a XOR basis keyed by each row's
+lowest set bit, which stops taking rows once every column of their support
+has a pivot.  Its keys are the lowest bits of the row space, the pivots a
+column scan in natural order finds.
 """
 
 
-def rref(rows, ncols, pivot_order=None):
-    """Reduced row echelon form of packed rows.
+def _basis(rows, columns):
+    """{lowest bit: row} for the rows of the iterator `rows`.
 
-    pivot_order fixes the column preference when choosing pivots; columns
-    not listed are tried afterwards in natural order.  Returns the reduced
-    rows (zero rows dropped) and the pivot column of each, in the order the
-    pivots were found.  Columns outside every row's support are skipped
-    without a scan.  The pivot is the first remaining row holding the
-    column's bit; it leaves the remaining rows, and is XORed into those
-    after it and into the reduced rows that hold the bit.  Rows that reach
-    zero are dropped, and the scan ends when no row remains.
+    Each row is reduced against the basis and joins it under its own lowest
+    bit unless it reaches zero.  `columns` is the number of columns in the
+    rows' support: once the basis has that many rows, each of them has a
+    pivot, and the rest of `rows` is left unread.
     """
-    cols = list(range(ncols) if pivot_order is None else pivot_order)
-    chosen = set(cols)
-    cols += [c for c in range(ncols) if c not in chosen]
-    rows = [r for r in rows if r]
+    basis = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            pivot = basis.get(low)
+            if pivot is None:
+                basis[low] = row
+                if len(basis) == columns:
+                    return basis
+                break
+            row ^= pivot
+    return basis
+
+
+def _support(rows):
     support = 0
     for row in rows:
         support |= row
-    reduced, pivots = [], []
-    for col in cols:
-        if not rows:
-            break
-        bit = 1 << col
-        if not support & bit:
-            continue
-        for i, row in enumerate(rows):
-            if row & bit:
-                break
-        else:
-            continue
-        pivot = rows.pop(i)
-        # The rows before i do not hold the bit.
-        rows[i:] = [x for r in rows[i:] if (x := r ^ pivot if r & bit else r)]
-        for k, r in enumerate(reduced):
-            if r & bit:
-                reduced[k] = r ^ pivot
-        reduced.append(pivot)
-        pivots.append(col)
-    return reduced, pivots
+    return support
+
+
+def rref(rows):
+    """Reduced row echelon form of packed rows, pivots in natural column
+    order: the reduced rows (zero rows dropped) and the pivot column of
+    each, in increasing pivot order.
+
+    Each basis row holds its pivot and bits above it only, so clearing the
+    other pivots in decreasing pivot order XORs in rows already reduced,
+    and each XOR clears one pivot bit and sets no other.
+    """
+    basis = _basis(iter(rows), _support(rows).bit_count())
+    lows = sorted(basis, reverse=True)
+    pivot_bits = sum(lows)
+    reduced = {}
+    for low in lows:
+        row = basis[low]
+        above = row & pivot_bits ^ low
+        while above:
+            bit = above & -above
+            row ^= reduced[bit]
+            above ^= bit
+        reduced[low] = row
+    lows.reverse()
+    return [reduced[low] for low in lows], [low.bit_length() - 1 for low in lows]
 
 
 def nullspace(reduced, pivots, ncols):
@@ -61,46 +75,26 @@ def nullspace(reduced, pivots, ncols):
 def solve(rows, rhs, ncols):
     """Solve rows . x = rhs for packed rows and 0/1 rhs.
 
-    Each row, its rhs at bit ncols, is reduced against a XOR basis keyed by
-    lowest set bit and joins it under its own lowest bit; a row that
-    reduces to the rhs bit alone reads 0 = 1.  Once every column in the
-    rows' support has a basis row, the rows not yet reduced are only
-    checked, by parity, against the solution.  The basis's lowest bits are
-    the lowest bits of the row space, the pivots rref finds in natural
-    column order, so back-substitution in decreasing pivot order gives the
-    solution with the free variables zero.
+    The rows, each with its rhs at bit ncols, go into the basis; a row
+    that reduces to the rhs bit alone joins it as 0 = 1.  Back-substitution
+    in decreasing pivot order, the rhs bit set in the running solution,
+    gives the solution with the free variables zero, and the rows the basis
+    left unread are checked against it by parity.
 
     Returns (x, num_free) with x packed, or (None, 0) when the system is
     inconsistent.
     """
     top = 1 << ncols
-    support = 0
-    for row in rows:
-        support |= row
-    columns = support.bit_count()
-    basis = {}
-    pairs = iter(zip(rows, rhs))
-    for row, b in pairs:
-        row |= b << ncols
-        while row:
-            low = row & -row
-            pivot = basis.get(low)
-            if pivot is None:
-                break
-            row ^= pivot
-        if row == top:
-            return None, 0
-        if row:
-            basis[low] = row
-            if len(basis) == columns:
-                break
-    solution = 0
+    augmented = (row | top if b else row for row, b in zip(rows, rhs))
+    basis = _basis(augmented, _support(rows).bit_count())
+    if top in basis:
+        return None, 0
+    solution = top
     for low in sorted(basis, reverse=True):
         # The row's other bits lie above its pivot: solved, or free at zero.
-        row = basis[low]
-        if ((row & solution).bit_count() ^ row >> ncols) & 1:
+        if (basis[low] & solution).bit_count() & 1:
             solution |= low
-    for row, b in pairs:
-        if (row & solution).bit_count() & 1 != b:
+    for row in augmented:
+        if (row & solution).bit_count() & 1:
             return None, 0
-    return solution, ncols - len(basis)
+    return solution ^ top, ncols - len(basis)

@@ -261,6 +261,10 @@ def share_isogeny_path(
     )
 
 
+_BITS = frozenset({0, 1})
+_BIT_TYPES = frozenset({int, bool})
+
+
 def _check_shares(shares, params: SchemeParams) -> dict[int, tuple[int, ...]]:
     by_index: dict[int, tuple[int, ...]] = {}
     for share in shares:
@@ -273,8 +277,10 @@ def _check_shares(shares, params: SchemeParams) -> dict[int, tuple[int, ...]]:
                 f"share {share.index} has {len(share.bits)} bits, "
                 f"expected {params.gamma}"
             )
-        if not set(share.bits) <= {0, 1}:
-            raise InvalidParams(f"share {share.index} has a bit other than 0 or 1")
+        # A float 1.0 equals 1 but cannot be packed into a word.
+        if not (_BITS.issuperset(share.bits)
+                and _BIT_TYPES.issuperset(map(type, share.bits))):
+            raise InvalidParams(f"share {share.index} has a bit other than the int 0 or 1")
         by_index[share.index] = tuple(share.bits)
     return by_index
 

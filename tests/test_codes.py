@@ -23,6 +23,7 @@ from oracles import (
 )
 
 from isoshare import linalg
+from isoshare.cli import MAX_CODE_R
 
 from isoshare.codes import (
     ERASED,
@@ -151,6 +152,24 @@ def test_symbols_outside_the_field_are_refused():
     binary = BinaryExpandedCode(4, 6)
     word = list(binary.encode([0] * binary.dimension))
     word[0] = 2
+    with pytest.raises(ValueError):
+        binary.erasure_decode(word)
+
+
+def test_float_symbols_are_refused():
+    # 1.0 and 0.0 equal symbols of the field but are no ints: packed, 1.0
+    # cannot be shifted into place and 0.0 would read as an absent bit.
+    code = ReedSolomonCode(3, 5)
+    cw = list(code.encode([3, 1, 0]))
+    for bad in (1.0, 0.0):
+        with pytest.raises(ValueError):
+            code.erasure_decode([bad] + cw[1:])
+        with pytest.raises(ValueError):
+            code.contains([bad] + cw[1:])
+    binary = BinaryExpandedCode(4, 6)
+    word = [bool(b) for b in binary.encode([1] * binary.dimension)]
+    assert binary.erasure_decode(word) == tuple(map(int, word))
+    word[0] = float(word[0])
     with pytest.raises(ValueError):
         binary.erasure_decode(word)
 
@@ -301,6 +320,20 @@ def test_binary_expanded_parameters():
     )
 
 
+def test_natural_pivots_give_the_declared_information_sets():
+    """Every code the CLI can build carries its message at the data bits of
+    the first k blocks, its RS base at its first k symbols; the hyperoval
+    code carries it at its first three coordinates."""
+    for r in range(2, MAX_CODE_R + 1):
+        for d in range(2, 2**r):
+            code = BinaryExpandedCode(r, d)
+            k = code.base.dimension
+            assert code.base.info_positions == tuple(range(k)), (r, d)
+            assert code.info_positions == tuple(
+                (r + 1) * j + b for j in range(k) for b in range(r)), (r, d)
+        assert hyperoval_code(r).info_positions == (0, 1, 2), r
+
+
 def test_binary_expanded_words_are_expansions():
     code = BinaryExpandedCode(3, 5)
     base = code.base
@@ -406,42 +439,29 @@ def test_xor_rref_matches_generic_rref():
     for trial in range(60):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 14)
         rows = _random_rows(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
-        cols = list(range(ncols))
-        rng.shuffle(cols)
-        for order in (None, cols, cols[: ncols // 2]):
-            # Both try the columns left out of pivot_order last, and read a
-            # one-shot iterator once.
-            reduced, pivots = rref(
-                rows, ncols, pivot_order=None if order is None else iter(order)
-            )
-            packed, xor_pivots = linalg.rref(
-                [_packed(r) for r in rows], ncols,
-                pivot_order=None if order is None else iter(order),
-            )
-            assert xor_pivots == pivots, (trial, order)
-            assert packed == [_packed(r) for r in reduced], (trial, order)
+        reduced, pivots = rref(rows, ncols)
+        packed, xor_pivots = linalg.rref([_packed(r) for r in rows])
+        assert xor_pivots == pivots, trial
+        assert packed == [_packed(r) for r in reduced], trial
         basis = nullspace(rows, ncols, GF2)
-        packed = linalg.nullspace(*linalg.rref([_packed(r) for r in rows], ncols), ncols)
+        packed = linalg.nullspace(*linalg.rref([_packed(r) for r in rows]), ncols)
         assert packed == [_packed(v) for v in basis], trial
 
 
 def test_xor_rref_matches_generic_rref_on_random_packed_systems():
     # Packed rows as the decoders hand them over: zero and repeated rows,
-    # more rows than columns (so rows reach zero and the scan ends early),
-    # and a solve's augmented column left out of pivot_order.
+    # and more rows than columns, so rows reach zero and the basis stops
+    # taking rows early.
     rng = random.Random(41)
     for trial in range(200):
         nrows, ncols = rng.randint(0, 30), rng.randint(1, 20)
         rows = [rng.getrandbits(ncols) if rng.random() < 0.8 else 0 for _ in range(nrows)]
         rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))] if rows else []
-        cols = list(range(ncols))
-        rng.shuffle(cols)
-        for order in (None, cols, cols[: ncols // 2], range(ncols - 1)):
-            elements = [[GF2(r >> j & 1) for j in range(ncols)] for r in rows]
-            reduced, pivots = rref(elements, ncols, pivot_order=order)
-            packed, xor_pivots = linalg.rref(rows, ncols, pivot_order=order)
-            assert xor_pivots == pivots, (trial, order)
-            assert packed == [_packed(r) for r in reduced], (trial, order)
+        elements = [[GF2(r >> j & 1) for j in range(ncols)] for r in rows]
+        reduced, pivots = rref(elements, ncols)
+        packed, xor_pivots = linalg.rref(rows)
+        assert xor_pivots == pivots, trial
+        assert packed == [_packed(r) for r in reduced], trial
 
 
 def _parity(bits):

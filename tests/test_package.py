@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tokenize
 import types
 
 import pytest
@@ -13,6 +14,10 @@ import isoshare
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+
+# Lines of src/isoshare/*.py that hold code (see _code_lines).  A change
+# that adds a capability may raise this, and says why in CHANGES.md.
+SRC_CODE_LINES = 1649
 
 # sha256 of the chains that `perfbench/run.py --trace 1 --seed 1` recovers.
 TRACED_CHAINS = {
@@ -26,6 +31,30 @@ def test_all_names_resolve_to_non_module_attributes():
     assert len(isoshare.__all__) == len(set(isoshare.__all__)) <= 35
     for name in isoshare.__all__:
         assert not isinstance(getattr(isoshare, name), types.ModuleType), name
+
+
+def _code_lines(path):
+    """Lines that hold a token of a statement other than a bare string:
+    blank lines, comments and docstrings do not count."""
+    prose = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING}
+    lines, statement = set(), []
+    with tokenize.open(path) as f:
+        for tok in tokenize.generate_tokens(f.readline):
+            if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+                if [t.type for t in statement] != [tokenize.STRING]:
+                    lines.update(row for t in statement
+                                 for row in range(t.start[0], t.end[0] + 1))
+                statement = []
+            elif tok.type not in prose:
+                statement.append(tok)
+    return len(lines)
+
+
+def test_src_code_lines_are_bounded():
+    counts = {path.name: _code_lines(path)
+              for path in sorted((ROOT / "src" / "isoshare").glob("*.py"))}
+    assert sum(counts.values()) <= SRC_CODE_LINES, counts
 
 
 def test_cli_import_pulls_in_no_heavy_stdlib_modules():

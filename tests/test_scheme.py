@@ -237,6 +237,19 @@ def test_share_bits_other_than_0_or_1_are_refused(e0):
             recover_isogeny_path([Share(0, bits), s1], params, deal.e1)
 
 
+def test_float_share_bits_are_refused(e0):
+    # A float bit equals 0 or 1 but cannot be packed into the code word.
+    params = _params(e0, 3, 2, 25, 6)
+    _, _, deal = _deal(e0, params)
+    s0, s1 = deal.shares[:2]
+    plain = recover_isogeny_path([s0, s1], params, deal.e1)
+    booleans = recover_isogeny_path([Share(0, tuple(map(bool, s0.bits))), s1],
+                                    params, deal.e1)
+    assert booleans.chain.sort_key() == plain.chain.sort_key()
+    with pytest.raises(InvalidParams, match="share 0"):
+        recover_isogeny_path([Share(0, tuple(map(float, s0.bits))), s1], params, deal.e1)
+
+
 def test_deal_and_recovery_build_no_binary_field_elements(e0, monkeypatch):
     # Words are symbol ints from encode to decode, on the demo code and on
     # one that meets the burst conditions: once the code is built, a deal
