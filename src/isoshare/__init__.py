@@ -26,7 +26,7 @@ from .curves import (
     random_point_of_order,
     scalar_mul,
 )
-from .fields import BinaryField, BinaryFieldElement, Fp2, fp2_sqrt
+from .fields import BinaryField, Fp2, fp2_sqrt
 from .isogeny import (
     IsogenyChain,
     IsogenyStep,
@@ -55,7 +55,7 @@ __all__ = [
     "decode_point", "encode_point",
     "CurvePoint", "CurveSpec", "INFINITY", "is_supersingular", "j_invariant",
     "point_add", "point_order", "random_point_of_order", "scalar_mul",
-    "BinaryField", "BinaryFieldElement", "Fp2", "fp2_sqrt",
+    "BinaryField", "Fp2", "fp2_sqrt",
     "IsogenyChain", "IsogenyStep", "evaluate_chain", "random_walk",
     "recover_isogeny",
     "DealResult", "RecoveryResult", "SchemeParams", "Share",

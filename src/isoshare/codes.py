@@ -37,26 +37,26 @@ ERASED = None
 _SYMBOL_TYPES = frozenset({int, bool, type(ERASED)})
 
 
-def poly_mul(a, b):
-    """Product of coefficient lists (lowest degree first)."""
-    field = a[0].field
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def rs_generator_poly(r: int, d: int, m: int = 0):
-    """Generator polynomial prod_{j=1}^{d-1} (x + tau^(m+j)) over GF(2^r)."""
+def rs_generator_poly(r: int, d: int, m: int = 0) -> list[int]:
+    """Generator polynomial prod_{j=1}^{d-1} (x + tau^(m+j)) over GF(2^r),
+    its coefficients lowest degree first, where tau = x reduced mod the
+    field's polynomial (1 for r = 1)."""
     field = BinaryField(r)
     if not 2 <= d <= field.size - 1:
         raise BadDistance(f"need 2 <= d <= {field.size - 1}, got {d}")
-    g = [field.one]
-    for j in range(1, d):
-        g = poly_mul(g, [field.tau ** (m + j), field.one])
+    mul = field.mul
+    tau = mul(1, 2)
+    # tau^m, its exponent taken mod the order of tau.
+    root = 1
+    for _ in range(m % (field.size - 1)):
+        root = mul(root, tau)
+    g = [1]
+    for _ in range(1, d):
+        root = mul(root, tau)
+        # (x + root) * g = x * g + root * g.
+        g.insert(0, 0)
+        for i in range(len(g) - 1):
+            g[i] ^= mul(root, g[i + 1])
     return g
 
 
@@ -133,9 +133,8 @@ class LinearCode:
         return tuple(bits >> i & mask for i in range(0, r * self.length, r))
 
     def encode(self, msg):
-        """Systematic encoding of a length-k message, read symbol by symbol
-        with int(), so field elements encode as their ints."""
-        msg = [int(coeff) for coeff in msg]
+        """Systematic encoding of a length-k message of symbol ints."""
+        msg = list(msg)
         if len(msg) != self.dimension:
             raise LengthMismatch(
                 f"message length {len(msg)} != dimension {self.dimension}"
@@ -208,11 +207,10 @@ class ReedSolomonCode(LinearCode):
     """Cyclic RS code of length 2^r - 1 and dimension 2^r - d over GF(2^r)."""
 
     def __init__(self, r: int, d: int, m: int = 0):
-        g = rs_generator_poly(r, d, m)
-        field = g[0].field
+        field = BinaryField(r)
         k = field.size - d
         # Row i is x^i * g(x): the packed g shifted up i symbols.
-        packed = sum(coeff.val << r * j for j, coeff in enumerate(g))
+        packed = sum(coeff << r * j for j, coeff in enumerate(rs_generator_poly(r, d, m)))
         super().__init__(
             field,
             field.size - 1,
@@ -234,9 +232,9 @@ def hyperoval_code(r: int) -> LinearCode:
     # Rows 1, alpha and alpha^2 over every alpha (symbol j is alpha = j),
     # then the two points at infinity.
     rows = [
-        sum(1 << r * a.val for a in field.elements()),
-        sum(a.val << r * a.val for a in field.elements()) | 1 << r * size,
-        sum((a * a).val << r * a.val for a in field.elements()) | 1 << r * (size + 1),
+        sum(1 << r * a for a in range(size)),
+        sum(a << r * a for a in range(size)) | 1 << r * size,
+        sum(field.mul(a, a) << r * a for a in range(size)) | 1 << r * (size + 1),
     ]
     return LinearCode(field, size + 2, rows, kind="hyperoval", design_distance=size)
 

@@ -3,8 +3,9 @@ primality and factorization under them.
 
 GF(p^2) is GF(p) adjoined i with i^2 = -1, which forces p = 3 (mod 4).  The
 package computes on (c0, c1) int pairs (_mul, _inv, _pow, _sqrt); Fp2 is the
-value type users build and read.  GF(2^r) uses a fixed primitive polynomial
-per degree so the designated generator tau is reproducible across runs."""
+value type users build and read.  GF(2^r) computes on ints too, modulo a
+fixed primitive polynomial per degree, so its generator tau = x (1 for
+r = 1) is the same in every run."""
 
 import math
 
@@ -250,18 +251,9 @@ def fp2_sqrt(a: Fp2):
     return None if root is None else Fp2(*root, a.p)
 
 
-def _carryless_mul(a: int, b: int) -> int:
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return acc
-
-
 class BinaryField:
-    """GF(2^r) in polynomial basis with a fixed primitive polynomial."""
+    """GF(2^r) in polynomial basis with a fixed primitive polynomial.  Its
+    elements are the ints 0 .. 2^r - 1, bit b the coefficient of x^b."""
 
     def __init__(self, r: int):
         if r not in PRIMITIVE_POLY:
@@ -269,95 +261,29 @@ class BinaryField:
         self.r = r
         self.poly = PRIMITIVE_POLY[r]
         self.size = 1 << r
-        self.zero = BinaryFieldElement(0, self)
-        self.one = BinaryFieldElement(1, self)
-        # tau = x for r >= 2; GF(2) has only the trivial generator 1.
-        self.tau = BinaryFieldElement(2 if r >= 2 else 1, self)
 
-    def __call__(self, val: int) -> "BinaryFieldElement":
-        if not 0 <= val < self.size:
-            raise ValueError(f"value {val} outside GF(2^{self.r})")
-        return BinaryFieldElement(val, self)
-
-    def reduce(self, val: int) -> int:
-        r, poly = self.r, self.poly
-        while val.bit_length() > r:
-            val ^= poly << (val.bit_length() - r - 1)
+    def __call__(self, val: int) -> int:
+        """val itself, once checked to be an element."""
+        if type(val) not in (int, bool) or not 0 <= val < self.size:
+            raise ValueError(f"value {val!r} outside GF(2^{self.r})")
         return val
 
-    def elements(self):
-        return (BinaryFieldElement(v, self) for v in range(self.size))
-
-    def __eq__(self, other):
-        return isinstance(other, BinaryField) and self.r == other.r
-
-    def __hash__(self):
-        return hash(self.r)
+    def mul(self, a: int, b: int) -> int:
+        """a * b mod poly, for an element a and any polynomial b (so
+        mul(1, 2) is x mod poly): the carry-less product, reducing each
+        shift of a by poly as it reaches x^r."""
+        acc = 0
+        while b:
+            if b & 1:
+                acc ^= a
+            b >>= 1
+            a <<= 1
+            if a & self.size:
+                a ^= self.poly
+        return acc
 
     def __repr__(self):
         return f"BinaryField(r={self.r}, poly={bin(self.poly)})"
-
-
-class BinaryFieldElement:
-    """An element of GF(2^r), coefficients packed as bits of an int."""
-
-    __slots__ = ("val", "field")
-
-    def __init__(self, val: int, field: BinaryField):
-        self.val = val
-        self.field = field
-
-    def __add__(self, other):
-        return BinaryFieldElement(self.val ^ other.val, self.field)
-
-    __sub__ = __add__
-
-    def __neg__(self):
-        return self
-
-    def __mul__(self, other):
-        return BinaryFieldElement(
-            self.field.reduce(_carryless_mul(self.val, other.val)), self.field
-        )
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def inverse(self):
-        if self.val == 0:
-            raise ZeroDivisionError("inverse of zero in GF(2^r)")
-        return self ** (self.field.size - 2)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryFieldElement)
-            and self.val == other.val
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash((self.val, self.field.r))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __int__(self):
-        return self.val
-
-    def __repr__(self):
-        return f"GF(2^{self.field.r}):{self.val:#x}"
 
 
 GF2 = BinaryField(1)

@@ -5,16 +5,20 @@ which the pruned search is checked; the chord-and-tangent law and the
 j-invariant on Fp2 objects, against which the int-coordinate kernels in
 isoshare.curves are checked; Velu's formulas in translation-sum form, with
 that law, against which the steps' pair sums and rational images are checked;
-codeword enumeration and minimum distance by brute force; dense
-field-element Gaussian elimination and the codes' generator rows as field
-elements, against which the packed construction and elimination of every
-code's binary image are checked; the paper's symbol-level burst decode over
-GF(2^r) elements, against which recovery's block-erased bit-level decode is
-checked; and helpers only the tests use."""
+codeword enumeration and minimum distance by brute force; GF(2^r) element
+objects whose product is a full carry-less product reduced afterwards by
+long division, against which BinaryField's int multiply is checked, and
+the RS generator polynomial as a product of element polynomials, against
+which rs_generator_poly is checked; dense field-element Gaussian elimination
+and the codes' generator rows built from those elements alone, against
+which the packed construction and elimination of every code's binary image
+are checked; the paper's symbol-level burst decode over GF(2^r) elements,
+against which recovery's block-erased bit-level decode is checked; and
+helpers only the tests use."""
 
 import functools
 
-from isoshare.codes import ERASED, LinearCode, rs_generator_poly
+from isoshare.codes import ERASED, LinearCode
 
 from isoshare.curves import (
     INFINITY,
@@ -26,7 +30,7 @@ from isoshare.curves import (
     scalar_mul,
 )
 from isoshare.errors import Ambiguous, Inconsistent, IsoshareError
-from isoshare.fields import GF2, BinaryField, Fp2, fp2_from_int
+from isoshare.fields import PRIMITIVE_POLY, Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
     _canonical_generator,
@@ -199,6 +203,128 @@ def point_neg(pt: CurvePoint) -> CurvePoint:
     return CurvePoint(pt.x, -pt.y)
 
 
+def _carryless_mul(a: int, b: int) -> int:
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
+class ElementField:
+    """GF(2^r) modulo PRIMITIVE_POLY[r], its elements BinaryFieldElement
+    objects: the reference for isoshare.fields.BinaryField, whose elements
+    are ints."""
+
+    def __init__(self, r: int):
+        self.r = r
+        self.poly = PRIMITIVE_POLY[r]
+        self.size = 1 << r
+        self.zero = BinaryFieldElement(0, self)
+        self.one = BinaryFieldElement(1, self)
+        # tau = x for r >= 2; GF(2) has only the trivial generator 1.
+        self.tau = BinaryFieldElement(2 if r >= 2 else 1, self)
+
+    def __call__(self, val: int) -> "BinaryFieldElement":
+        if not 0 <= val < self.size:
+            raise ValueError(f"value {val} outside GF(2^{self.r})")
+        return BinaryFieldElement(val, self)
+
+    def reduce(self, val: int) -> int:
+        """val mod poly, by long division."""
+        r, poly = self.r, self.poly
+        while val.bit_length() > r:
+            val ^= poly << (val.bit_length() - r - 1)
+        return val
+
+    def elements(self):
+        return [BinaryFieldElement(v, self) for v in range(self.size)]
+
+
+class BinaryFieldElement:
+    """An element of an ElementField, coefficients packed as bits of an int."""
+
+    __slots__ = ("val", "field")
+
+    def __init__(self, val: int, field: ElementField):
+        self.val = val
+        self.field = field
+
+    def __add__(self, other):
+        return BinaryFieldElement(self.val ^ other.val, self.field)
+
+    __sub__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, other):
+        return BinaryFieldElement(
+            self.field.reduce(_carryless_mul(self.val, other.val)), self.field
+        )
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        result = self.field.one
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def inverse(self):
+        if self.val == 0:
+            raise ZeroDivisionError("inverse of zero in GF(2^r)")
+        return self ** (self.field.size - 2)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, BinaryFieldElement)
+            and self.val == other.val
+            and self.field.r == other.field.r
+        )
+
+    def __hash__(self):
+        return hash((self.val, self.field.r))
+
+    def __bool__(self):
+        return self.val != 0
+
+    def __int__(self):
+        return self.val
+
+    def __repr__(self):
+        return f"GF(2^{self.field.r}):{self.val:#x}"
+
+
+ELEMENT_GF2 = ElementField(1)
+
+
+def poly_mul(a, b):
+    """Product of element coefficient lists (lowest degree first)."""
+    field = a[0].field
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def generator_poly(r: int, d: int, m: int = 0):
+    """rs_generator_poly(r, d, m) as elements: the product of the
+    x + tau^(m+j), j = 1 .. d-1, by poly_mul."""
+    field = ElementField(r)
+    g = [field.one]
+    for j in range(1, d):
+        g = poly_mul(g, [field.tau ** (m + j), field.one])
+    return g
+
+
 def poly_divmod(num, den):
     """Quotient and remainder of coefficient lists (lowest degree first)."""
     field = num[0].field
@@ -246,7 +372,7 @@ def enumerate_codewords(code: LinearCode):
         raise TooLarge(f"{total} codewords exceeds the enumeration guard")
     msg = [0] * code.dimension
     for _ in range(total):
-        yield code.encode([code.field(v) for v in msg])
+        yield code.encode(msg)
         for i in range(code.dimension):
             msg[i] += 1
             if msg[i] < code.field.size:
@@ -393,8 +519,8 @@ def erasure_outcome(code: LinearCode, word):
 
 def rs_rows(r: int, d: int, m: int = 0):
     """ReedSolomonCode(r, d, m)'s generator rows as field elements: the
-    shifts x^i * g(x)."""
-    g = rs_generator_poly(r, d, m)
+    shifts x^i * g(x) of generator_poly's g."""
+    g = generator_poly(r, d, m)
     field = g[0].field
     length, k = field.size - 1, field.size - d
     return [[field.zero] * i + g + [field.zero] * (length - len(g) - i) for i in range(k)]
@@ -403,8 +529,8 @@ def rs_rows(r: int, d: int, m: int = 0):
 def hyperoval_rows(r: int):
     """hyperoval_code(r)'s generator rows as field elements: 1, alpha and
     alpha^2 over every alpha, and the two points at infinity."""
-    field = BinaryField(r)
-    alphas = list(field.elements())
+    field = ElementField(r)
+    alphas = field.elements()
     return [
         [field.one] * field.size + [field.zero, field.zero],
         alphas + [field.one, field.zero],
@@ -412,18 +538,18 @@ def hyperoval_rows(r: int):
     ]
 
 
-def element_to_bits(c) -> tuple[int, ...]:
-    """Coefficient vector of c in the polynomial basis, x^0 first."""
-    return tuple((c.val >> i) & 1 for i in range(c.field.r))
+def symbol_bits(v: int, r: int) -> tuple[int, ...]:
+    """Coefficient vector of the GF(2^r) symbol int v in the polynomial
+    basis, x^0 first."""
+    return tuple(v >> i & 1 for i in range(r))
 
 
 def expand_binary(base, cw):
-    """Binary image of an RS codeword, its symbols ints or elements, as
-    int bits: per symbol, its r coefficient bits followed by one overall
-    parity bit."""
+    """Binary image of an RS codeword of symbol ints, as int bits: per
+    symbol, its r coefficient bits followed by one overall parity bit."""
     out = []
     for sym in cw:
-        bits = element_to_bits(base.field(int(sym)))
+        bits = symbol_bits(sym, base.r)
         out.extend(bits)
         out.append(sum(bits) & 1)
     return tuple(out)
@@ -436,15 +562,15 @@ def expansion_rows(base):
     rows = []
     for j in range(base.dimension):
         for b in range(base.r):
-            msg = [base.field.zero] * base.dimension
-            msg[j] = base.field(1 << b)
-            rows.append([GF2(bit) for bit in expand_binary(base, base.encode(msg))])
+            msg = [0] * base.dimension
+            msg[j] = 1 << b
+            rows.append([ELEMENT_GF2(bit) for bit in expand_binary(base, base.encode(msg))])
     return rows
 
 
 @functools.cache
 def _rs_generic(r: int, d: int, m: int):
-    return generic_build(BinaryField(r), rs_rows(r, d, m), range(2**r - d))
+    return generic_build(ElementField(r), rs_rows(r, d, m), range(2**r - d))
 
 
 def burst_decode(code, word):
@@ -457,15 +583,16 @@ def burst_decode(code, word):
     None); more erased symbols than d - 1 are ambiguous, as the base code
     is MDS."""
     base, r = code.base, code.r
+    field = ElementField(r)
     symbols = []
     for i in range(0, len(word), r + 1):
         block = word[i : i + r + 1]
         if any(b is ERASED for b in block) or sum(block) & 1:
             symbols.append(ERASED)
         else:
-            symbols.append(base.field(sum(b << j for j, b in enumerate(block[:r]))))
+            symbols.append(field(sum(b << j for j, b in enumerate(block[:r]))))
     generator, _, parity = _rs_generic(r, base.d, base.m)
-    kind, value = generic_erasure_outcome(base.field, generator, parity, symbols)
+    kind, value = generic_erasure_outcome(field, generator, parity, symbols)
     if kind == "unique":
         value = tuple(value[j].val >> b & 1 for j in range(base.dimension) for b in range(r))
     return kind, value

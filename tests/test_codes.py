@@ -3,6 +3,8 @@ import random
 
 import pytest
 from oracles import (
+    ELEMENT_GF2,
+    ElementField,
     TooLarge,
     burst_decode,
     burst_symbol_span,
@@ -12,11 +14,13 @@ from oracles import (
     expand_binary,
     expansion_rows,
     generic_build,
+    generator_poly,
     generic_erasure_outcome,
     hyperoval_rows,
     min_distance_bruteforce,
     nullspace,
     poly_divmod,
+    poly_mul,
     rref,
     rs_rows,
     solve,
@@ -33,7 +37,6 @@ from isoshare.codes import (
     contract_binary,
     erase_damaged_blocks,
     hyperoval_code,
-    poly_mul,
     rs_generator_poly,
     subfield_code,
 )
@@ -53,15 +56,13 @@ def _weight(cw):
 
 def test_generator_poly_smallest_case():
     # d = 2: g(x) = x + tau.
-    g = rs_generator_poly(3, 2)
-    f = BinaryField(3)
-    assert g == [f.tau, f.one]
+    assert rs_generator_poly(3, 2) == [0b10, 1]
 
 
 def test_generator_poly_degree_and_roots():
-    f = BinaryField(4)
+    f = ElementField(4)
     for d in range(2, 8):
-        g = rs_generator_poly(4, d)
+        g = [f(c) for c in rs_generator_poly(4, d)]
         assert len(g) == d
         for j in range(1, d):
             root = f.tau**j
@@ -73,8 +74,8 @@ def test_generator_poly_degree_and_roots():
 
 def test_generator_poly_divides_cycle():
     # g must divide x^(2^r - 1) - 1 for the code to be cyclic.
-    f = BinaryField(3)
-    g = rs_generator_poly(3, 5)
+    f = ElementField(3)
+    g = [f(c) for c in rs_generator_poly(3, 5)]
     cycle = [f.one] + [f.zero] * 6 + [f.one]
     _, rem = poly_divmod(cycle, g)
     assert all(not c for c in rem)
@@ -87,8 +88,30 @@ def test_generator_poly_distance_bounds():
         rs_generator_poly(3, 8)
 
 
+def test_generator_poly_matches_oracle():
+    # The int generator, every valid (r, d) up to r = 6 and m = 0, 1, 2,
+    # against the oracle's product of element polynomials.
+    for r in range(2, 7):
+        for d in range(2, 2**r):
+            for m in (0, 1, 2):
+                expected = [c.val for c in generator_poly(r, d, m)]
+                assert rs_generator_poly(r, d, m) == expected, (r, d, m)
+
+
+@pytest.mark.parametrize("m", [-3, 0, 12, 10**18])
+def test_any_int_m_builds_the_code_of_m_mod_the_order_of_tau(m):
+    # tau has order 2^r - 1, so m only matters mod 15 at r = 4; a huge m
+    # costs no more than a small one, and the code keeps m as given.
+    g = rs_generator_poly(4, 6, m)
+    assert g == [c.val for c in generator_poly(4, 6, m)]
+    assert g == rs_generator_poly(4, 6, m % 15)
+    code, reduced = BinaryExpandedCode(4, 6, m), BinaryExpandedCode(4, 6, m % 15)
+    assert code.base.m == m
+    assert (code._multiples, code._par_bits) == (reduced._multiples, reduced._par_bits)
+
+
 def test_poly_mul_known_product():
-    f = BinaryField(3)
+    f = ElementField(3)
     # (x + 1)(x + 1) = x^2 + 1 over GF(2^r).
     prod = poly_mul([f.one, f.one], [f.one, f.one])
     assert prod == [f.one, f.zero, f.one]
@@ -111,13 +134,13 @@ def test_rs_systematic_and_linear():
         m2 = [f(rng.randrange(8)) for _ in range(3)]
         c1 = code.encode(m1)
         c2 = code.encode(m2)
-        assert tuple(c1[j] for j in code.info_positions) == tuple(map(int, m1))
-        assert code.encode([a + b for a, b in zip(m1, m2)]) == tuple(
+        assert tuple(c1[j] for j in code.info_positions) == tuple(m1)
+        assert code.encode([a ^ b for a, b in zip(m1, m2)]) == tuple(
             a ^ b for a, b in zip(c1, c2)
         )
-        assert code.extract(c1) == tuple(map(int, m1))
+        assert code.extract(c1) == tuple(m1)
     with pytest.raises(LengthMismatch):
-        code.encode([f.zero] * 4)
+        code.encode([0] * 4)
 
 
 def test_rs_minimum_distance_is_design_distance():
@@ -129,8 +152,7 @@ def test_rs_minimum_distance_is_design_distance():
 
 def test_extract_rejects_noncodewords():
     code = ReedSolomonCode(3, 5)
-    f = code.field
-    cw = list(code.encode([f.tau, f.one, f.zero]))
+    cw = list(code.encode([2, 1, 0]))
     cw[0] ^= 1
     with pytest.raises(NotACodeword):
         code.extract(cw)
@@ -138,7 +160,8 @@ def test_extract_rejects_noncodewords():
 
 def test_symbols_outside_the_field_are_refused():
     # Packed, a symbol of 2^r or more would carry into the next symbol's
-    # bits, and encode would read a negative one from the end of a table.
+    # bits, and encode would read a negative one from the end of a table;
+    # encode takes a float or a string for no symbol either.
     code = ReedSolomonCode(3, 5)
     cw = list(code.encode([3, 1, 0]))
     for bad in (-1, 8, "1"):
@@ -146,7 +169,7 @@ def test_symbols_outside_the_field_are_refused():
             code.erasure_decode([bad] + cw[1:])
         with pytest.raises(ValueError):
             code.contains([bad] + cw[1:])
-    for bad in (-1, 8):
+    for bad in (-1, 8, 1.5, "7"):
         with pytest.raises(ValueError):
             code.encode([bad, 1, 0])
     binary = BinaryExpandedCode(4, 6)
@@ -185,14 +208,13 @@ def test_erasure_decode_unique():
         word = [ERASED if j in erased else cw[j] for j in range(7)]
         assert code.erasure_decode(word) == cw
     # Zero erasures: a codeword decodes to itself.
-    cw = code.encode([f.one, f.tau, f.zero])
+    cw = code.encode([1, 2, 0])
     assert code.erasure_decode(list(cw)) == cw
 
 
 def test_erasure_decode_ambiguous_count():
     code = ReedSolomonCode(3, 5)
-    f = code.field
-    cw = code.encode([f.one, f.zero, f.tau])
+    cw = code.encode([1, 0, 2])
     word = [ERASED] * 5 + list(cw[5:])
     with pytest.raises(Ambiguous) as exc:
         code.erasure_decode(word)
@@ -202,8 +224,7 @@ def test_erasure_decode_ambiguous_count():
 
 def test_erasure_decode_inconsistent():
     code = ReedSolomonCode(3, 5)
-    f = code.field
-    cw = list(code.encode([f.one, f.zero, f.tau]))
+    cw = list(code.encode([1, 0, 2]))
     cw[6] ^= 1
     with pytest.raises(Inconsistent):
         code.erasure_decode(cw)
@@ -261,8 +282,7 @@ def test_expand_contract_roundtrip():
 
 def test_contract_erases_damaged_blocks():
     base = ReedSolomonCode(4, 6)
-    f = base.field
-    cw = base.encode([f.one] + [f.zero] * 9)
+    cw = base.encode([1] + [0] * 9)
     bits = list(expand_binary(base, cw))
     bits[3] = ERASED  # erased bit in block 0
     bits[7] ^= 1  # parity violation in block 1
@@ -423,10 +443,10 @@ def _ints(rows):
 
 def _random_rows(rng, nrows, ncols, rank):
     """nrows random GF(2) rows spanning at most `rank` dimensions."""
-    basis = [[GF2(rng.getrandbits(1)) for _ in range(ncols)] for _ in range(rank)]
+    basis = [[ELEMENT_GF2(rng.getrandbits(1)) for _ in range(ncols)] for _ in range(rank)]
     rows = []
     for _ in range(nrows):
-        row = [GF2(0)] * ncols
+        row = [ELEMENT_GF2.zero] * ncols
         for b in basis:
             if rng.getrandbits(1):
                 row = [x + y for x, y in zip(row, b)]
@@ -443,7 +463,7 @@ def test_xor_rref_matches_generic_rref():
         packed, xor_pivots = linalg.rref([_packed(r) for r in rows])
         assert xor_pivots == pivots, trial
         assert packed == [_packed(r) for r in reduced], trial
-        basis = nullspace(rows, ncols, GF2)
+        basis = nullspace(rows, ncols, ELEMENT_GF2)
         packed = linalg.nullspace(*linalg.rref([_packed(r) for r in rows]), ncols)
         assert packed == [_packed(v) for v in basis], trial
 
@@ -457,7 +477,7 @@ def test_xor_rref_matches_generic_rref_on_random_packed_systems():
         nrows, ncols = rng.randint(0, 30), rng.randint(1, 20)
         rows = [rng.getrandbits(ncols) if rng.random() < 0.8 else 0 for _ in range(nrows)]
         rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))] if rows else []
-        elements = [[GF2(r >> j & 1) for j in range(ncols)] for r in rows]
+        elements = [[ELEMENT_GF2(r >> j & 1) for j in range(ncols)] for r in rows]
         reduced, pivots = rref(elements, ncols)
         packed, xor_pivots = linalg.rref(rows)
         assert xor_pivots == pivots, trial
@@ -470,8 +490,8 @@ def _parity(bits):
 
 def _generic_solve(rows, rhs, ncols):
     """The element-wise solve of packed rows, its solution packed."""
-    x, free = solve([[GF2(r >> j & 1) for j in range(ncols)] for r in rows],
-                    [GF2(b) for b in rhs], ncols, GF2)
+    x, free = solve([[ELEMENT_GF2(r >> j & 1) for j in range(ncols)] for r in rows],
+                    [ELEMENT_GF2(b) for b in rhs], ncols, ELEMENT_GF2)
     return (None if x is None else _packed(x)), free
 
 
@@ -579,11 +599,12 @@ def test_decode_solves_only_for_erased_information_bits(monkeypatch):
 def _check_decodes(code, generic, words):
     """Packed decoding agrees with the generic solve on every word, given
     the generic build's generator and parity; the kind of each outcome."""
+    field = ElementField(code.field.r)
     kinds = []
     for word in words:
         outcome = erasure_outcome(code, word)
-        elements = [ERASED if s is ERASED else code.field(s) for s in word]
-        kind, value = generic_erasure_outcome(code.field, *generic, elements)
+        elements = [ERASED if s is ERASED else field(s) for s in word]
+        kind, value = generic_erasure_outcome(field, *generic, elements)
         if kind == "unique":
             value = tuple(map(int, value))
         assert outcome == (kind, value)
@@ -608,7 +629,7 @@ def test_random_binary_codes_match_generic():
         length = rng.randint(2, 16)
         rows = _random_rows(rng, rng.randint(1, length), length, rng.randint(1, length))
         code = LinearCode(GF2, length, [_packed(row) for row in rows])
-        generator, info, parity = generic_build(GF2, rows)
+        generator, info, parity = generic_build(ELEMENT_GF2, rows)
         assert (_generator(code), code.info_positions) == (_ints(generator), info), trial
         cw = code.encode([GF2(rng.getrandbits(1)) for _ in range(code.dimension)])
         for _ in range(6):
@@ -639,7 +660,7 @@ def test_share_coalitions_match_generic(r, d, m, n, gamma):
     [186,80] code (the generic solve takes ~0.3 s a word there)."""
     code = BinaryExpandedCode(r, d, m)
     generator, info, parity = generic_build(
-        GF2, expansion_rows(ReedSolomonCode(r, d, m)), code.info_positions
+        ELEMENT_GF2, expansion_rows(ReedSolomonCode(r, d, m)), code.info_positions
     )
     assert (_generator(code), code.info_positions) == (_ints(generator), info)
     rng = random.Random(42 + r)
@@ -666,13 +687,14 @@ def test_subfield_code_matches_generic():
     rng = random.Random(44)
     for r in (3, 4, 5):
         big = hyperoval_code(r)
-        _, _, big_parity = generic_build(big.field, hyperoval_rows(r), range(3))
+        _, _, big_parity = generic_build(ElementField(r), hyperoval_rows(r), range(3))
         binary_rows = [
-            [GF2(coeff.val >> b & 1) for coeff in h] for h in big_parity for b in range(r)
+            [ELEMENT_GF2(coeff.val >> b & 1) for coeff in h]
+            for h in big_parity for b in range(r)
         ]
-        rows = nullspace(binary_rows, big.length, GF2)
+        rows = nullspace(binary_rows, big.length, ELEMENT_GF2)
         small = subfield_code(big)
-        generator, info, parity = generic_build(GF2, rows)
+        generator, info, parity = generic_build(ELEMENT_GF2, rows)
         assert (_generator(small), small.info_positions) == (_ints(generator), info)
         for _ in range(8):
             cw = small.encode([GF2(rng.getrandbits(1)) for _ in info])
@@ -696,7 +718,7 @@ def test_gf2r_codes_match_generic():
     kinds = set()
     for code, rows in cases:
         field = code.field
-        generator, info, parity = generic_build(field, rows, range(len(rows)))
+        generator, info, parity = generic_build(ElementField(field.r), rows, range(len(rows)))
         assert (_generator(code), code.info_positions) == (_ints(generator), info), code
         for _ in range(8):
             cw = code.encode([field(rng.randrange(field.size)) for _ in info])

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import element_to_bits
+from oracles import ElementField, symbol_bits
 
 from isoshare.fields import (
     MILLER_RABIN_LIMIT,
@@ -35,10 +35,41 @@ def test_fp2_inverse_of_zero():
         Fp2(0, 0, 431).inverse()
 
 
+def _power(f, x, e):
+    """x^e in the int field f, by e multiplications."""
+    acc = 1
+    for _ in range(e):
+        acc = f.mul(acc, x)
+    return acc
+
+
 def test_gf8_tau_cubed():
     # Reduce x^3 mod x^3 + x + 1 by hand: x^3 = x + 1.
     f = BinaryField(3)
-    assert f.tau**3 == f.tau + f.one
+    assert _power(f, 0b10, 3) == 0b10 ^ 0b01
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_binary_field_mul_matches_oracle(r):
+    # Every product of GF(2^r), r <= 6, against the oracle's elements, whose
+    # product is the full carry-less product reduced afterwards.
+    f, ref = BinaryField(r), ElementField(r)
+    for a in range(f.size):
+        for b in range(f.size):
+            assert f.mul(a, b) == (ref(a) * ref(b)).val, (a, b)
+
+
+def test_binary_field_elements_are_ints():
+    # An element of GF(2^r) is the int itself: the field checks it and hands
+    # it back, and builds no object for it.
+    for r in (1, 3, 8):
+        f = BinaryField(r)
+        for v in range(f.size):
+            got = f(v)
+            assert type(got) is int and got == v
+        for bad in (-1, f.size, 1 << 20, 1.0, "1", None):
+            with pytest.raises(ValueError):
+                f(bad)
 
 
 def test_field_axioms_random():
@@ -53,22 +84,27 @@ def test_field_axioms_random():
         x = f(rng.randrange(32))
         y = f(rng.randrange(32))
         z = f(rng.randrange(32))
-        assert (x + y) * z == x * z + y * z
-        assert (x * y) * z == x * (y * z)
+        assert f.mul(x ^ y, z) == f.mul(x, z) ^ f.mul(y, z)
+        assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
+        assert f.mul(x, y) == f.mul(y, x)
         if x:
-            assert x * x.inverse() == f.one
+            # x^(q - 2) is the inverse of x.
+            assert f.mul(x, _power(f, x, f.size - 2)) == 1
 
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_tau_has_full_order(r):
+    # tau = x reduced mod the field's polynomial, 1 for r = 1.
     f = BinaryField(r)
+    tau = f.mul(1, 2)
+    assert tau == (2 if r > 1 else 1)
     order = f.size - 1
-    acc = f.one
+    acc = 1
     seen = set()
     for _ in range(order):
-        acc = acc * f.tau
-        seen.add(acc.val)
-    assert acc == f.one
+        acc = f.mul(acc, tau)
+        seen.add(acc)
+    assert acc == 1
     assert len(seen) == order
 
 
@@ -84,8 +120,8 @@ def _from_bits(bits, field):
 def test_bit_expansion_bijective_r4():
     f = BinaryField(4)
     seen = set()
-    for el in f.elements():
-        bits = element_to_bits(el)
+    for el in range(f.size):
+        bits = symbol_bits(el, f.r)
         assert len(bits) == 4
         assert _from_bits(bits, f) == el
         seen.add(bits)
@@ -94,9 +130,11 @@ def test_bit_expansion_bijective_r4():
 
 def test_bit_expansion_conventions():
     f = BinaryField(4)
-    assert element_to_bits(f.zero) == (0, 0, 0, 0)
-    assert element_to_bits(f.one) == (1, 0, 0, 0)
-    assert _from_bits(element_to_bits(f.tau**5), f) == f.tau**5
+    assert symbol_bits(0, 4) == (0, 0, 0, 0)
+    assert symbol_bits(1, 4) == (1, 0, 0, 0)
+    assert symbol_bits(2, 4) == (0, 1, 0, 0)
+    tau5 = _power(f, 2, 5)
+    assert _from_bits(symbol_bits(tau5, 4), f) == tau5
 
 
 def test_fp2_sqrt_zero():

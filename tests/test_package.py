@@ -17,7 +17,7 @@ PERFBENCH = ROOT / "perfbench"
 
 # Lines of src/isoshare/*.py that hold code (see _code_lines).  A change
 # that adds a capability may raise this, and says why in CHANGES.md.
-SRC_CODE_LINES = 1649
+SRC_CODE_LINES = 1590
 
 # sha256 of the chains that `perfbench/run.py --trace 1 --seed 1` recovers.
 TRACED_CHAINS = {
@@ -28,7 +28,7 @@ TRACED_CHAINS = {
 
 
 def test_all_names_resolve_to_non_module_attributes():
-    assert len(isoshare.__all__) == len(set(isoshare.__all__)) <= 35
+    assert len(isoshare.__all__) == len(set(isoshare.__all__)) <= 34
     for name in isoshare.__all__:
         assert not isinstance(getattr(isoshare, name), types.ModuleType), name
 

@@ -5,7 +5,6 @@ import pytest
 
 from isoshare.codes import BinaryExpandedCode
 from isoshare.curves import random_point_of_order
-from isoshare.fields import BinaryFieldElement
 from isoshare.errors import (
     DuplicateShare,
     Inconsistent,
@@ -248,26 +247,6 @@ def test_float_share_bits_are_refused(e0):
     assert booleans.chain.sort_key() == plain.chain.sort_key()
     with pytest.raises(InvalidParams, match="share 0"):
         recover_isogeny_path([Share(0, tuple(map(float, s0.bits))), s1], params, deal.e1)
-
-
-def test_deal_and_recovery_build_no_binary_field_elements(e0, monkeypatch):
-    # Words are symbol ints from encode to decode, on the demo code and on
-    # one that meets the burst conditions: once the code is built, a deal
-    # and a recovery make no GF(2^r) element.
-    built = []
-    init = BinaryFieldElement.__init__
-    burst = SchemeParams(
-        n=15, t=13, gamma=5, curve=e0, torsion_order=16, ell_iso=3, e_iso=2,
-        code=BinaryExpandedCode(4, 5), security_bits=8,
-    )
-    for params in (_params(e0, 3, 2, 25, 6), burst):
-        monkeypatch.setattr(BinaryFieldElement, "__init__",
-                            lambda self, *args: built.append(args) or init(self, *args))
-        secret, point, deal = _deal(e0, params)
-        result = recover_isogeny_path(list(deal.shares[:params.t]), params, deal.e1)
-        monkeypatch.undo()
-        assert result.point == point
-    assert built == []
 
 
 def test_corrupted_share_detected(e0):
