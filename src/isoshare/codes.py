@@ -139,6 +139,8 @@ class LinearCode:
             raise LengthMismatch(
                 f"message length {len(msg)} != dimension {self.dimension}"
             )
+        if ERASED in msg:
+            raise ValueError("a message symbol cannot be ERASED")
         self._check_symbols(msg)
         bits = 0
         for coeff, table in zip(msg, self._multiples):

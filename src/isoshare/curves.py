@@ -172,15 +172,18 @@ def _times(e: CurveSpec, k: int, xy):
 
 
 def point_order(e: CurveSpec, pt: CurvePoint) -> int:
-    """Exact multiplicative order, stripping prime factors from p+1."""
+    """Exact multiplicative order: for each prime power q^f || p+1, the
+    number of times q must multiply R = ((p+1)/q^f) P to reach O.  A point
+    whose R needs more than f of them has (p+1) P != O, and is refused."""
     xy = _checked(e, pt)
-    m = e.p + 1
-    if _times(e, m, xy):
-        raise NotOnCurve("point order does not divide p+1; curve not supersingular?")
-    for q in factorize(m):
-        while m % q == 0 and not _times(e, m // q, xy):
-            m //= q
-    return m
+    m, order = e.p + 1, 1
+    for q, f in factorize(m).items():
+        r = _times(e, m // q**f, xy)
+        while r:
+            if not f:
+                raise NotOnCurve("point order does not divide p+1; curve not supersingular?")
+            r, order, f = _times(e, q, r), order * q, f - 1
+    return order
 
 
 def random_point(e: CurveSpec, rng: random.Random) -> CurvePoint:

@@ -9,7 +9,23 @@ lets a recovered chain land exactly on a prescribed target curve.  The
 search meets in the middle: one enumeration of the walks of half the
 length out of the target gives the j-invariants each depth reaches and the
 keys at the middle, and these decide which walks out of the start are
-extended (see _walks).
+extended (see _leaves).
+
+Walks follow a cache of the ell-isogeny graph (_torsion_cache).  Velu's
+sums are homogeneous: under psi_s: (x, y) -> (s^2 x, s^3 y), t scales by
+s^4 and w by s^6, so the step out of psi_s(E) with kernel psi_s(K) is
+psi_s o phi_K o psi_s^-1, and its codomain has phi_K's j.  So each
+j-invariant keeps one model R, its E[ell] sampled once, and ell+1 edges,
+each Velu's step out of R computed once and moved onto the R' of its
+codomain's j.  A walk's node is an entry and a scale s, the curve
+psi_s(R), with its points held in R's coordinates; a step along an edge
+multiplies s by the edge's scale and images the points, and pruning by j
+reads the edge's codomain.  Only the walks the search yields, and
+random_walk's, are built as chains of Velu steps on the actual models (a
+step out of R itself is its edge's).
+The cache holds per (p, ell) at most one entry and ell+1 edges for each
+j-invariant (about p/12 of them for supersingular curves) and isomorphism
+class met, each edge a step of ell // 2 kernel pairs.
 
 All of it runs on the ints of isoshare.curves, scales u as (c0, c1) pairs;
 an Fp2 or CurvePoint is built only for a caller that reads one.
@@ -21,7 +37,7 @@ import random
 from .curves import CurvePoint, CurveSpec, _add, _point, _times, is_on_curve
 from .curves import is_supersingular, random_point, scalar_mul
 from .errors import BadKernel, NoIsogenyFound, NoSuchOrder, NotOnCurve
-from .fields import Fp2, _div, _mul, _pow, _sqrt, is_prime
+from .fields import Fp2, _div, _inv, _mul, _pow, _sqrt, is_prime
 
 
 class IsogenyStep:
@@ -80,8 +96,7 @@ class IsogenyStep:
         """This step followed by (x, y) -> (u^2 x, u^3 y), u a pair: the
         kernel sums stay, and the codomain (a', b') becomes (u^4 a', u^6 b')."""
         new = object.__new__(IsogenyStep)
-        for name in ("domain", "kernel", "ell", "_pairs"):
-            setattr(new, name, getattr(self, name))
+        new.domain, new.kernel, new.ell, new._pairs = self.domain, self.kernel, self.ell, self._pairs
         p, c = self.domain.p, self.codomain
         new._u = _mul(self._u, u, p)
         ab = _moved(c.akey + c.bkey, _mul(u, u, p), p)
@@ -136,13 +151,9 @@ class IsogenyChain:
 
     def __init__(self, domain: CurveSpec, steps=()):
         steps = tuple(steps)
-        prev = domain
-        for step in steps:
-            if step.domain != prev:
-                raise NotOnCurve("consecutive steps do not chain")
-            prev = step.codomain
-        self.domain = domain
-        self.steps = steps
+        if [step.domain for step in steps] != ([domain] + [s.codomain for s in steps])[:len(steps)]:
+            raise NotOnCurve("consecutive steps do not chain")
+        self.domain, self.steps = domain, steps
 
     @property
     def codomain(self) -> CurveSpec:
@@ -151,12 +162,6 @@ class IsogenyChain:
     @property
     def degree(self) -> int:
         return math.prod(step.ell for step in self.steps)
-
-    def extended(self, step: IsogenyStep) -> "IsogenyChain":
-        # The earlier steps already chain, so only the new link is checked.
-        if step.domain != self.codomain:
-            raise NotOnCurve("consecutive steps do not chain")
-        return _chain(self.domain, self.steps + (step,))
 
     def sort_key(self):
         return tuple(step.kernel.xy for step in self.steps)
@@ -200,11 +205,6 @@ def _multiples(e: CurveSpec, gen, ell: int) -> list[tuple]:
                   for x0, x1, y0, y1 in reversed(pts[: (ell - 1) // 2])]
 
 
-def _canonical_generator(e: CurveSpec, gen, ell: int):
-    """Smallest xy tuple among the generators of <gen>, gen an xy tuple."""
-    return min(_multiples(e, gen, ell))
-
-
 def require_rational_ell(p: int, ell: int) -> None:
     """Reject a step degree that is not a prime dividing p+1."""
     # Divisibility first: it bounds ell by p+1 before the primality test.
@@ -212,24 +212,87 @@ def require_rational_ell(p: int, ell: int) -> None:
         raise NoSuchOrder(f"ell = {ell} is not a prime dividing p+1 = {p + 1}")
 
 
-class _Generator(CurvePoint):
-    """A subgroup's smallest point, as ell_torsion_subgroups returns it; `points`
-    holds the subgroup's ell-1 nonzero xy tuples, listed as _multiples lists them."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points, p: int):
-        self.xy, self.p, self.points = min(points), p, points
-
-    def step(self, e: CurveSpec, ell: int) -> IsogenyStep:
-        """velu_step(e, self, ell), unchecked: Velu's sums over `points`."""
-        return object.__new__(IsogenyStep)._velu(e, self, ell, self.points)
+def _step(domain: CurveSpec, points, ell: int) -> IsogenyStep:
+    """velu_step(domain, min(points), ell), unchecked: Velu's sums over
+    points, the ell-1 nonzero xy tuples of the kernel in _multiples order."""
+    return object.__new__(IsogenyStep)._velu(domain, _point(min(points), domain.p), ell, points)
 
 
-# (p, ell, j) -> (the first model of that j-invariant that was sampled, the
-# xy tuples of the ell-1 nonzero points of each of its ell+1 cyclic
-# subgroups of E[ell], each list in _multiples order).
-_torsion_cache: dict[tuple, tuple[CurveSpec, list[list[tuple]]]] = {}
+# (p, ell, j) -> the entry [R, subgroups, edges, twist] of that j-invariant.
+# R is the first model of it that was looked up.  subgroups holds the xy
+# tuples of the ell-1 nonzero points of each of R's ell+1 cyclic subgroups
+# of E[ell], each list in _multiples order, sampled when first needed.
+# edges[i] is the ell-step out of R with kernel subgroup i (see _edge), or
+# None until a walk takes it.  twist is the entry of the next model of that
+# j found with no isomorphism onto R, or None.  The curves of one j that
+# walks out of a supersingular E0 reach are all isomorphic over GF(p^2), so
+# such walks fill at most ell+1 edges per supersingular j-invariant.
+_torsion_cache: dict[tuple, list] = {}
+
+
+def _entry(e: CurveSpec, ell: int):
+    """(entry, s) with e = psi_s(R) for the cached entry's R, psi_s the
+    isomorphism (x, y) -> (s^2 x, s^3 y); a new entry with R = e when e's j
+    has none onto which e is isomorphic."""
+    new = [e, None, [None] * (ell + 1), None]
+    entry = _torsion_cache.setdefault((e.p, ell, e.jkey), new)
+    while True:
+        scales = [(1, 0)] if entry[0] == e else _scales(entry[0], e)
+        if scales:
+            return entry, scales[0]
+        entry[3] = entry[3] or new
+        entry = entry[3]
+
+
+def _children(node, ell: int) -> list[int]:
+    """The indices of the subgroups of node = (entry, s, dual), the curve
+    psi_s(R), in the order of their smallest point on it, the order of
+    ell_torsion_subgroups, less the one holding the point dual (the dual's
+    kernel of the edge into node; None at a walk's start).  Points with
+    one x are +-Q, so no two subgroups share an x, and the smallest s^2 x
+    among the first ell // 2 points (one of each pair) decides."""
+    entry, s, dual = node
+    p = entry[0].p
+    if entry[1] is None:
+        entry[1] = _sample_subgroups(entry[0], ell)
+    s0, s1 = _mul(s, s, p)
+    keys = [min([((s0 * x0 - s1 * x1) % p, (s0 * x1 + s1 * x0) % p)
+                 for x0, x1, _, _ in pts[: ell // 2]]) for pts in entry[1]]
+    return [k for k in sorted(range(ell + 1), key=keys.__getitem__) if dual not in entry[1][k]]
+
+
+def _edge(entry, i: int, ell: int, resolve: bool) -> list:
+    """entry's edge i, [velu, step, target, c, dual], made on first use.
+    velu is Velu's step out of R with kernel subgroup i; its codomain's j
+    is all that pruning by j reads, and a walk's last step needs no more.
+    Once resolved, target is the entry of that j, whose R' gives velu's
+    codomain = psi_c(R'), and step is velu followed by psi_c^-1, so that it
+    lands on R' and images come in its coordinates; a step out of psi_s(R)
+    is psi_s o velu o psi_s^-1, as Velu's sums t and w scale by s^4 and
+    s^6, so it lands on psi_sc(R').  dual is step's image of a point of
+    E[ell] outside kernel i: it generates the dual step's kernel."""
+    edge = entry[2][i]
+    if edge is None:
+        velu = _step(entry[0], entry[1][i], ell)
+        edge = entry[2][i] = [velu, velu, None, None, None]
+    if resolve and edge[2] is None:
+        edge[2], edge[3] = _entry(edge[0].codomain, ell)
+        if edge[3] != (1, 0):
+            edge[1] = edge[0]._scaled(_inv(edge[3], entry[0].p))
+        edge[4] = edge[1]._image(entry[1][i - 1][0])
+    return edge
+
+
+def _chain_of(e0: CurveSpec, path, ell: int) -> IsogenyChain:
+    """The chain out of e0 along path, a tuple of (entry, s, i) whose edges
+    exist: each step is Velu's on psi_s(R) with kernel psi_s of subgroup i."""
+    steps = []
+    for entry, s, i in path:
+        domain = steps[-1].codomain if steps else e0
+        # At scale 1 the domain is R, and edge i holds the step.
+        steps.append(entry[2][i][0] if s == (1, 0) else
+                     _step(domain, [_moved(q, s, e0.p) for q in entry[1][i]], ell))
+    return _chain(e0, tuple(steps))
 
 
 def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
@@ -240,80 +303,56 @@ def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
     alone.  So E[ell] is sampled once per j-invariant, and another model of
     that j gets it through the isomorphism (x, y) -> (u^2 x, u^3 y) from the
     sampled one, which maps subgroups onto subgroups.  A model with that j
-    but no isomorphism over GF(p^2) (a twist) is sampled itself.  Each
-    generator carries the points of its subgroup (see _Generator).
+    but no isomorphism over GF(p^2) (a twist) is sampled itself.
     """
-    p, key = e.p, (e.p, ell, e.jkey)
-    require_rational_ell(p, ell)
-    entry = _torsion_cache.get(key)
-    scales = entry and _scales(entry[0], e)
-    if scales:
-        s0, s1 = _mul(scales[0], scales[0], p)
-        c0, c1 = _mul((s0, s1), scales[0], p)
-        subgroups = [[((s0 * x0 - s1 * x1) % p, (s0 * x1 + s1 * x0) % p,
-                       (c0 * y0 - c1 * y1) % p, (c0 * y1 + c1 * y0) % p)
-                      for x0, x1, y0, y1 in pts] for pts in entry[1]]
-    else:
-        subgroups = _sample_subgroups(e, ell)
-        if entry is None:
-            _torsion_cache[key] = (e, subgroups)
-    return sorted((_Generator(pts, p) for pts in subgroups), key=CurvePoint.key)
+    require_rational_ell(e.p, ell)
+    entry, s = _entry(e, ell)
+    return [_point(min([_moved(q, s, e.p) for q in entry[1][i]]), e.p)
+            for i in _children((entry, s, None), ell)]
 
 
 def _sample_subgroups(e: CurveSpec, ell: int) -> list[list[tuple]]:
     """The nonzero points of each cyclic subgroup of E[ell], from random
     points, as _torsion_cache holds them."""
     rng = random.Random(("torsion", e.key(), ell).__repr__())
-    cofactor = (e.p + 1) // ell
-    valuation = 1
-    while cofactor % ell ** valuation == 0:
-        valuation += 1
+    valuation = max(k for k in range(1, (e.p + 1).bit_length()) if (e.p + 1) % ell**k == 0)
 
     def sample():
         while True:
-            q = _times(e, cofactor, random_point(e, rng).xy)
+            q = _times(e, (e.p + 1) // ell, random_point(e, rng).xy)
             if not q:
                 continue
             # ell * q = (p+1) * P = O at once when the exponent divides
             # p+1; on any other curve, strip at most v_ell(p+1) factors.
             for _ in range(valuation):
-                q_ell = _times(e, ell, q)
-                if not q_ell:
+                if not (q_ell := _times(e, ell, q)):
                     return q
                 q = q_ell
             raise NoSuchOrder(f"{e} has points whose order does not divide p+1")
 
     g1 = _multiples(e, sample(), ell)
-    while True:
-        g2 = sample()
-        if g2 not in g1:
-            break
+    while (g2 := sample()) in g1:
+        pass
     gens = [g2] + [_add(e, g2, q) for q in g1]
     return [g1] + [_multiples(e, g, ell) for g in gens]
 
 
-def _other_subgroup_point(subgroups, chosen: CurvePoint) -> CurvePoint:
-    return next(g for g in subgroups if g != chosen)
-
-
 def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
-    """Non-backtracking walk of e steps of degree ell, deterministic per seed."""
+    """Non-backtracking walk of e steps of degree ell, deterministic per seed:
+    each step is drawn among the kernels of _children, along cached edges."""
     require_rational_ell(e0.p, ell)
     if not is_supersingular(e0):
         # Isogenous curves share the point count, so one check covers the walk.
         raise NoSuchOrder(f"{e0} is not supersingular")
     rng = random.Random(("walk", repr(seed)).__repr__())
-    chain = IsogenyChain(e0)
-    forbidden = None
+    path = [(*_entry(e0, ell), None)]
     for _ in range(e):
-        subgroups = ell_torsion_subgroups(chain.codomain, ell)
-        allowed = [g for g in subgroups if g.xy != forbidden]
-        kernel = allowed[rng.randrange(len(allowed))]
-        step = kernel.step(chain.codomain, ell)
-        aux = _other_subgroup_point(subgroups, kernel)
-        forbidden = _canonical_generator(step.codomain, step._image(aux.xy), ell)
-        chain = chain.extended(step)
-    return chain
+        allowed = _children(path[-1], ell)
+        entry, s, _ = path[-1]
+        i = allowed[rng.randrange(len(allowed))]
+        _, _, target, c, dual = _edge(entry, i, ell, True)
+        path[-1:] = [(entry, s, i), (target, _mul(s, c, e0.p), dual)]
+    return _chain_of(e0, path[:-1], ell)
 
 
 def isomorphism_scales(src: CurveSpec, dst: CurveSpec) -> list[Fp2]:
@@ -402,19 +441,35 @@ def _meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
     the j keys its r-walks reach; keys the (j, _iso_invariant) of each
     b-walk's codomain and its image of `image`, or None if b = 0.  Raises
     NoSuchOrder if E[ell] of the target is not rational (b > 0)."""
-    leaves = list(_walks(target, ell, b, image))
-    layers = [{target.jkey}]
-    layers += [{w.steps[r].codomain.jkey for w, _ in leaves} for r in range(b)]
     if not b:
-        return layers, None
-    return layers, {(w.codomain.jkey, _iso_invariant(w.codomain, xy)) for w, xy in leaves}
+        return [{target.jkey}], None
+    leaves = [([node[0][0] for node in path[1:]] + [curve], xy)
+              for path, curve, _, xy in _leaves(target, ell, b, image)]
+    layers = [{target.jkey}] + [{curves[r].jkey for curves, _ in leaves} for r in range(b)]
+    return layers, {(curves[-1].jkey, _iso_invariant(curves[-1], xy)) for curves, xy in leaves}
 
 
 def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
-    """(chain, the xy tuple of its image of point) for the non-backtracking
-    length-e walks out of e0, kernels in canonical sorted order.  The search
-    is depth first and takes each chain's children in increasing kernel key
-    order, so the walks come out in strictly increasing sort_key order.
+    """(chain, the xy tuple of its image of point) for each walk of _leaves,
+    in its order."""
+    for path, _, s, xy in _leaves(e0, ell, e, point, meet):
+        yield _chain_of(e0, path, ell), _moved(xy, s, e0.p)
+
+
+def _leaves(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
+    """(path, curve, s, xy) for the non-backtracking walks of length e >= 1
+    out of e0, kernels in canonical sorted order.  path lists the walk's
+    steps, each (entry, s, i): out of the curve psi_s(R) for entry's R, with
+    kernel (psi_s of) subgroup i.  The walk ends on psi_s(curve), curve the
+    codomain of its last edge's Velu step, and xy is its image of point in
+    curve's coordinates.  The search is depth first and takes each node's
+    children in increasing kernel key order, so the walks come out in
+    strictly increasing sort_key order.
+
+    A node is (entry, s, dual), its points held in R's coordinates (see
+    _children).  Its child i is its entry's edge i, with scale s*c and its
+    points' images under the edge's step, so no Velu step is built once the
+    edges are; a leaf child is Velu's codomain and scale s.
 
     meet = _meet(target, ell, b, image), b = e // 2, prunes the walks that
     cannot end on target with point sent to image.  A child with r <= b
@@ -425,43 +480,40 @@ def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
     maps point to image passes: the dual of psi, after the isomorphism onto
     target, is such an r-walk psi' out of target, ending on j(codomain of
     F).  [ell^b]point is computed once on e0 and its image carried down each
-    walk to that depth, as F([ell^b]P) = [ell^b]F(P); a child's image of
-    point is taken only once it passes.  Each child's steps chain by
-    construction, so no link is checked.
+    walk to that depth, as F([ell^b]P) = [ell^b]F(P).  An edge's target,
+    scale and dual are resolved only for an inner child that passes, and a
+    target's E[ell] is sampled only once a walk expands it.
     """
     layers, keys = meet
-    b = len(layers) - 1
-    carried = scalar_mul(e0, ell**b, point).xy if keys is not None else None
-    stack = [((), e0, point.xy, carried, None)]
+    b, p = len(layers) - 1, e0.p
+    entry, s = _entry(e0, ell)
+    to_entry = _inv(s, p)
+    carried = None if keys is None else _moved(scalar_mul(e0, ell**b, point).xy, to_entry, p)
+    stack = [(((entry, s, None),), _moved(point.xy, to_entry, p), carried)]
     while stack:
-        steps, current, mapped, carried, forbidden = stack.pop()
-        if len(steps) == e:
-            yield _chain(e0, steps), mapped
-            continue
-        # Steps a child still has to take after its own.
-        remaining = e - len(steps) - 1
-        subgroups = ell_torsion_subgroups(current, ell)
-        for kernel in reversed(subgroups):
-            if kernel.xy == forbidden:
+        path, mapped, carried = stack.pop()
+        entry, s, _ = path[-1]
+        # Steps a child still has to take after its own.  Leaf children come
+        # out at once, smallest first; inner ones go on the stack, smallest
+        # on top.
+        remaining = e - len(path)
+        order = _children(path[-1], ell)
+        for i in reversed(order) if remaining else order:
+            velu = _edge(entry, i, ell, False)[0]
+            j_key = velu.codomain.jkey
+            if remaining <= b and j_key not in layers[remaining]:
                 continue
-            step = kernel.step(current, ell)
-            codomain = step.codomain
-            if remaining <= b:
-                j_key = codomain.jkey
-                if j_key not in layers[remaining]:
-                    continue
-            moved = None if carried is None else step._image(carried)
-            if remaining == b and moved is not None:
-                if (j_key, _iso_invariant(codomain, moved)) not in keys:
-                    continue
-                moved = None
-            child = step._image(mapped)
-            next_forbidden = None
-            if remaining:
-                # A leaf never expands, so it needs no kernel to forbid.
-                aux = _other_subgroup_point(subgroups, kernel)
-                next_forbidden = _canonical_generator(codomain, step._image(aux.xy), ell)
-            stack.append((steps + (step,), codomain, child, moved, next_forbidden))
+            if remaining == b and carried is not None and (
+                    j_key, _iso_invariant(velu.codomain, velu._image(carried))) not in keys:
+                continue
+            if not remaining:
+                yield path[:-1] + ((entry, s, i),), velu.codomain, s, velu._image(mapped)
+                continue
+            _, step, target, c, dual = _edge(entry, i, ell, True)
+            # [ell^b]point is carried only down to the meet.
+            moved = step._image(carried) if remaining > b and carried is not None else None
+            stack.append((path[:-1] + ((entry, s, i), (target, _mul(s, c, p), dual)),
+                          step._image(mapped), moved))
 
 
 def recover_isogeny(e0: CurveSpec, e1: CurveSpec, point: CurvePoint, image: CurvePoint,
@@ -474,7 +526,7 @@ def recover_isogeny(e0: CurveSpec, e1: CurveSpec, point: CurvePoint, image: Curv
     walk's image of `point` to `image`.  The walks are pruned by one
     enumeration of the b-walks out of e1, b = e // 2: by the j-invariants
     those reach at each depth, and by a meet in the middle at depth b (see
-    _walks).  _walks takes children in increasing kernel key order, so its
+    _leaves).  _leaves takes children in increasing kernel key order, so its
     walks come in increasing sort_key order, and the pruning skips only
     walks that cannot match: the first match is the smallest over all
     walks, and the search stops there.  Its final step is rescaled so its
@@ -488,7 +540,10 @@ def recover_isogeny(e0: CurveSpec, e1: CurveSpec, point: CurvePoint, image: Curv
         raise NotOnCurve("torsion point not on the starting curve")
     if not is_on_curve(e1, image):
         raise NotOnCurve("image point not on the target curve")
-    require_rational_ell(e0.p, ell)
+    # Refuses an ell that is not a prime dividing p+1, and E0 if its E[ell]
+    # is not rational; the one public torsion lookup of a recovery, whose
+    # distinct j perfbench/layers.py divides its counts by.
+    ell_torsion_subgroups(e0, ell)
     if not is_supersingular(e0):
         raise NoSuchOrder(f"{e0} is not supersingular")
     if e <= 0:

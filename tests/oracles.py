@@ -1,7 +1,9 @@
 """Reference answers for the tests: brute-force oracles, quadratic in p,
 for the closed-form arithmetic in isoshare; the unpruned walk enumeration
-of the recovery search, and the smallest matching walk among it, against
-which the pruned search is checked; the chord-and-tangent law and the
+of the recovery search, on Velu steps of each actual model that forbid
+each step's dual by its canonical generator, and the smallest matching
+walk among it, against which the pruned search over cached edges is
+checked; the chord-and-tangent law and the
 j-invariant on Fp2 objects, against which the int-coordinate kernels in
 isoshare.curves are checked; Velu's formulas in translation-sum form, with
 that law, against which the steps' pair sums and rational images are checked;
@@ -33,8 +35,7 @@ from isoshare.errors import Ambiguous, Inconsistent, IsoshareError
 from isoshare.fields import PRIMITIVE_POLY, Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
-    _canonical_generator,
-    _other_subgroup_point,
+    _multiples,
     ell_torsion_subgroups,
     evaluate_chain,
     isomorphism_scales,
@@ -151,6 +152,15 @@ def translation_image(step, pt: CurvePoint) -> CurvePoint:
     return CurvePoint(u * u * x, u * u * u * y)
 
 
+def _canonical_generator(e: CurveSpec, gen, ell: int):
+    """Smallest xy tuple among the generators of <gen>, gen an xy tuple."""
+    return min(_multiples(e, gen, ell))
+
+
+def _other_subgroup_point(subgroups, chosen: CurvePoint) -> CurvePoint:
+    return next(g for g in subgroups if g != chosen)
+
+
 def exhaustive_walks(e0: CurveSpec, ell: int, e: int):
     """All non-backtracking length-e walks, kernels in canonical sorted order."""
     stack = [(IsogenyChain(e0), None)]
@@ -169,7 +179,7 @@ def exhaustive_walks(e0: CurveSpec, ell: int, e: int):
             next_forbidden = _canonical_generator(
                 step.codomain, step.evaluate(aux).key(), ell
             )
-            stack.append((chain.extended(step), next_forbidden))
+            stack.append((IsogenyChain(e0, chain.steps + (step,)), next_forbidden))
 
 
 @functools.cache

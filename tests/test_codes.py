@@ -161,7 +161,7 @@ def test_extract_rejects_noncodewords():
 def test_symbols_outside_the_field_are_refused():
     # Packed, a symbol of 2^r or more would carry into the next symbol's
     # bits, and encode would read a negative one from the end of a table;
-    # encode takes a float or a string for no symbol either.
+    # encode takes a float, a string or ERASED for no symbol either.
     code = ReedSolomonCode(3, 5)
     cw = list(code.encode([3, 1, 0]))
     for bad in (-1, 8, "1"):
@@ -169,7 +169,7 @@ def test_symbols_outside_the_field_are_refused():
             code.erasure_decode([bad] + cw[1:])
         with pytest.raises(ValueError):
             code.contains([bad] + cw[1:])
-    for bad in (-1, 8, 1.5, "7"):
+    for bad in (-1, 8, 1.5, "7", None):
         with pytest.raises(ValueError):
             code.encode([bad, 1, 0])
     binary = BinaryExpandedCode(4, 6)

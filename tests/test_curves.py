@@ -88,6 +88,32 @@ def test_point_order_exact(e0):
             assert not scalar_mul(e0, m // prime, q).is_infinity
 
 
+@pytest.mark.parametrize("p", [P, 59])
+def test_point_order_matches_brute_force(p):
+    # p + 1 = 432 = 2^4 * 3^3 and 60 = 2^2 * 3 * 5: the order of each point,
+    # and of multiples of it that drop each prime power in turn, is the
+    # first n with nP = O, found by adding P to itself.
+    e = CurveSpec(fp2_from_int(1, p), fp2_from_int(0, p), p)
+    rng = random.Random(f"order-{p}")
+    for _ in range(6):
+        q = random_point(e, rng)
+        for d in (1, 2, 3, 4, 5, 6, 8, 9, 27, 30, 144):
+            if (p + 1) % d:
+                continue
+            pt = scalar_mul(e, d, q)
+            n, acc = 1, pt
+            while not acc.is_infinity:
+                acc, n = point_add(e, acc, pt), n + 1
+            assert point_order(e, pt) == n, (p, d)
+    # On a curve whose group exponent does not divide p + 1, a point with
+    # (p + 1) P != O is refused.
+    ordinary = CurveSpec(fp2_from_int(1, p), Fp2(1, 1, p), p)
+    pt = next(pt for pt in (random_point(ordinary, rng) for _ in range(100))
+              if not scalar_mul(ordinary, p + 1, pt).is_infinity)
+    with pytest.raises(NotOnCurve):
+        point_order(ordinary, pt)
+
+
 def test_random_point_of_order(e0):
     assert random_point_of_order(e0, 1, "s") == INFINITY
     q = random_point_of_order(e0, 16, "s")

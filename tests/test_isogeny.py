@@ -312,12 +312,12 @@ def test_twist_of_cached_j_still_refused(e0):
         ell_torsion_subgroups(twist, 3)
 
 
-def test_extended_checks_the_new_link(e0):
+def test_chain_checks_each_link(e0):
     step = velu_step(e0, _some_kernel(e0, 3), 3)
-    chain = IsogenyChain(e0).extended(step)
+    chain = IsogenyChain(e0, [step])
     assert chain.steps == (step,) and chain.codomain == step.codomain
     with pytest.raises(NotOnCurve):
-        chain.extended(step)
+        IsogenyChain(e0, [step, step])
 
 
 def test_random_walk_shape_and_determinism(e0):
@@ -763,12 +763,15 @@ def test_meet_in_the_middle_bounds_the_search_work(e0, e0_large, monkeypatch):
     # pass over the j-graph before the meet built 658 for the e = 6
     # recovery at p = 10,079.  Draining every walk for the smallest match
     # and re-running Velu to rescale it built 438 and 114; stopping at the
-    # first match, rescaled without Velu, builds 203 and 113.  Each bound
-    # is that count plus 10%.
-    for start, e, seed, bound in ((e0, 8, "count8", 223), (e0_large, 6, "cold6", 124)):
+    # first match, rescaled without Velu, built 203 and 113, a step at
+    # every child.  On a cleared cache, building each graph edge once and
+    # the steps of each yielded chain off its representative models builds
+    # 108 and 87.  Each bound is that count plus 10%.
+    for start, e, seed, bound in ((e0, 8, "count8", 118), (e0_large, 6, "cold6", 95)):
         secret = random_walk(start, 3, e, seed)
         q = random_point_of_order(start, 16, seed + "p")
         image = evaluate_chain(secret, q)
+        _torsion_cache.clear()
         built = _counting_steps(monkeypatch)
         found = recover_isogeny(start, secret.codomain, q, image, 3, e)
         monkeypatch.undo()
@@ -782,7 +785,10 @@ def test_search_work_is_bounded(e0, monkeypatch):
     # child at the meet took 26 scalar_muls; the carried [ell^b]P takes 1.
     # The search's work is its Velu steps, not Fp2 products: with its
     # kernels on (c0, c1) ints it multiplies no Fp2 objects (it took 309
-    # products before).  It builds 74 steps; the bound is that plus 10%.
+    # products before).  A step at every child built 74 steps; walking the
+    # cached edges, it builds only the steps of the one chain it yields that
+    # leave a model other than their j's representative, here 5.  The
+    # bound is that count plus 10%.
     secret = random_walk(e0, 3, 6, "work-6")
     q = random_point_of_order(e0, 16, "work-6p")
     image = evaluate_chain(secret, q)
@@ -800,7 +806,7 @@ def test_search_work_is_bounded(e0, monkeypatch):
     monkeypatch.undo()
     assert evaluate_chain(found, q) == image
     assert len(smuls) == 1
-    assert len(built) <= 81, len(built)
+    assert len(built) <= 5, len(built)
 
 
 def test_warm_recovery_builds_no_fp2(e0, monkeypatch):
@@ -844,3 +850,75 @@ def test_search_steps_sum_the_listed_subgroup_points(monkeypatch):
     monkeypatch.undo()
     assert evaluate_chain(found, q) == image
     assert not adds
+
+
+@pytest.mark.parametrize("p", [431, P_LARGE])
+def test_edge_search_matches_the_oracle_cold_and_warm(p):
+    # The search walks cached edges: each is computed out of the first
+    # model of its j looked up, and a node is that model and a scale.  Its
+    # answer must be the oracle's smallest match whichever model of a j the
+    # cache holds: starts at j = 1728 (E0) and j = 0, targets at j = 0 and
+    # 1728 where a walk ends there and the first and last walk, each as the
+    # model the walk reaches and as a scaled one.  Each target is recovered
+    # once on a cleared cache and once on the warm cache that the other
+    # model's recovery left, which holds another model of its j.
+    u = Fp2(5, 7, p)
+    special = {fp2_from_int(j, p).key() for j in (0, 1728)}
+    ends = set()
+    starts = [CurveSpec(fp2_from_int(1, p), fp2_from_int(0, p), p),
+              CurveSpec(fp2_from_int(0, p), fp2_from_int(1, p), p)]
+    for start in starts:
+        for e in range(1, 6):
+            walks = list(exhaustive_walks(start, 3, e))
+            secrets = [walks[0], walks[-1]]
+            for j_key in special:
+                walk = next((w for w in walks if j_invariant(w.codomain).key() == j_key), None)
+                if walk is not None:
+                    ends.add(j_key)
+                    secrets.append(walk)
+            q = random_point_of_order(start, 16, f"edges-{p}-{e}")
+            for secret in secrets:
+                image = evaluate_chain(secret, q)
+                cases = [(secret.codomain, image), (_scaled(secret.codomain, u), _moved(image, u))]
+                expected = [smallest_matching_walk(start, target, q, target_image, 3, e)
+                            for target, target_image in cases]
+                assert None not in expected
+                for order in ((0, 1), (1, 0)):
+                    _torsion_cache.clear()
+                    for k in order:
+                        target, target_image = cases[k]
+                        found = recover_isogeny(start, target, q, target_image, 3, e)
+                        assert found.sort_key() == expected[k], (p, e, secret.sort_key(), k)
+                        assert found.codomain == target
+                        assert evaluate_chain(found, q) == target_image
+    assert ends == special
+
+
+def _cached_edges(p, ell):
+    """Entries and filled edges in the torsion cache for (p, ell), twists
+    of a j included."""
+    entries = edges = 0
+    for key, entry in _torsion_cache.items():
+        while key[:2] == (p, ell) and entry is not None:
+            entries += 1
+            edges += sum(edge is not None for edge in entry[2])
+            entry = entry[3]
+    return entries, edges
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_cached_edges_are_bounded_by_the_graph(e0, ell):
+    # p = 431 has 37 supersingular j-invariants, so the ell-isogeny graph
+    # has 37 vertices and (ell+1)*37 edges: however many recoveries run, the
+    # cache holds at most that many entries and edges.
+    _torsion_cache.clear()
+    for k in range(40):
+        e = 1 + k % 7
+        secret = random_walk(e0, ell, e, f"bound-{ell}-{k}")
+        q = random_point_of_order(e0, 16 if ell == 3 else 27, f"bound-{ell}-{k}p")
+        image = evaluate_chain(secret, q)
+        found = recover_isogeny(e0, secret.codomain, q, image, ell, e)
+        assert evaluate_chain(found, q) == image
+    entries, edges = _cached_edges(e0.p, ell)
+    assert entries <= 37
+    assert 0 < edges <= (ell + 1) * 37, edges
