@@ -3,7 +3,8 @@ and audit parameters.
 
 Exit codes: 0 ok, 2 invalid config, params, input file or share set, 3 I/O
 failure, 4 not enough shares, 5 digest mismatch, 6 corrupted share or
-codeword.
+codeword.  The commands raise library errors as they come; main maps each
+through ERROR_EXITS.
 """
 
 import argparse
@@ -14,14 +15,10 @@ from .codec import bits_to_int, int_to_bits
 from .codes import BinaryExpandedCode
 from .curves import CurveSpec, j_invariant, random_point_of_order
 from .errors import (
-    DuplicateShare,
     Inconsistent,
     InvalidEncoding,
-    InvalidParams,
     IsoshareError,
-    LengthMismatch,
     NoIsogenyFound,
-    NoSuchOrder,
     NotACodeword,
     NotEnoughShares,
 )
@@ -47,6 +44,16 @@ EXIT_NOT_ENOUGH = 4
 EXIT_DIGEST = 5
 EXIT_CORRUPT = 6
 
+# The exit code of each library error that reaches main; any other
+# IsoshareError is invalid input, EXIT_INVALID.
+ERROR_EXITS = {
+    NotEnoughShares: EXIT_NOT_ENOUGH,
+    Inconsistent: EXIT_CORRUPT,
+    NotACodeword: EXIT_CORRUPT,
+    InvalidEncoding: EXIT_CORRUPT,
+    NoIsogenyFound: EXIT_CORRUPT,
+}
+
 # The largest e_iso a config or public file may name.  The recovery search
 # meets in the middle, but its work still grows exponentially in e_iso: a
 # cold demo `recover` takes 0.08 s at 9 and 0.10 s at 10 (median of 21,
@@ -55,16 +62,18 @@ EXIT_CORRUPT = 6
 MAX_E_ISO = 10
 
 # The largest ell_iso a config or public file may name.  `deal` lists all
-# ell^2 points of E[ell]: cold, at e_iso = 1 (CPython 3.11, Xeon vCPU), it takes
-# 1.6-1.9 s at ell = 401, 4.1 s at 601, 11 s at 1,009; `recover` about twice that.
+# ell^2 points of E[ell]: cold, at e_iso = 1 (CPython 3.11, Xeon vCPU), a
+# whole `deal` of the [186,80] code at p = 9,623 takes 0.35-0.53 s at
+# ell = 401 and a `recover` from 24 shares 0.45-0.67 s; its one-step walk
+# alone takes 0.31 s at ell = 401, 0.50 s at 601 and 1.7 s at 1,009.
 # The two ceilings alone still let ell and e_iso grow together, so the
 # search's work, at most (ell+1)*ell^(e_iso-1) walks of O(ell) Velu steps, is
 # bounded by its value at ell = 3 and e_iso = MAX_E_ISO: (ell+1)*ell^e_iso <= 4*3^MAX_E_ISO.
 MAX_ELL_ISO = 401
 
 # The largest code.r a config or public file may name.  A cold code build
-# grows about 3-5x per step of r (CPython 3.11, Xeon vCPU): 0.02 s at r = 6,
-# 0.06-0.09 s at r = 7 and 0.29-0.36 s at r = 8 for BinaryExpandedCode(r, 6),
+# grows about 4-6x per step of r (CPython 3.11, Xeon vCPU): 0.02 s at r = 6,
+# 0.07-0.09 s at r = 7 and 0.44-0.46 s at r = 8 for BinaryExpandedCode(r, 6),
 # most of it reading the checks off the systematic rows (linalg.nullspace)
 # and assembling the expanded rows, each some r * 4^r steps.
 MAX_CODE_R = 6
@@ -258,12 +267,9 @@ def cmd_deal(args) -> int:
     seed = args.seed or config.get("seed", "0")
     walk_seed = hashlib.sha256(f"{seed}/walk".encode()).hexdigest()
     point_seed = hashlib.sha256(f"{seed}/point".encode()).hexdigest()
-    try:
-        secret = random_walk(params.curve, params.ell_iso, params.e_iso, walk_seed)
-        point = random_point_of_order(params.curve, params.torsion_order, point_seed)
-        deal = share_isogeny_path(secret, point, params, force=args.force)
-    except IsoshareError as ex:
-        raise CliError(EXIT_INVALID, f"cannot deal: {ex}") from ex
+    secret = random_walk(params.curve, params.ell_iso, params.e_iso, walk_seed)
+    point = random_point_of_order(params.curve, params.torsion_order, point_seed)
+    deal = share_isogeny_path(secret, point, params, force=args.force)
     context = _context_lines(params, deal.e1)
     digest = context_digest(context)
     try:
@@ -326,16 +332,7 @@ def load_share(path: str, digest: str, gamma: int) -> Share:
 def cmd_recover(args) -> int:
     params, e1, digest = load_public(args.public)
     shares = [load_share(path, digest, params.gamma) for path in args.shares]
-    try:
-        result = recover_isogeny_path(shares, params, e1)
-    except (InvalidParams, DuplicateShare) as ex:
-        raise CliError(EXIT_INVALID, f"bad share set: {ex}") from ex
-    except (NoSuchOrder, LengthMismatch) as ex:
-        raise CliError(EXIT_INVALID, f"bad public parameters: {ex}") from ex
-    except NotEnoughShares as ex:
-        raise CliError(EXIT_NOT_ENOUGH, f"not enough shares: {ex}") from ex
-    except (Inconsistent, NotACodeword, InvalidEncoding, NoIsogenyFound) as ex:
-        raise CliError(EXIT_CORRUPT, f"corrupted share data: {ex}") from ex
+    result = recover_isogeny_path(shares, params, e1)
     print(f"degree: {result.chain.degree}")
     print(f"steps: {len(result.chain.steps)}")
     for i, step in enumerate(result.chain.steps):
@@ -406,6 +403,9 @@ def main(argv=None) -> int:
     except CliError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return ex.code
+    except IsoshareError as ex:
+        print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return ERROR_EXITS.get(type(ex), EXIT_INVALID)
 
 
 if __name__ == "__main__":

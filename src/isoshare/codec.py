@@ -7,9 +7,9 @@ is 1 iff y is the canonical square root of x^3 + a x + b, so decoding is
 unambiguous.  Padding must be zero, making corruption detectable.
 """
 
-from .curves import CurvePoint, CurveSpec, _point, is_on_curve
-from .errors import IdentityNotEncodable, InvalidEncoding, LengthTooSmall, NotOnCurve
-from .fields import _sqrt
+from .curves import CurvePoint, CurveSpec, _checked, _point
+from .errors import IdentityNotEncodable, InvalidEncoding, LengthTooSmall
+from .fields import GF2, _sqrt
 
 
 def component_bits(p: int) -> int:
@@ -39,13 +39,11 @@ def bits_to_int(bits) -> int:
 def encode_point(e: CurveSpec, pt: CurvePoint, length: int) -> tuple[int, ...]:
     if pt.is_infinity:
         raise IdentityNotEncodable("the identity has no affine encoding")
-    if not is_on_curve(e, pt):
-        raise NotOnCurve(f"{pt} not on {e}")
+    x0, x1, y0, y1 = _checked(e, pt)
     width = component_bits(e.p)
     needed = min_encoding_length(e.p)
     if length < needed:
         raise LengthTooSmall(f"L = {length} < {needed} for p = {e.p}")
-    x0, x1, y0, y1 = pt.xy
     sign = 1 if (y0, y1) == _sqrt(e._rhs(x0, x1), e.p) else 0
     bits = int_to_bits(x0, width) + int_to_bits(x1, width)
     return (sign,) + bits + (0,) * (length - needed)
@@ -54,7 +52,7 @@ def encode_point(e: CurveSpec, pt: CurvePoint, length: int) -> tuple[int, ...]:
 def decode_point(e: CurveSpec, bits) -> CurvePoint:
     width = component_bits(e.p)
     needed = min_encoding_length(e.p)
-    if any(b not in (0, 1) for b in bits):
+    if not GF2._are_elements(bits):
         raise InvalidEncoding("bits must be 0 or 1")
     if len(bits) < needed:
         raise InvalidEncoding(f"encoding shorter than {needed} bits")

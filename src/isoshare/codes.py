@@ -34,7 +34,6 @@ from .errors import (
 from .fields import GF2, BinaryField
 
 ERASED = None
-_SYMBOL_TYPES = frozenset({int, bool, type(ERASED)})
 
 
 def rs_generator_poly(r: int, d: int, m: int = 0) -> list[int]:
@@ -80,7 +79,6 @@ class LinearCode:
         self.length = length
         self.kind = kind
         self.design_distance = design_distance
-        self._alphabet = frozenset(range(field.size)) | {ERASED}
         # Row g over GF(2^r) spans g, x*g, ..., x^(r-1)*g over GF(2).  x*g
         # shifts every symbol up one bit and reduces each that overflowed
         # (its top bit, in `top`) by x^r = `low`.
@@ -114,16 +112,12 @@ class LinearCode:
         self._par_bits = linalg.nullspace(reduced, pivots, r * length)
         self._info_bits = sum(1 << pc for pc in pivots)
 
-    def _check_symbols(self, symbols):
-        # A symbol outside the field would carry into its neighbour's bits,
-        # and a float such as 1.0 equals its int but cannot be shifted.
-        if not (self._alphabet.issuperset(symbols)
-                and _SYMBOL_TYPES.issuperset(map(type, symbols))):
+    def _pack(self, word, erased=False):
+        """A word as an int, symbol j at bits r*j on; ERASED, allowed only
+        where `erased`, packs as 0.  A symbol outside the field would carry
+        into its neighbour's bits, so it is refused."""
+        if not self.field._are_elements(word, erased):
             raise ValueError(f"symbols must be ints in 0..{self.field.size - 1}")
-
-    def _pack(self, word):
-        """A word as an int, symbol j at bits r*j on; ERASED packs as 0."""
-        self._check_symbols(word)
         r = self.field.r
         return sum(s << r * j for j, s in enumerate(word) if s)
 
@@ -139,9 +133,8 @@ class LinearCode:
             raise LengthMismatch(
                 f"message length {len(msg)} != dimension {self.dimension}"
             )
-        if ERASED in msg:
-            raise ValueError("a message symbol cannot be ERASED")
-        self._check_symbols(msg)
+        if not self.field._are_elements(msg):
+            raise ValueError(f"symbols must be ints in 0..{self.field.size - 1}")
         bits = 0
         for coeff, table in zip(msg, self._multiples):
             bits ^= table[coeff]
@@ -176,7 +169,7 @@ class LinearCode:
         erased = sum(full << r * j for j, s in enumerate(word) if s is ERASED)
         unknown = erased & self._info_bits
         erased_checks = erased ^ unknown
-        known = self._pack(word)
+        known = self._pack(word, erased=True)
         rows, rhs, deferred = [], [], []
         for h in self._par_bits:
             if h & erased_checks:
@@ -278,6 +271,8 @@ def contract_binary(base: ReedSolomonCode, word):
         raise LengthMismatch(
             f"binary word length {len(word)} != {block * base.length}"
         )
+    if not GF2._are_elements(word, erased=True):
+        raise ValueError("bits must be ints 0 or 1, or ERASED")
     erase_damaged_blocks(word, r)
     return [ERASED if word[i] is ERASED else
             sum(b << j for j, b in enumerate(word[i : i + r]))

@@ -261,12 +261,26 @@ class BinaryField:
         self.r = r
         self.poly = PRIMITIVE_POLY[r]
         self.size = 1 << r
+        elements = frozenset(range(self.size))
+        # Per `erased`, the types and the values a symbol may have.
+        self._allowed = {False: (frozenset({int, bool}), elements),
+                         True: (frozenset({int, bool, type(None)}), elements | {None})}
 
     def __call__(self, val: int) -> int:
         """val itself, once checked to be an element."""
-        if type(val) not in (int, bool) or not 0 <= val < self.size:
+        if not self._are_elements((val,)):
             raise ValueError(f"value {val!r} outside GF(2^{self.r})")
         return val
+
+    def _are_elements(self, symbols, erased=False) -> bool:
+        """Whether every symbol is an element: an int or bool in
+        0 .. 2^r - 1, or None where `erased` (isoshare.codes' ERASED, which
+        only its decoding allows).  Types are checked before values, so an
+        unhashable value is refused rather than raised on, and a float such
+        as 1.0, equal to an element, is none: packed into a word it could
+        not be shifted into place."""
+        types, values = self._allowed[erased]
+        return types.issuperset(map(type, symbols)) and values.issuperset(symbols)
 
     def mul(self, a: int, b: int) -> int:
         """a * b mod poly, for an element a and any polynomial b (so

@@ -34,8 +34,8 @@ an Fp2 or CurvePoint is built only for a caller that reads one.
 import math
 import random
 
-from .curves import CurvePoint, CurveSpec, _add, _point, _times, is_on_curve
-from .curves import is_supersingular, random_point, scalar_mul
+from .curves import CurvePoint, CurveSpec, _add, _checked, _point, _times
+from .curves import is_on_curve, is_supersingular, random_point, scalar_mul
 from .errors import BadKernel, NoIsogenyFound, NoSuchOrder, NotOnCurve
 from .fields import Fp2, _div, _inv, _mul, _pow, _sqrt, is_prime
 
@@ -104,9 +104,7 @@ class IsogenyStep:
         return new
 
     def evaluate(self, pt: CurvePoint) -> CurvePoint:
-        if not is_on_curve(self.domain, pt):
-            raise NotOnCurve(f"{pt} not on step domain")
-        return _point(self._image(pt.xy), self.domain.p)
+        return _point(self._image(_checked(self.domain, pt)), self.domain.p)
 
     def _image(self, xy):
         """evaluate on an xy tuple, unchecked: for a point derived from
@@ -181,9 +179,7 @@ def _chain(domain: CurveSpec, steps: tuple) -> IsogenyChain:
 
 
 def evaluate_chain(chain: IsogenyChain, pt: CurvePoint) -> CurvePoint:
-    if not is_on_curve(chain.domain, pt):
-        raise NotOnCurve(f"{pt} not on chain domain")
-    xy = pt.xy
+    xy = _checked(chain.domain, pt)
     for step in chain.steps:
         xy = step._image(xy)
     return _point(xy, chain.domain.p)
@@ -536,10 +532,8 @@ def recover_isogeny(e0: CurveSpec, e1: CurveSpec, point: CurvePoint, image: Curv
     isogenous to it then has E = (Z/(p+1))^2, so a target whose E[ell] is
     not rational ends the search at once with NoIsogenyFound.
     """
-    if not is_on_curve(e0, point):
-        raise NotOnCurve("torsion point not on the starting curve")
-    if not is_on_curve(e1, image):
-        raise NotOnCurve("image point not on the target curve")
+    _checked(e0, point)
+    _checked(e1, image)
     # Refuses an ell that is not a prime dividing p+1, and E0 if its E[ell]
     # is not rational; the one public torsion lookup of a recovery, whose
     # distinct j perfbench/layers.py divides its counts by.

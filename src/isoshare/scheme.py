@@ -23,7 +23,7 @@ from .errors import (
     NoSuchOrder,
     NotEnoughShares,
 )
-from .fields import factorize
+from .fields import GF2, factorize
 from .isogeny import IsogenyChain, evaluate_chain, recover_isogeny, require_rational_ell
 
 
@@ -261,10 +261,6 @@ def share_isogeny_path(
     )
 
 
-_BITS = frozenset({0, 1})
-_BIT_TYPES = frozenset({int, bool})
-
-
 def _check_shares(shares, params: SchemeParams) -> dict[int, tuple[int, ...]]:
     by_index: dict[int, tuple[int, ...]] = {}
     for share in shares:
@@ -277,9 +273,7 @@ def _check_shares(shares, params: SchemeParams) -> dict[int, tuple[int, ...]]:
                 f"share {share.index} has {len(share.bits)} bits, "
                 f"expected {params.gamma}"
             )
-        # A float 1.0 equals 1 but cannot be packed into a word.
-        if not (_BITS.issuperset(share.bits)
-                and _BIT_TYPES.issuperset(map(type, share.bits))):
+        if not GF2._are_elements(share.bits):
             raise InvalidParams(f"share {share.index} has a bit other than the int 0 or 1")
         by_index[share.index] = tuple(share.bits)
     return by_index

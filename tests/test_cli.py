@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isoshare.cli
 from isoshare.cli import (
     EXIT_CORRUPT,
     EXIT_DIGEST,
@@ -30,6 +31,18 @@ from isoshare.cli import (
     load_public,
     load_share,
     main,
+)
+from isoshare.errors import (
+    DuplicateShare,
+    Inconsistent,
+    InvalidEncoding,
+    InvalidParams,
+    LengthMismatch,
+    NoIsogenyFound,
+    NoSuchOrder,
+    NotACodeword,
+    NotEnoughShares,
+    NotOnCurve,
 )
 from isoshare.fields import is_prime
 from isoshare.isogeny import random_walk
@@ -541,6 +554,61 @@ def test_malformed_input_exit_codes(case, dealt, tmp_path):
     assert "Traceback" not in proc.stderr
     if stdout_line is not None:
         assert stdout_line in proc.stdout.splitlines()
+
+
+# Inputs refused with exit 2 before any recovery or deal, run in this
+# process so that a line trace of the suite reaches each refusal.
+REFUSED = {
+    "same-index-in-two-files": lambda d, tmp: _recover(d, _share(d, 0), _edited(
+        _share(d, 1), tmp, "\nindex 1\n", "\nindex 0\n")),
+    "index-outside-n": lambda d, tmp: _recover(d, _share(d, 0), _edited(
+        _share(d, 1), tmp, "\nindex 1\n", "\nindex 3\n")),
+    "gamma-unlike-the-public-file": lambda d, tmp: _recover(d, _share(d, 0), _edited(
+        _share(d, 1), tmp, "\ngamma 25\n", "\ngamma 24\n")),
+    "config-line-without-equals": lambda d, tmp: [
+        "check", "-c", _config(tmp, "lambda = 8", "lambda 8")],
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_inputs_exit_invalid(case, dealt, tmp_path, capsys):
+    assert main(REFUSED[case](dealt, tmp_path)) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+
+
+def test_check_reports_a_curve_that_is_not_supersingular(tmp_path, capsys):
+    assert main(["check", "-c", _config(tmp_path, "b = 0", "b = 1")]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert "violation: starting curve is not supersingular" in out
+    assert "valid: no" in out
+
+
+# Each library error a recovery may end in, and its documented exit code.
+LIBRARY_EXITS = {
+    NotEnoughShares: EXIT_NOT_ENOUGH,
+    Inconsistent: EXIT_CORRUPT,
+    NotACodeword: EXIT_CORRUPT,
+    InvalidEncoding: EXIT_CORRUPT,
+    NoIsogenyFound: EXIT_CORRUPT,
+    DuplicateShare: EXIT_INVALID,
+    InvalidParams: EXIT_INVALID,
+    LengthMismatch: EXIT_INVALID,
+    NoSuchOrder: EXIT_INVALID,
+    NotOnCurve: EXIT_INVALID,
+}
+
+
+@pytest.mark.parametrize("error", list(LIBRARY_EXITS), ids=lambda cls: cls.__name__)
+def test_library_errors_end_in_their_exit_code(error, dealt, monkeypatch, capsys):
+    def fail(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(isoshare.cli, "recover_isogeny_path", fail)
+    assert main(_recover(dealt, _share(dealt, 0), _share(dealt, 1))) == LIBRARY_EXITS[error]
+    err = capsys.readouterr().err
+    assert err == f"error: {error.__name__}: injected\n"
+    assert "Traceback" not in err
 
 
 @settings(max_examples=40, deadline=timedelta(seconds=10), derandomize=True,

@@ -109,8 +109,9 @@ def test_decode_rejects_nonsquare_abscissa(e0):
 
 
 def test_decode_rejects_entries_other_than_bits(e0):
+    # A float equals its bit but is no int: it cannot be shifted into place.
     q = random_point(e0, random.Random(26))
-    for bad in (2, -1, "1"):
+    for bad in (2, -1, "1", 1.0, 0.0, [1]):
         bits = list(encode_point(e0, q, 25))
         bits[3] = bad
         with pytest.raises(InvalidEncoding):

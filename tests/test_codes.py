@@ -161,17 +161,24 @@ def test_extract_rejects_noncodewords():
 def test_symbols_outside_the_field_are_refused():
     # Packed, a symbol of 2^r or more would carry into the next symbol's
     # bits, and encode would read a negative one from the end of a table;
-    # encode takes a float, a string or ERASED for no symbol either.
+    # encode takes a float, a string or ERASED for no symbol either, and an
+    # unhashable value is refused, not raised on.  Only the decoder takes
+    # ERASED: contains and extract would read it as 0.
     code = ReedSolomonCode(3, 5)
     cw = list(code.encode([3, 1, 0]))
-    for bad in (-1, 8, "1"):
+    for bad in (-1, 8, "1", [1]):
         with pytest.raises(ValueError):
             code.erasure_decode([bad] + cw[1:])
         with pytest.raises(ValueError):
             code.contains([bad] + cw[1:])
-    for bad in (-1, 8, 1.5, "7", None):
+    for bad in (-1, 8, 1.5, "7", None, [1]):
         with pytest.raises(ValueError):
             code.encode([bad, 1, 0])
+    zero = list(code.encode([0, 0, 0]))
+    with pytest.raises(ValueError):
+        code.contains([ERASED] + zero[1:])
+    with pytest.raises(ValueError):
+        code.extract([ERASED] + zero[1:])
     binary = BinaryExpandedCode(4, 6)
     word = list(binary.encode([0] * binary.dimension))
     word[0] = 2
@@ -292,6 +299,10 @@ def test_contract_erases_damaged_blocks():
     assert symbols[2:] == list(cw[2:])
     with pytest.raises(LengthMismatch):
         contract_binary(base, bits[:-1])
+    # A bit of 2 would read as a symbol bit, and 1.0 or [1] is no bit.
+    for bad in (2, 1.0, [1]):
+        with pytest.raises(ValueError):
+            contract_binary(base, [bad] + bits[1:])
 
 
 @pytest.mark.parametrize("r, d, gamma", [

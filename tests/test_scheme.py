@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from isoshare.codes import BinaryExpandedCode
+from isoshare.codes import BinaryExpandedCode, hyperoval_code
 from isoshare.curves import random_point_of_order
 from isoshare.errors import (
     DuplicateShare,
@@ -150,6 +150,19 @@ def test_validate_rejects_ell_not_a_prime_dividing_p_plus_1(e0, ell):
     assert any(f"ell = {ell} " in v for v in report.violations)
 
 
+def test_erasure_capability_of_a_code_that_is_not_binary_expanded(e0):
+    # The [10, 3, 8] hyperoval code over GF(8) has no block structure, so
+    # its design distance decides: 8 - 1 >= gamma * (n - t) erased symbols
+    # holds for 2 * 3 and fails for 2 * 4.
+    for t, flagged in ((2, False), (1, True)):
+        params = SchemeParams(
+            n=5, t=t, gamma=2, curve=e0, torsion_order=N_TORSION, ell_iso=3, e_iso=2,
+            code=hyperoval_code(3), security_bits=8,
+        )
+        report = validate_params(params)
+        assert any("cannot correct" in v for v in report.violations) == flagged
+
+
 def test_validate_warns_on_squarefree_torsion(e0):
     params = SchemeParams(
         n=3, t=2, gamma=25, curve=e0, torsion_order=6, ell_iso=5, e_iso=1,
@@ -226,11 +239,11 @@ def test_duplicate_and_bad_shares_rejected(e0):
 
 def test_share_bits_other_than_0_or_1_are_refused(e0):
     # A share bit is one bit of the code word: a 2 would carry into the
-    # next bit of the packed word, and a -1 or a "1" is no bit at all.
+    # next bit of the packed word, and a -1, a "1" or a [1] is no bit at all.
     params = _params(e0, 3, 2, 25, 6)
     _, _, deal = _deal(e0, params)
     s0, s1 = deal.shares[:2]
-    for bad in (2, -1, "1"):
+    for bad in (2, -1, "1", [1]):
         bits = s0.bits[:3] + (bad,) + s0.bits[4:]
         with pytest.raises(InvalidParams, match="share 0"):
             recover_isogeny_path([Share(0, bits), s1], params, deal.e1)
