@@ -56,8 +56,9 @@ ERROR_EXITS = {
 
 # The largest e_iso a config or public file may name.  The recovery search
 # meets in the middle, but its work still grows exponentially in e_iso: a
-# cold demo `recover` takes 0.08 s at 9 and 0.10 s at 10 (median of 21,
-# CPython 3.11, Xeon vCPU), so an unbounded e_iso would deal a secret that no
+# cold demo `recover`, a whole fresh process, takes 0.10 s at 9 and at 10
+# (median of 21, CPython 3.11, shared Xeon vCPU, where a bare interpreter
+# starts in 0.05-0.06 s), so an unbounded e_iso would deal a secret that no
 # coalition recovers in bounded time.
 MAX_E_ISO = 10
 
@@ -252,17 +253,20 @@ def _parse_kv_file(path: str, magic: str) -> tuple[dict[str, str], list[str]]:
     return fields, lines
 
 
+def _print_findings(report) -> None:
+    """A validation report's warnings, then its violations, one a line."""
+    for kind, findings in (("warning", report.warnings), ("violation", report.violations)):
+        for finding in findings:
+            print(f"{kind}: {finding}")
+
+
 def cmd_deal(args) -> int:
     config = parse_config(args.config)
     params = build_params(config, args.config)
     report = validate_params(params)
-    for warning in report.warnings:
-        print(f"warning: {warning}")
-    if not report.ok:
-        for violation in report.violations:
-            print(f"violation: {violation}")
-        if not args.force:
-            raise CliError(EXIT_INVALID, "parameter validation failed")
+    _print_findings(report)
+    if not report.ok and not args.force:
+        raise CliError(EXIT_INVALID, "parameter validation failed")
     import hashlib
     seed = args.seed or config.get("seed", "0")
     walk_seed = hashlib.sha256(f"{seed}/walk".encode()).hexdigest()
@@ -362,10 +366,7 @@ def cmd_check(args) -> int:
     for condition in ("width", "distance"):
         print(f"burst_{condition}_condition: "
               f"{'violated' if condition in burst else 'ok'}")
-    for warning in report.warnings:
-        print(f"warning: {warning}")
-    for violation in report.violations:
-        print(f"violation: {violation}")
+    _print_findings(report)
     print(f"valid: {'yes' if report.ok else 'no'}")
     return EXIT_OK
 

@@ -161,13 +161,13 @@ def scalar_mul(e: CurveSpec, k: int, pt: CurvePoint) -> CurvePoint:
 
 
 def _times(e: CurveSpec, k: int, xy):
-    """scalar_mul on an xy tuple, unchecked, by double and add."""
+    """scalar_mul on an xy tuple, unchecked, by double and add from the top
+    bit of k down, so no doubling is left over after the last bit."""
     result = ()
-    while k:
-        if k & 1:
+    for bit in bin(k)[2:]:
+        result = _add(e, result, result)
+        if bit == "1":
             result = _add(e, result, xy)
-        xy = _add(e, xy, xy)
-        k >>= 1
     return result
 
 

@@ -5,11 +5,17 @@ Acad. Sci. 1971): the kernel sums t, w that give the codomain (a - 5t,
 b - 7w), and the image of P, each take one point Q of every pair {Q, -Q}
 of nonzero kernel points, and an image costs one inversion per pair.  An
 optional post-composition with the isomorphism (x, y) -> (u^2 x, u^3 y)
-lets a recovered chain land exactly on a prescribed target curve.  The
-search meets in the middle: one enumeration of the walks of half the
-length out of the target gives the j-invariants each depth reaches and the
-keys at the middle, and these decide which walks out of the start are
-extended (see _leaves).
+lets a recovered chain land exactly on a prescribed target curve.  Velu's
+X is a function of x alone, so a step also images an x-only pair (x-only
+Velu, as in Costello and Hisil, ASIACRYPT 2017), skipping the Y sum.  The
+search meets in the middle: the walks of half the length out of the target
+give the j-invariants each depth reaches and the keys at the middle, and
+these decide which walks out of the start are extended (see _walks).  Those
+walks depend on the target's j alone, so they are kept as a tree on its
+cache entry, and a recovery carries only the x of its image down the tree
+(see _meet), as the keys read x alone.  The start's side carries only the x
+of [ell^b]P, down to the middle; a walk that passes every prune is then
+evaluated on P in full for the final match.
 
 Walks follow a cache of the ell-isogeny graph (_torsion_cache).  Velu's
 sums are homogeneous: under psi_s: (x, y) -> (s^2 x, s^3 y), t scales by
@@ -25,7 +31,13 @@ random_walk's, are built as chains of Velu steps on the actual models (a
 step out of R itself is its edge's).
 The cache holds per (p, ell) at most one entry and ell+1 edges for each
 j-invariant (about p/12 of them for supersingular curves) and isomorphism
-class met, each edge a step of ell // 2 kernel pairs.
+class met, each edge a step of ell // 2 kernel pairs.  An entry that has
+been the target of a recovery with b > 0 also holds, per such b, its tree
+of b-walks: one (parent index, edge) pair per r-walk, 1 <= r <= b, that is
+(ell+1) * (ell^b - 1) / (ell - 1) pairs of edges the cache holds, and the
+j-sets of its depths.  The tree saves work only when a process recovers
+onto a j whose tree an earlier recovery built; a cold recovery builds it
+at about the cost of one enumeration of the b-walks.
 
 All of it runs on the ints of isoshare.curves, scales u as (c0, c1) pairs;
 an Fp2 or CurvePoint is built only for a caller that reads one.
@@ -36,7 +48,7 @@ import random
 
 from .curves import CurvePoint, CurveSpec, _add, _checked, _point, _times
 from .curves import is_on_curve, is_supersingular, random_point, scalar_mul
-from .errors import BadKernel, NoIsogenyFound, NoSuchOrder, NotOnCurve
+from .errors import BadKernel, NoIsogenyFound, NoSuchOrder
 from .fields import Fp2, _div, _inv, _mul, _pow, _sqrt, is_prime
 
 
@@ -110,11 +122,13 @@ class IsogenyStep:
         """evaluate on an xy tuple, unchecked: for a point derived from
         checked ones, in Velu's rational form: X = x + sum(v/d + u/d^2),
         Y = y (1 - sum(v/d^2 + 2u/d^3)), d = x - x_Q, which is 0 only at
-        P = +-Q, mapped to O."""
+        P = +-Q, mapped to O.  X reads x alone (x-only Velu), so xy may be
+        an x-only (x0, x1) pair, whose image is X alone: the Y sum is
+        skipped."""
         if not xy:
             return ()
         p = self.domain.p
-        x0, x1, y0, y1 = xy
+        x0, x1, *y = xy
         sx0 = sx1 = sy0 = sy1 = 0
         for q0, q1, v0, v1, u0, u1 in self._pairs:
             d0, d1 = x0 - q0, x1 - q1
@@ -126,20 +140,23 @@ class IsogenyStep:
             f0, f1 = (u0 * i0 - u1 * i1) % p, (u0 * i1 + u1 * i0) % p
             r0, r1 = v0 + f0, v1 + f1
             sx0, sx1 = sx0 + r0 * i0 - r1 * i1, sx1 + r0 * i1 + r1 * i0
-            r0, r1 = r0 + f0, r1 + f1
-            j0, j1 = (i0 * i0 - i1 * i1) % p, 2 * i0 * i1 % p
-            sy0, sy1 = sy0 + r0 * j0 - r1 * j1, sy1 + r0 * j1 + r1 * j0
-        sy0, sy1 = sy0 % p, sy1 % p
-        y = (y0 - y0 * sy0 + y1 * sy1) % p, (y1 - y0 * sy1 - y1 * sy0) % p
-        return _moved(((x0 + sx0) % p, (x1 + sx1) % p) + y, self._u, p)
+            if y:
+                r0, r1 = r0 + f0, r1 + f1
+                j0, j1 = (i0 * i0 - i1 * i1) % p, 2 * i0 * i1 % p
+                sy0, sy1 = sy0 + r0 * j0 - r1 * j1, sy1 + r0 * j1 + r1 * j0
+        xy = (x0 + sx0) % p, (x1 + sx1) % p
+        if y:
+            xy += _mul(y, (1 - sy0, -sy1), p)
+        return _moved(xy, self._u, p)
 
 
 def _moved(xy, u, p: int):
-    """The image of an xy tuple under (x, y) -> (u^2 x, u^3 y)."""
+    """The image of an xy tuple, or of an x-only (x0, x1) pair, under
+    (x, y) -> (u^2 x, u^3 y)."""
     if not xy or u == (1, 0):
         return xy
     u2 = _mul(u, u, p)
-    return _mul(u2, xy[:2], p) + _mul(_mul(u2, u, p), xy[2:], p)
+    return _mul(u2, xy[:2], p) + (xy[2:] and _mul(_mul(u2, u, p), xy[2:], p))
 
 
 class IsogenyChain:
@@ -150,7 +167,7 @@ class IsogenyChain:
     def __init__(self, domain: CurveSpec, steps=()):
         steps = tuple(steps)
         if [step.domain for step in steps] != ([domain] + [s.codomain for s in steps])[:len(steps)]:
-            raise NotOnCurve("consecutive steps do not chain")
+            raise ValueError("consecutive steps do not chain")
         self.domain, self.steps = domain, steps
 
     @property
@@ -169,13 +186,6 @@ class IsogenyChain:
 
     def __repr__(self):
         return f"IsogenyChain(degree={self.degree}, steps={len(self.steps)})"
-
-
-def _chain(domain: CurveSpec, steps: tuple) -> IsogenyChain:
-    """IsogenyChain, unchecked: for steps that chain by construction."""
-    chain = object.__new__(IsogenyChain)
-    chain.domain, chain.steps = domain, steps
-    return chain
 
 
 def evaluate_chain(chain: IsogenyChain, pt: CurvePoint) -> CurvePoint:
@@ -214,15 +224,21 @@ def _step(domain: CurveSpec, points, ell: int) -> IsogenyStep:
     return object.__new__(IsogenyStep)._velu(domain, _point(min(points), domain.p), ell, points)
 
 
-# (p, ell, j) -> the entry [R, subgroups, edges, twist] of that j-invariant.
-# R is the first model of it that was looked up.  subgroups holds the xy
-# tuples of the ell-1 nonzero points of each of R's ell+1 cyclic subgroups
-# of E[ell], each list in _multiples order, sampled when first needed.
-# edges[i] is the ell-step out of R with kernel subgroup i (see _edge), or
-# None until a walk takes it.  twist is the entry of the next model of that
-# j found with no isomorphism onto R, or None.  The curves of one j that
-# walks out of a supersingular E0 reach are all isomorphic over GF(p^2), so
-# such walks fill at most ell+1 edges per supersingular j-invariant.
+# (p, ell, j) -> the entry [R, subgroups, edges, twist, trees] of that
+# j-invariant.  R is the first model of it that was looked up.  subgroups
+# holds the xy tuples of the ell-1 nonzero points of each of R's ell+1
+# cyclic subgroups of E[ell], each list in _multiples order, sampled when
+# first needed.  edges[i] is the ell-step out of R with kernel subgroup i
+# (see _edge), or None until a walk takes it.  twist is the entry of the
+# next model of that j found with no isomorphism onto R, or None.  trees
+# maps b to the j-sets and b-walks out of R as _meet builds them, once per
+# b > 0 that a recovery onto this j meets at, and stays empty for every
+# other entry; a tree holds (ell+1) * (ell^b - 1) / (ell - 1) pairs of an
+# int and an edge of the cache, so at b = 5, ell = 3 (e = 10) it holds
+# 484, and the cache grows by at most that per j.  The curves of
+# one j that walks out of a supersingular E0 reach are all isomorphic over
+# GF(p^2), so such walks fill at most ell+1 edges per supersingular
+# j-invariant.
 _torsion_cache: dict[tuple, list] = {}
 
 
@@ -230,7 +246,7 @@ def _entry(e: CurveSpec, ell: int):
     """(entry, s) with e = psi_s(R) for the cached entry's R, psi_s the
     isomorphism (x, y) -> (s^2 x, s^3 y); a new entry with R = e when e's j
     has none onto which e is isomorphic."""
-    new = [e, None, [None] * (ell + 1), None]
+    new = [e, None, [None] * (ell + 1), None, {}]
     entry = _torsion_cache.setdefault((e.p, ell, e.jkey), new)
     while True:
         scales = [(1, 0)] if entry[0] == e else _scales(entry[0], e)
@@ -251,9 +267,8 @@ def _children(node, ell: int) -> list[int]:
     p = entry[0].p
     if entry[1] is None:
         entry[1] = _sample_subgroups(entry[0], ell)
-    s0, s1 = _mul(s, s, p)
-    keys = [min([((s0 * x0 - s1 * x1) % p, (s0 * x1 + s1 * x0) % p)
-                 for x0, x1, _, _ in pts[: ell // 2]]) for pts in entry[1]]
+    s2 = _mul(s, s, p)
+    keys = [min([_mul(s2, q[:2], p) for q in pts[: ell // 2]]) for pts in entry[1]]
     return [k for k in sorted(range(ell + 1), key=keys.__getitem__) if dual not in entry[1][k]]
 
 
@@ -288,7 +303,7 @@ def _chain_of(e0: CurveSpec, path, ell: int) -> IsogenyChain:
         # At scale 1 the domain is R, and edge i holds the step.
         steps.append(entry[2][i][0] if s == (1, 0) else
                      _step(domain, [_moved(q, s, e0.p) for q in entry[1][i]], ell))
-    return _chain(e0, tuple(steps))
+    return IsogenyChain(e0, steps)
 
 
 def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
@@ -419,75 +434,92 @@ def _cube_roots(c, p: int) -> list[tuple]:
 
 
 def _iso_invariant(e: CurveSpec, xy):
-    """A key of the point xy that every isomorphism (x, y) -> (u^2 x, u^3 y)
-    out of e keeps, automorphisms included: x*a/b, or x^2/a at j = 1728
-    (b = 0), or x^3/b at j = 0 (a = 0); () for O."""
+    """The key (j, k) of the point xy on e that every isomorphism (x, y) ->
+    (u^2 x, u^3 y) out of e keeps, automorphisms included: e's j key, and
+    k = x*a/b, or x^2/a at j = 1728 (b = 0), or x^3/b at j = 0 (a = 0), or
+    () for O.  It reads x alone, so xy may be an x-only (x0, x1) pair, as
+    the meet carries."""
     if not xy:
-        return ()
+        return e.jkey, ()
     p, x, a, b = e.p, xy[:2], e.akey, e.bkey
     if not any(a):
-        return _div(_mul(_mul(x, x, p), x, p), b, p)
+        return e.jkey, _div(_mul(_mul(x, x, p), x, p), b, p)
     if not any(b):
-        return _div(_mul(x, x, p), a, p)
-    return _div(_mul(x, a, p), b, p)
+        return e.jkey, _div(_mul(x, x, p), a, p)
+    return e.jkey, _div(_mul(x, a, p), b, p)
 
 
 def _meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
     """(layers, keys) from the b-walks out of target: layers[r], r <= b,
-    the j keys its r-walks reach; keys the (j, _iso_invariant) of each
+    the j keys its r-walks reach; keys the _iso_invariant of each
     b-walk's codomain and its image of `image`, or None if b = 0.  Raises
-    NoSuchOrder if E[ell] of the target is not rational (b > 0)."""
+    NoSuchOrder if E[ell] of the target is not rational (b > 0).
+
+    The walks depend on the target's cache entry alone, not on its model
+    or on image, so they are built once per entry and b and kept on the
+    entry with the layers, as levels: levels[r] holds a (k, edge) for each
+    (r+1)-walk, the k-th r-walk (k = 0 at r = 0) followed by edge, the
+    children taken as _walks takes them but in any order, as the keys and
+    layers are isomorphism invariants.  A call moves image into R's
+    coordinates and carries its x alone down the levels: each inner edge's
+    step images it once for every walk through it, landing on the next
+    entry's R, and each last edge's Velu step gives a key on its codomain
+    (a last edge is left unresolved, as a leaf of _walks is)."""
     if not b:
         return [{target.jkey}], None
-    leaves = [([node[0][0] for node in path[1:]] + [curve], xy)
-              for path, curve, _, xy in _leaves(target, ell, b, image)]
-    layers = [{target.jkey}] + [{curves[r].jkey for curves, _ in leaves} for r in range(b)]
-    return layers, {(curves[-1].jkey, _iso_invariant(curves[-1], xy)) for curves, xy in leaves}
+    entry, s = _entry(target, ell)
+    if b not in entry[4]:
+        levels, nodes = [], [(entry, None)]
+        for r in range(b):
+            levels.append([(k, _edge(parent, i, ell, r < b - 1))
+                           for k, (parent, dual) in enumerate(nodes)
+                           for i in _children((parent, (1, 0), dual), ell)])
+            nodes = [(edge[2], edge[4]) for _, edge in levels[-1]]
+        entry[4][b] = [{target.jkey}] + [{edge[0].codomain.jkey for _, edge in level}
+                                         for level in levels], levels
+    layers, levels = entry[4][b]
+    xs = [_moved(image.xy[:2], _inv(s, target.p), target.p)]
+    for level in levels[:-1]:
+        xs = [edge[1]._image(xs[k]) for k, edge in level]
+    return layers, {_iso_invariant(velu.codomain, velu._image(xs[k]))
+                    for k, (velu, *_) in levels[-1]}
 
 
-def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
-    """(chain, the xy tuple of its image of point) for each walk of _leaves,
-    in its order."""
-    for path, _, s, xy in _leaves(e0, ell, e, point, meet):
-        yield _chain_of(e0, path, ell), _moved(xy, s, e0.p)
+def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet):
+    """The chains of the non-backtracking walks of length e >= 1 out of e0
+    that the meet lets through, kernels in canonical sorted order.  The
+    search is depth first and takes each node's children in increasing
+    kernel key order, so the walks come out in strictly increasing sort_key
+    order.
 
-
-def _leaves(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None)):
-    """(path, curve, s, xy) for the non-backtracking walks of length e >= 1
-    out of e0, kernels in canonical sorted order.  path lists the walk's
-    steps, each (entry, s, i): out of the curve psi_s(R) for entry's R, with
-    kernel (psi_s of) subgroup i.  The walk ends on psi_s(curve), curve the
-    codomain of its last edge's Velu step, and xy is its image of point in
-    curve's coordinates.  The search is depth first and takes each node's
-    children in increasing kernel key order, so the walks come out in
-    strictly increasing sort_key order.
-
-    A node is (entry, s, dual), its points held in R's coordinates (see
-    _children).  Its child i is its entry's edge i, with scale s*c and its
-    points' images under the edge's step, so no Velu step is built once the
-    edges are; a leaf child is Velu's codomain and scale s.
+    A node is (entry, s, dual), the curve psi_s(R) for entry's R, its
+    point held in R's coordinates (see _children); a path lists a walk's
+    steps, each (entry, s, i): out of psi_s(R), with kernel (psi_s of)
+    subgroup i.  A node's child i is its entry's edge i, with scale s*c and
+    its point's image under the edge's step, so no Velu step is built once
+    the edges are; a leaf child is psi_s of Velu's codomain.
 
     meet = _meet(target, ell, b, image), b = e // 2, prunes the walks that
     cannot end on target with point sent to image.  A child with r <= b
     steps still to take is skipped before it is expanded when its j is not
     in layers[r]; at r = b > 0 also when no b-walk psi' out of target sends
     image to the child's image of [ell^b]point up to isomorphism (judged by
-    j and _iso_invariant).  Any walk psi o F, psi its last r steps, that
-    maps point to image passes: the dual of psi, after the isomorphism onto
+    _iso_invariant).  Any walk psi o F, psi its last r steps, that maps
+    point to image passes: the dual of psi, after the isomorphism onto
     target, is such an r-walk psi' out of target, ending on j(codomain of
-    F).  [ell^b]point is computed once on e0 and its image carried down each
-    walk to that depth, as F([ell^b]P) = [ell^b]F(P).  An edge's target,
+    F).  [ell^b]point is computed once on e0 and the x of its image carried
+    down each walk to that depth, as F([ell^b]P) = [ell^b]F(P) and the key
+    reads x alone; it is the one point a node carries.  An edge's target,
     scale and dual are resolved only for an inner child that passes, and a
     target's E[ell] is sampled only once a walk expands it.
     """
     layers, keys = meet
     b, p = len(layers) - 1, e0.p
     entry, s = _entry(e0, ell)
-    to_entry = _inv(s, p)
-    carried = None if keys is None else _moved(scalar_mul(e0, ell**b, point).xy, to_entry, p)
-    stack = [(((entry, s, None),), _moved(point.xy, to_entry, p), carried)]
+    carried = None if keys is None else _moved(scalar_mul(e0, ell**b, point).xy[:2], _inv(s, p), p)
+    stack = [(((entry, s, None),), carried)]
     while stack:
-        path, mapped, carried = stack.pop()
+        path, carried = stack.pop()
         entry, s, _ = path[-1]
         # Steps a child still has to take after its own.  Leaf children come
         # out at once, smallest first; inner ones go on the stack, smallest
@@ -496,20 +528,18 @@ def _leaves(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet=((), None))
         order = _children(path[-1], ell)
         for i in reversed(order) if remaining else order:
             velu = _edge(entry, i, ell, False)[0]
-            j_key = velu.codomain.jkey
-            if remaining <= b and j_key not in layers[remaining]:
+            if remaining <= b and velu.codomain.jkey not in layers[remaining]:
                 continue
-            if remaining == b and carried is not None and (
-                    j_key, _iso_invariant(velu.codomain, velu._image(carried))) not in keys:
+            if remaining == b and carried is not None and _iso_invariant(
+                    velu.codomain, velu._image(carried)) not in keys:
                 continue
             if not remaining:
-                yield path[:-1] + ((entry, s, i),), velu.codomain, s, velu._image(mapped)
+                yield _chain_of(e0, path[:-1] + ((entry, s, i),), ell)
                 continue
             _, step, target, c, dual = _edge(entry, i, ell, True)
             # [ell^b]point is carried only down to the meet.
             moved = step._image(carried) if remaining > b and carried is not None else None
-            stack.append((path[:-1] + ((entry, s, i), (target, _mul(s, c, p), dual)),
-                          step._image(mapped), moved))
+            stack.append((path[:-1] + ((entry, s, i), (target, _mul(s, c, p), dual)), moved))
 
 
 def recover_isogeny(e0: CurveSpec, e1: CurveSpec, point: CurvePoint, image: CurvePoint,
@@ -519,14 +549,15 @@ def recover_isogeny(e0: CurveSpec, e1: CurveSpec, point: CurvePoint, image: Curv
     Searches the non-backtracking ell-walks of length e out of e0 and
     returns the lexicographically smallest chain (by kernel serialization)
     whose codomain can be identified with e1 by an isomorphism carrying the
-    walk's image of `point` to `image`.  The walks are pruned by one
-    enumeration of the b-walks out of e1, b = e // 2: by the j-invariants
+    walk's image of `point` to `image`.  The walks are pruned by the
+    b-walks out of e1, b = e // 2 (kept per j, see _meet): by the j-invariants
     those reach at each depth, and by a meet in the middle at depth b (see
-    _leaves).  _leaves takes children in increasing kernel key order, so its
+    _walks).  _walks takes children in increasing kernel key order, so its
     walks come in increasing sort_key order, and the pruning skips only
     walks that cannot match: the first match is the smallest over all
-    walks, and the search stops there.  Its final step is rescaled so its
-    codomain equals e1 and its action sends point to image literally.
+    walks, and the search stops there.  Each walk that passes is evaluated
+    on point, and the match's final step is rescaled so its codomain
+    equals e1 and its action sends point to image literally.
 
     e0 must be supersingular (NoSuchOrder otherwise).  Every curve
     isogenous to it then has E = (Z/(p+1))^2, so a target whose E[ell] is
@@ -548,10 +579,11 @@ def recover_isogeny(e0: CurveSpec, e1: CurveSpec, point: CurvePoint, image: Curv
         meet = _meet(e1, ell, e // 2, image)
     except NoSuchOrder:
         raise NoIsogenyFound(f"E[{ell}] of the target curve is not rational") from None
-    for chain, mapped in _walks(e0, ell, e, point, meet):
+    for chain in _walks(e0, ell, e, point, meet):
+        mapped = evaluate_chain(chain, point).xy
         # Codomains of another j have no isomorphism onto e1.
         for u in _scales(chain.codomain, e1):
             if _moved(mapped, u, e0.p) == image.xy:
                 last = chain.steps[-1]._scaled(u)
-                return _chain(e0, chain.steps[:-1] + (last,))
+                return IsogenyChain(e0, chain.steps[:-1] + (last,))
     raise NoIsogenyFound(f"no degree {ell}^{e} chain maps the torsion point as required")

@@ -35,6 +35,7 @@ from isoshare.errors import Ambiguous, Inconsistent, IsoshareError
 from isoshare.fields import PRIMITIVE_POLY, Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
+    _iso_invariant,
     _multiples,
     ell_torsion_subgroups,
     evaluate_chain,
@@ -185,6 +186,20 @@ def exhaustive_walks(e0: CurveSpec, ell: int, e: int):
 @functools.cache
 def _walk_images(e0: CurveSpec, ell: int, e: int, point: CurvePoint):
     return [(w, evaluate_chain(w, point)) for w in exhaustive_walks(e0, ell, e)]
+
+
+def enumerated_meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
+    """isogeny._meet by enumeration, as the search computed it on every
+    recovery before it kept its walks per cache entry: each
+    non-backtracking b-walk out of target, built step by step, with its
+    full image of image.  (layers, keys): layers[r] the j keys the r-walks
+    reach, keys the _iso_invariant of each b-walk's codomain and image
+    (None at b = 0)."""
+    if not b:
+        return [{target.jkey}], None
+    walks = _walk_images(target, ell, b, image)
+    layers = [{target.jkey}] + [{w.steps[r].codomain.jkey for w, _ in walks} for r in range(b)]
+    return layers, {_iso_invariant(w.codomain, mapped.xy) for w, mapped in walks}
 
 
 def smallest_matching_walk(e0, e1, point, image, ell: int, e: int):

@@ -5,8 +5,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     cube_table,
+    enumerated_meet,
     exhaustive_walks,
     smallest_matching_walk,
     torsion_subgroups,
@@ -316,8 +319,10 @@ def test_chain_checks_each_link(e0):
     step = velu_step(e0, _some_kernel(e0, 3), 3)
     chain = IsogenyChain(e0, [step])
     assert chain.steps == (step,) and chain.codomain == step.codomain
-    with pytest.raises(NotOnCurve):
+    # A broken link involves no point, so it is not NotOnCurve.
+    with pytest.raises(ValueError) as refused:
         IsogenyChain(e0, [step, step])
+    assert not isinstance(refused.value, NotOnCurve)
 
 
 def test_random_walk_shape_and_determinism(e0):
@@ -494,21 +499,31 @@ def test_recover_is_deterministic(e0):
     assert a.sort_key() == b.sort_key()
 
 
-def test_pruned_walks_are_the_oracle_walks_ending_at_the_target(e0):
+def _pruning_targets(e0):
+    """(e, the walks of length e out of E0, targets) for e = 1..5: the
+    codomains of the first, middle and last walk, and, where a walk ends
+    on j = 0 or 1728 (the j-invariants with extra automorphisms), its
+    codomain and another model of that j, once for each of them and e."""
     p = e0.p
     special = {fp2_from_int(j, p).key() for j in (0, 1728)}
     tested_special = set()
+    cases = []
     for e in (1, 2, 3, 4, 5):
         walks = list(exhaustive_walks(e0, 3, e))
-        oracle = [w.sort_key() for w in walks]
         targets = [w.codomain for w in (walks[0], walks[len(walks) // 2], walks[-1])]
-        # The two j-invariants with extra automorphisms, where a walk ends
-        # there, each also as another model of that j.
         for walk in walks:
             j_key = j_invariant(walk.codomain).key()
             if j_key in special and (e, j_key) not in tested_special:
                 tested_special.add((e, j_key))
                 targets += [walk.codomain, _scaled(walk.codomain, Fp2(5, 7, p))]
+        cases.append((e, walks, targets))
+    assert {j_key for _, j_key in tested_special} == special
+    return cases
+
+
+def test_pruned_walks_are_the_oracle_walks_ending_at_the_target(e0):
+    for e, walks, targets in _pruning_targets(e0):
+        oracle = [w.sort_key() for w in walks]
         for target in targets:
             j = j_invariant(target)
             expected = [w.sort_key() for w in walks if j_invariant(w.codomain) == j]
@@ -516,12 +531,68 @@ def test_pruned_walks_are_the_oracle_walks_ending_at_the_target(e0):
             # With point and image O, the meet keeps every walk whose depth-a
             # curve a b-walk out of the target reaches, so it prunes by j alone.
             meet = _meet(target, 3, e // 2, INFINITY)
-            pruned = [w.sort_key() for w, _ in _walks(e0, 3, e, INFINITY, meet)]
+            pruned = [w.sort_key() for w in _walks(e0, 3, e, INFINITY, meet)]
             assert pruned == expected, (e, target)
             # The walks come in strictly increasing key order, so recovery's
             # first match is its smallest.
             assert all(a < b for keys in (pruned, oracle) for a, b in zip(keys, keys[1:]))
-    assert {j_key for _, j_key in tested_special} == special
+
+
+def test_cached_meet_is_the_enumerated_meet(e0):
+    # _meet keeps one tree of b-walks per cache entry and carries only the
+    # x of the image down it; the reference enumerates every b-walk with
+    # its full image on each call.  Each target of the pruning test, at
+    # ell = 2 and 3 and b = 0..3, with image O, a random point and a point
+    # of order ell, which some first steps kill.  The cache is cleared per
+    # ell, so the first model of each j builds its trees, and another model
+    # (a target reached twice, or a scaled one) reads them.
+    targets = {t.key(): t for _, _, ts in _pruning_targets(e0) for t in ts}
+    for ell in (2, 3):
+        _torsion_cache.clear()
+        for target in targets.values():
+            images = [INFINITY, random_point(target, random.Random("meet")),
+                      random_point_of_order(target, ell, "meet-ell")]
+            for b in (0, 1, 2, 3):
+                for image in images:
+                    assert _meet(target, ell, b, image) == enumerated_meet(target, ell, b, image)
+
+
+def test_meet_on_another_model_builds_nothing(e0, monkeypatch):
+    # The walks out of a target depend on its j's cache entry alone: once
+    # one model's meet has built them, another model of that j only carries
+    # its image, with no Velu step and no children listed, and finds the
+    # same keys, which are isomorphism invariants.
+    target = random_walk(e0, 3, 4, "other-model").codomain
+    u = Fp2(5, 7, e0.p)
+    image = random_point(target, random.Random("other-model"))
+    _torsion_cache.clear()
+    first = _meet(target, 3, 3, image)
+    built = _counting_steps(monkeypatch)
+    listed = []
+    children = isogeny._children
+    monkeypatch.setattr(isogeny, "_children", lambda *args: listed.append(1) or children(*args))
+    assert _meet(_scaled(target, u), 3, 3, _moved(image, u)) == first
+    assert not built and not listed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from([(431, 2), (431, 3), (419, 7)]), kernel=st.integers(0, 7),
+       seed=st.integers(0, 2**32 - 1), u=st.tuples(st.integers(1, 418), st.integers(0, 418)))
+def test_x_image_is_the_x_of_the_image(case, kernel, seed, u):
+    # Velu's X reads x alone: the image of a random point's x alone is the
+    # x of its full image, and both send each kernel point, +-Q, and O to O;
+    # on a step and on that step rescaled by u, with one kernel pair
+    # (ell = 2, 3) and with three (ell = 7).
+    p, ell = case
+    curve = CurveSpec(fp2_from_int(1, p), fp2_from_int(0, p), p)
+    gens = ell_torsion_subgroups(curve, ell)
+    step = velu_step(curve, gens[kernel % len(gens)], ell)
+    pt = random_point(curve, random.Random(seed)).xy
+    for scaled in (step, step._scaled(u)):
+        assert scaled._image(pt[:2]) == scaled._image(pt)[:2]
+        for q in scaled.kernel_points:
+            assert scaled._image(q.xy[:2]) == scaled._image(q.xy) == ()
+        assert scaled._image(()) == ()
 
 
 def _counting_steps(monkeypatch):
@@ -552,6 +623,8 @@ def test_twist_target_is_never_matched(e0, e0_large, monkeypatch):
         # of the twist to take.
         with pytest.raises(NoSuchOrder):
             _meet(twist, 3, 1, INFINITY)
+        # Nor does it keep a tree of walks for the twist.
+        assert not isogeny._entry(twist, 3)[0][4]
         built = _counting_steps(monkeypatch)
         for e in (1, 2, 5):
             with pytest.raises(NoIsogenyFound):
@@ -584,7 +657,7 @@ def test_iso_invariant_is_kept_by_isomorphisms(e0):
             for u in isomorphism_scales(curve, curve) + [Fp2(5, 7, p), Fp2(0, 3, p)]:
                 assert _iso_invariant(_scaled(curve, u), _moved(pt, u).xy) == key, (curve, u)
         assert len(keys) > 1
-        assert _iso_invariant(curve, INFINITY.xy) == ()
+        assert _iso_invariant(curve, INFINITY.xy) == (curve.jkey, ())
 
 
 def test_recovery_is_the_brute_force_smallest_walk(e0):
@@ -745,10 +818,10 @@ def test_recovery_stops_at_its_first_match(e0, e, order, seed, monkeypatch):
     walks = isogeny._walks
 
     def recording(*args):
-        for chain, mapped in walks(*args):
+        for chain in walks(*args):
             if len(chain) == e:
                 yielded.append(chain.sort_key())
-            yield chain, mapped
+            yield chain
 
     monkeypatch.setattr(isogeny, "_walks", recording)
     secret = random_walk(e0, 3, e, seed)
