@@ -224,12 +224,13 @@ def context_digest(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write `path` through `path`.tmp, removing the temp file on failure."""
+def _atomic_write(path: str, lines: list[str]) -> None:
+    """Write `lines`, each ended by a newline, to `path` through
+    `path`.tmp, removing the temp file on failure."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except OSError as ex:
         try:
@@ -281,9 +282,7 @@ def cmd_deal(args) -> int:
     except OSError as ex:
         raise CliError(EXIT_IO, f"cannot create {args.output}: {ex}") from ex
     public_path = os.path.join(args.output, "public.isoshare")
-    _atomic_write(
-        public_path, "\n".join([PUBLIC_MAGIC, f"digest {digest}"] + context) + "\n"
-    )
+    _atomic_write(public_path, [PUBLIC_MAGIC, f"digest {digest}"] + context)
     for share in deal.shares:
         body = [
             SHARE_MAGIC,
@@ -292,10 +291,7 @@ def cmd_deal(args) -> int:
             f"gamma {params.gamma}",
             f"bits {bits_to_hex(share.bits)}",
         ]
-        _atomic_write(
-            os.path.join(args.output, f"share_{share.index}.isoshare"),
-            "\n".join(body) + "\n",
-        )
+        _atomic_write(os.path.join(args.output, f"share_{share.index}.isoshare"), body)
     print(f"dealt: {params.n}")
     print(f"output: {args.output}")
     print(f"digest: {digest}")

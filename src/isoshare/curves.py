@@ -174,14 +174,15 @@ def _times(e: CurveSpec, k: int, xy):
 def point_order(e: CurveSpec, pt: CurvePoint) -> int:
     """Exact multiplicative order: for each prime power q^f || p+1, the
     number of times q must multiply R = ((p+1)/q^f) P to reach O.  A point
-    whose R needs more than f of them has (p+1) P != O, and is refused."""
+    whose R needs more than f of them has (p+1) P != O, so its curve is
+    not supersingular, and it is refused with NoSuchOrder."""
     xy = _checked(e, pt)
     m, order = e.p + 1, 1
     for q, f in factorize(m).items():
         r = _times(e, m // q**f, xy)
         while r:
             if not f:
-                raise NotOnCurve("point order does not divide p+1; curve not supersingular?")
+                raise NoSuchOrder(f"the order of {pt} does not divide p+1 = {m}")
             r, order, f = _times(e, q, r), order * q, f - 1
     return order
 
@@ -199,20 +200,32 @@ def random_point(e: CurveSpec, rng: random.Random) -> CurvePoint:
         return _point((x0, x1) + root, p)
 
 
+def _has_order(e: CurveSpec, xy, n: int) -> bool:
+    """Whether the xy tuple, unchecked, has exact order n: n | p+1 (which
+    the order of a point on a supersingular curve divides), nP = O, and
+    (n/q)P != O for each prime q | n."""
+    return not (e.p + 1) % n and not _times(e, n, xy) and all(
+        _times(e, n // q, xy) for q in factorize(n))
+
+
 def random_point_of_order(e: CurveSpec, n: int, seed) -> CurvePoint:
-    """A point of exact order n, deterministic per seed."""
-    if n < 1:
-        raise NoSuchOrder("order must be positive")
-    if (e.p + 1) % n != 0:
-        raise NoSuchOrder(f"{n} does not divide p+1 = {e.p + 1}")
-    if n == 1:
-        return INFINITY
-    rng = random.Random(seed)
-    cofactor = (e.p + 1) // n
+    """A point of exact order n, deterministic per seed (see _of_order)."""
+    if n < 1 or (e.p + 1) % n:
+        raise NoSuchOrder(f"{n} is not a positive divisor of p+1 = {e.p + 1}")
+    return _point(_of_order(e, n, random.Random(seed)), e.p)
+
+
+def _of_order(e: CurveSpec, n: int, rng: random.Random):
+    """The xy tuple of a point of exact order n, n | p+1: ((p+1)/n) R for
+    random points R drawn from rng until one has it.  A candidate with
+    nP != O, which no supersingular curve has, ends the search with
+    NoSuchOrder."""
     while True:
-        candidate = _point(_times(e, cofactor, random_point(e, rng).xy), e.p)
-        if not candidate.is_infinity and point_order(e, candidate) == n:
-            return candidate
+        xy = _times(e, (e.p + 1) // n, random_point(e, rng).xy)
+        if _has_order(e, xy, n):
+            return xy
+        if _times(e, n, xy):
+            raise NoSuchOrder(f"{e} has points whose order does not divide p+1")
 
 
 def j_invariant(e: CurveSpec) -> Fp2:

@@ -5,15 +5,22 @@ Acad. Sci. 1971): the kernel sums t, w that give the codomain (a - 5t,
 b - 7w), and the image of P, each take one point Q of every pair {Q, -Q}
 of nonzero kernel points, and an image costs one inversion per pair.  An
 optional post-composition with the isomorphism (x, y) -> (u^2 x, u^3 y)
-lets a recovered chain land exactly on a prescribed target curve.  Velu's
-X is a function of x alone, so a step also images an x-only pair (x-only
-Velu, as in Costello and Hisil, ASIACRYPT 2017), skipping the Y sum.  The
+lets a recovered chain land exactly on a prescribed target curve; a step
+keeps u, u^2 and u^3, so it costs an image one product a coordinate.
+Velu's X is a function of x alone, so a step also images an x-only pair
+(x-only Velu, as in Costello and Hisil, ASIACRYPT 2017), skipping the Y
+sum.  The
 search meets in the middle: the walks of half the length out of the target
 give the j-invariants each depth reaches and the keys at the middle, and
 these decide which walks out of the start are extended (see _walks).  Those
 walks depend on the target's j alone, so they are kept as a tree on its
-cache entry, and a recovery carries only the x of its image down the tree
-(see _meet), as the keys read x alone.  The start's side carries only the x
+cache entry, its leaves listed by j, and a recovery carries only the x of
+its image down the tree (see _meet), as the keys read x alone, and only
+along the paths to the leaves of the j the search asks about, each node's
+x imaged once.  A key is x^n times its curve's invariant factor (a/b, or
+1/a at j = 1728, or 1/b at j = 0), kept on an edge of the cache once a
+key on the edge's codomain is made, so a key costs n products and no
+inversion.  The start's side carries only the x
 of [ell^b]P, down to the middle; a walk that passes every prune is then
 evaluated on P in full for the final match.
 
@@ -26,28 +33,31 @@ each Velu's step out of R computed once and moved onto the R' of its
 codomain's j.  A walk's node is an entry and a scale s, the curve
 psi_s(R), with its points held in R's coordinates; a step along an edge
 multiplies s by the edge's scale and images the points, and pruning by j
-reads the edge's codomain.  Only the walks the search yields, and
-random_walk's, are built as chains of Velu steps on the actual models (a
-step out of R itself is its edge's).
+reads the edge's codomain.  A node's children, in kernel order, are
+sorted once per (s, dual) and kept on its entry.  Only the walks the
+search yields, and random_walk's, are built as chains of Velu steps on the
+actual models (a step out of R itself is its edge's).
 The cache holds per (p, ell) at most one entry and ell+1 edges for each
 j-invariant (about p/12 of them for supersingular curves) and isomorphism
 class met, each edge a step of ell // 2 kernel pairs.  An entry that has
 been the target of a recovery with b > 0 also holds, per such b, its tree
 of b-walks: one (parent index, edge) pair per r-walk, 1 <= r <= b, that is
-(ell+1) * (ell^b - 1) / (ell - 1) pairs of edges the cache holds, and the
-j-sets of its depths.  The tree saves work only when a process recovers
-onto a j whose tree an earlier recovery built; a cold recovery builds it
-at about the cost of one enumeration of the b-walks.
+(ell+1) * (ell^b - 1) / (ell - 1) pairs of edges the cache holds, each
+listed again under its codomain's j in the layer of its depth.  The tree
+saves work only when a process recovers onto a j whose tree an earlier
+recovery built; a cold recovery builds it at about the cost of one
+enumeration of the b-walks.
 
 All of it runs on the ints of isoshare.curves, scales u as (c0, c1) pairs;
 an Fp2 or CurvePoint is built only for a caller that reads one.
 """
 
+import functools
 import math
 import random
 
-from .curves import CurvePoint, CurveSpec, _add, _checked, _point, _times
-from .curves import is_on_curve, is_supersingular, random_point, scalar_mul
+from .curves import CurvePoint, CurveSpec, _add, _checked, _of_order, _point, _times
+from .curves import is_on_curve, is_supersingular, scalar_mul
 from .errors import BadKernel, NoIsogenyFound, NoSuchOrder
 from .fields import Fp2, _div, _inv, _mul, _pow, _sqrt, is_prime
 
@@ -77,7 +87,7 @@ class IsogenyStep:
         u_Q) in c0, c1 pairs mod p: v_Q = 2 g_x(Q), or g_x(Q) at ell = 2,
         g_x(Q) = 3 x_Q^2 + a, and u_Q = 4 y_Q^2."""
         self.domain, self.kernel, self.ell = domain, kernel, ell
-        self._u = (1, 0)
+        self._u = ((1, 0),) * 3
         p = domain.p
         (a0, a1), (b0, b1) = domain.akey, domain.bkey
         g = 1 if ell == 2 else 2
@@ -97,7 +107,7 @@ class IsogenyStep:
         self.codomain = object.__new__(CurveSpec)._set(p, a, b)
         return self
 
-    scale = property(lambda self: Fp2(*self._u, self.domain.p))
+    scale = property(lambda self: Fp2(*self._u[0], self.domain.p))
     kernel_points = property(lambda self: [_point(q, self.domain.p) for q in _multiples(
         self.domain, self.kernel.xy, self.ell)])
 
@@ -106,12 +116,14 @@ class IsogenyStep:
 
     def _scaled(self, u) -> "IsogenyStep":
         """This step followed by (x, y) -> (u^2 x, u^3 y), u a pair: the
-        kernel sums stay, and the codomain (a', b') becomes (u^4 a', u^6 b')."""
+        kernel sums stay, the codomain (a', b') becomes (u^4 a', u^6 b'), and
+        the step's scale, kept as (u, u^2, u^3), takes on a factor u."""
         new = object.__new__(IsogenyStep)
         new.domain, new.kernel, new.ell, new._pairs = self.domain, self.kernel, self.ell, self._pairs
         p, c = self.domain.p, self.codomain
-        new._u = _mul(self._u, u, p)
-        ab = _moved(c.akey + c.bkey, _mul(u, u, p), p)
+        u2 = _mul(u, u, p)
+        new._u = tuple(_mul(w, v, p) for w, v in zip(self._u, (u, u2, _mul(u2, u, p))))
+        ab = _moved(c.akey + c.bkey, u2, p)
         new.codomain = object.__new__(CurveSpec)._set(p, ab[:2], ab[2:])
         return new
 
@@ -122,9 +134,9 @@ class IsogenyStep:
         """evaluate on an xy tuple, unchecked: for a point derived from
         checked ones, in Velu's rational form: X = x + sum(v/d + u/d^2),
         Y = y (1 - sum(v/d^2 + 2u/d^3)), d = x - x_Q, which is 0 only at
-        P = +-Q, mapped to O.  X reads x alone (x-only Velu), so xy may be
-        an x-only (x0, x1) pair, whose image is X alone: the Y sum is
-        skipped."""
+        P = +-Q, mapped to O, then scaled by the kept u^2 and u^3.  X reads
+        x alone (x-only Velu), so xy may be an x-only (x0, x1) pair, whose
+        image is X alone: the Y sum is skipped."""
         if not xy:
             return ()
         p = self.domain.p
@@ -144,10 +156,10 @@ class IsogenyStep:
                 r0, r1 = r0 + f0, r1 + f1
                 j0, j1 = (i0 * i0 - i1 * i1) % p, 2 * i0 * i1 % p
                 sy0, sy1 = sy0 + r0 * j0 - r1 * j1, sy1 + r0 * j1 + r1 * j0
-        xy = (x0 + sx0) % p, (x1 + sx1) % p
+        xy = _mul((x0 + sx0, x1 + sx1), self._u[1], p)
         if y:
-            xy += _mul(y, (1 - sy0, -sy1), p)
-        return _moved(xy, self._u, p)
+            xy += _mul(_mul(y, (1 - sy0, -sy1), p), self._u[2], p)
+        return xy
 
 
 def _moved(xy, u, p: int):
@@ -224,18 +236,24 @@ def _step(domain: CurveSpec, points, ell: int) -> IsogenyStep:
     return object.__new__(IsogenyStep)._velu(domain, _point(min(points), domain.p), ell, points)
 
 
-# (p, ell, j) -> the entry [R, subgroups, edges, twist, trees] of that
-# j-invariant.  R is the first model of it that was looked up.  subgroups
-# holds the xy tuples of the ell-1 nonzero points of each of R's ell+1
-# cyclic subgroups of E[ell], each list in _multiples order, sampled when
-# first needed.  edges[i] is the ell-step out of R with kernel subgroup i
-# (see _edge), or None until a walk takes it.  twist is the entry of the
-# next model of that j found with no isomorphism onto R, or None.  trees
-# maps b to the j-sets and b-walks out of R as _meet builds them, once per
-# b > 0 that a recovery onto this j meets at, and stays empty for every
-# other entry; a tree holds (ell+1) * (ell^b - 1) / (ell - 1) pairs of an
-# int and an edge of the cache, so at b = 5, ell = 3 (e = 10) it holds
-# 484, and the cache grows by at most that per j.  The curves of
+# (p, ell, j) -> the entry [R, subgroups, edges, twist, trees, orders] of
+# that j-invariant.  R is the first model of it that was looked up.
+# subgroups holds the xy tuples of the ell-1 nonzero points of each of R's
+# ell+1 cyclic subgroups of E[ell], each list in _multiples order, sampled
+# when first needed.  edges[i] is the ell-step out of R with kernel
+# subgroup i and, once a key on it is made, its codomain's invariant factor
+# (see _edge), or None until a walk takes it.  twist is the entry of the next model of that j found
+# with no isomorphism onto R, or None.  trees maps b to the layers and
+# b-walks out of R as _meet builds them, once per b > 0 that a recovery
+# onto this j meets at, and stays empty for every other entry; a tree holds
+# (ell+1) * (ell^b - 1) / (ell - 1) pairs of an int and an edge of the
+# cache, each also listed under its codomain's j in the layer of its depth
+# (the leaves by j, which the meet reads), so at b = 5, ell = 3 (e = 10)
+# it holds 484, and the cache grows by at most that per j.  orders maps
+# (s, dual) to the child order _children gave the node (entry, s, dual), at
+# most one per scale and dual kernel a walk reaches the entry at: 647
+# orders over the 37 entries at p = 431 after 6,000 search-deep ops of
+# perfbench (ell = 3, e = 6).  The curves of
 # one j that walks out of a supersingular E0 reach are all isomorphic over
 # GF(p^2), so such walks fill at most ell+1 edges per supersingular
 # j-invariant.
@@ -246,7 +264,7 @@ def _entry(e: CurveSpec, ell: int):
     """(entry, s) with e = psi_s(R) for the cached entry's R, psi_s the
     isomorphism (x, y) -> (s^2 x, s^3 y); a new entry with R = e when e's j
     has none onto which e is isomorphic."""
-    new = [e, None, [None] * (ell + 1), None, {}]
+    new = [e, None, [None] * (ell + 1), None, {}, {}]
     entry = _torsion_cache.setdefault((e.p, ell, e.jkey), new)
     while True:
         scales = [(1, 0)] if entry[0] == e else _scales(entry[0], e)
@@ -262,22 +280,28 @@ def _children(node, ell: int) -> list[int]:
     ell_torsion_subgroups, less the one holding the point dual (the dual's
     kernel of the edge into node; None at a walk's start).  Points with
     one x are +-Q, so no two subgroups share an x, and the smallest s^2 x
-    among the first ell // 2 points (one of each pair) decides."""
+    among the first ell // 2 points (one of each pair) decides.  The list
+    is kept on the entry per (s, dual); callers do not change it."""
     entry, s, dual = node
-    p = entry[0].p
-    if entry[1] is None:
-        entry[1] = _sample_subgroups(entry[0], ell)
-    s2 = _mul(s, s, p)
-    keys = [min([_mul(s2, q[:2], p) for q in pts[: ell // 2]]) for pts in entry[1]]
-    return [k for k in sorted(range(ell + 1), key=keys.__getitem__) if dual not in entry[1][k]]
+    if (s, dual) not in entry[5]:
+        p = entry[0].p
+        if entry[1] is None:
+            entry[1] = _sample_subgroups(entry[0], ell)
+        s2 = _mul(s, s, p)
+        keys = [min([_mul(s2, q[:2], p) for q in pts[: ell // 2]]) for pts in entry[1]]
+        entry[5][s, dual] = [k for k in sorted(range(ell + 1), key=keys.__getitem__)
+                             if dual not in entry[1][k]]
+    return entry[5][s, dual]
 
 
 def _edge(entry, i: int, ell: int, resolve: bool) -> list:
-    """entry's edge i, [velu, step, target, c, dual], made on first use.
-    velu is Velu's step out of R with kernel subgroup i; its codomain's j
-    is all that pruning by j reads, and a walk's last step needs no more.
-    Once resolved, target is the entry of that j, whose R' gives velu's
-    codomain = psi_c(R'), and step is velu followed by psi_c^-1, so that it
+    """entry's edge i, [velu, step, target, c, dual, invariant], made on
+    first use.  velu is Velu's step out of R with kernel subgroup i; its
+    codomain's j is all that pruning by j reads, and invariant, its
+    codomain's _invariant (None until _key first needs it), all that a key
+    on it needs, so a walk's last step needs no more.  Once resolved, target is the entry of that j,
+    whose R' gives velu's codomain = psi_c(R'), and step is velu followed
+    by psi_c^-1, so that it
     lands on R' and images come in its coordinates; a step out of psi_s(R)
     is psi_s o velu o psi_s^-1, as Velu's sums t and w scale by s^4 and
     s^6, so it lands on psi_sc(R').  dual is step's image of a point of
@@ -285,7 +309,7 @@ def _edge(entry, i: int, ell: int, resolve: bool) -> list:
     edge = entry[2][i]
     if edge is None:
         velu = _step(entry[0], entry[1][i], ell)
-        edge = entry[2][i] = [velu, velu, None, None, None]
+        edge = entry[2][i] = [velu, velu, None, None, None, None]
     if resolve and edge[2] is None:
         edge[2], edge[3] = _entry(edge[0].codomain, ell)
         if edge[3] != (1, 0):
@@ -324,25 +348,12 @@ def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
 
 def _sample_subgroups(e: CurveSpec, ell: int) -> list[list[tuple]]:
     """The nonzero points of each cyclic subgroup of E[ell], from random
-    points, as _torsion_cache holds them."""
+    points of order ell, as _torsion_cache holds them.  A curve with a
+    point whose order does not divide p+1 is refused with NoSuchOrder (see
+    _of_order)."""
     rng = random.Random(("torsion", e.key(), ell).__repr__())
-    valuation = max(k for k in range(1, (e.p + 1).bit_length()) if (e.p + 1) % ell**k == 0)
-
-    def sample():
-        while True:
-            q = _times(e, (e.p + 1) // ell, random_point(e, rng).xy)
-            if not q:
-                continue
-            # ell * q = (p+1) * P = O at once when the exponent divides
-            # p+1; on any other curve, strip at most v_ell(p+1) factors.
-            for _ in range(valuation):
-                if not (q_ell := _times(e, ell, q)):
-                    return q
-                q = q_ell
-            raise NoSuchOrder(f"{e} has points whose order does not divide p+1")
-
-    g1 = _multiples(e, sample(), ell)
-    while (g2 := sample()) in g1:
+    g1 = _multiples(e, _of_order(e, ell, rng), ell)
+    while (g2 := _of_order(e, ell, rng)) in g1:
         pass
     gens = [g2] + [_add(e, g2, q) for q in g1]
     return [g1] + [_multiples(e, g, ell) for g in gens]
@@ -361,7 +372,7 @@ def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
         allowed = _children(path[-1], ell)
         entry, s, _ = path[-1]
         i = allowed[rng.randrange(len(allowed))]
-        _, _, target, c, dual = _edge(entry, i, ell, True)
+        _, _, target, c, dual, _ = _edge(entry, i, ell, True)
         path[-1:] = [(entry, s, i), (target, _mul(s, c, e0.p), dual)]
     return _chain_of(e0, path[:-1], ell)
 
@@ -433,56 +444,82 @@ def _cube_roots(c, p: int) -> list[tuple]:
     return sorted(_mul(root, _pow(w, i, p), p) for i in range(3))
 
 
-def _iso_invariant(e: CurveSpec, xy):
-    """The key (j, k) of the point xy on e that every isomorphism (x, y) ->
-    (u^2 x, u^3 y) out of e keeps, automorphisms included: e's j key, and
-    k = x*a/b, or x^2/a at j = 1728 (b = 0), or x^3/b at j = 0 (a = 0), or
-    () for O.  It reads x alone, so xy may be an x-only (x0, x1) pair, as
-    the meet carries."""
-    if not xy:
-        return e.jkey, ()
-    p, x, a, b = e.p, xy[:2], e.akey, e.bkey
+def _invariant(e: CurveSpec):
+    """(n, f) such that x^n f is the key of a point's x on e, which every
+    isomorphism (x, y) -> (u^2 x, u^3 y) out of e keeps, automorphisms
+    included: x a/b, or x^2/a at j = 1728 (b = 0), or x^3/b at j = 0
+    (a = 0).  Kept on an edge of the cache once a key on it is made, so a
+    key costs n products."""
+    p, a, b = e.p, e.akey, e.bkey
     if not any(a):
-        return e.jkey, _div(_mul(_mul(x, x, p), x, p), b, p)
+        return 3, _inv(b, p)
     if not any(b):
-        return e.jkey, _div(_mul(x, x, p), a, p)
-    return e.jkey, _div(_mul(x, a, p), b, p)
+        return 2, _inv(a, p)
+    return 1, _div(a, b, p)
+
+
+def _key(edge, x, p: int):
+    """The key of x, a point's x-only (x0, x1) pair (or its xy tuple), on
+    the codomain of the edge's Velu step; () for O.  The codomain's
+    _invariant is made on the first key and kept on the edge."""
+    if not x:
+        return ()
+    if edge[5] is None:
+        edge[5] = _invariant(edge[0].codomain)
+    n, k = edge[5]
+    for _ in range(n):
+        k = _mul(k, x, p)
+    return k
 
 
 def _meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
     """(layers, keys) from the b-walks out of target: layers[r], r <= b,
-    the j keys its r-walks reach; keys the _iso_invariant of each
-    b-walk's codomain and its image of `image`, or None if b = 0.  Raises
-    NoSuchOrder if E[ell] of the target is not rational (b > 0).
+    holds the j keys its r-walks reach; keys(j) is the set of _key's of
+    the images of `image` on the b-walks' codomains of that j (empty for a
+    j not in layers[b]), or keys is None if b = 0.  Raises NoSuchOrder if
+    E[ell] of the target is not rational (b > 0).
 
     The walks depend on the target's cache entry alone, not on its model
     or on image, so they are built once per entry and b and kept on the
     entry with the layers, as levels: levels[r] holds a (k, edge) for each
     (r+1)-walk, the k-th r-walk (k = 0 at r = 0) followed by edge, the
     children taken as _walks takes them but in any order, as the keys and
-    layers are isomorphism invariants.  A call moves image into R's
-    coordinates and carries its x alone down the levels: each inner edge's
-    step images it once for every walk through it, landing on the next
-    entry's R, and each last edge's Velu step gives a key on its codomain
-    (a last edge is left unresolved, as a leaf of _walks is)."""
+    layers are isomorphism invariants.  Each layer maps each of its j to
+    the (k, edge) of the walks that end there (none at r = 0).  A call
+    moves image into R's coordinates, and keys carries its x alone down
+    the levels to the b-walks of each j asked for: each inner edge's step
+    images it once per node, kept for every later walk through that node,
+    landing on the next entry's R, and each last edge's Velu step gives a
+    key on its codomain (a last edge is left unresolved, as a leaf of
+    _walks is).  keys remembers the set of each j it was asked for."""
     if not b:
         return [{target.jkey}], None
     entry, s = _entry(target, ell)
     if b not in entry[4]:
-        levels, nodes = [], [(entry, None)]
+        levels, layers, nodes = [], [{target.jkey: []}], [(entry, None)]
         for r in range(b):
             levels.append([(k, _edge(parent, i, ell, r < b - 1))
                            for k, (parent, dual) in enumerate(nodes)
                            for i in _children((parent, (1, 0), dual), ell)])
             nodes = [(edge[2], edge[4]) for _, edge in levels[-1]]
-        entry[4][b] = [{target.jkey}] + [{edge[0].codomain.jkey for _, edge in level}
-                                         for level in levels], levels
+            layers.append({})
+            for k, edge in levels[-1]:
+                layers[-1].setdefault(edge[0].codomain.jkey, []).append((k, edge))
+        entry[4][b] = layers, levels
     layers, levels = entry[4][b]
-    xs = [_moved(image.xy[:2], _inv(s, target.p), target.p)]
-    for level in levels[:-1]:
-        xs = [edge[1]._image(xs[k]) for k, edge in level]
-    return layers, {_iso_invariant(velu.codomain, velu._image(xs[k]))
-                    for k, (velu, *_) in levels[-1]}
+    x = _moved(image.xy[:2], _inv(s, target.p), target.p)
+
+    @functools.cache
+    def x_of(r, k):
+        """The x at the k-th r-walk."""
+        if not r:
+            return x
+        parent, edge = levels[r - 1][k]
+        return edge[1]._image(x_of(r - 1, parent))
+
+    return layers, functools.cache(lambda j: {
+        _key(edge, edge[0]._image(x_of(b - 1, k)), target.p)
+        for k, edge in layers[b].get(j, ())})
 
 
 def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet):
@@ -504,8 +541,9 @@ def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet):
     steps still to take is skipped before it is expanded when its j is not
     in layers[r]; at r = b > 0 also when no b-walk psi' out of target sends
     image to the child's image of [ell^b]point up to isomorphism (judged by
-    _iso_invariant).  Any walk psi o F, psi its last r steps, that maps
-    point to image passes: the dual of psi, after the isomorphism onto
+    _key, among the keys of the child's j alone, as a curve of another j is
+    not isomorphic to it).  Any walk psi o F, psi its last r steps, that
+    maps point to image passes: the dual of psi, after the isomorphism onto
     target, is such an r-walk psi' out of target, ending on j(codomain of
     F).  [ell^b]point is computed once on e0 and the x of its image carried
     down each walk to that depth, as F([ell^b]P) = [ell^b]F(P) and the key
@@ -527,16 +565,16 @@ def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet):
         remaining = e - len(path)
         order = _children(path[-1], ell)
         for i in reversed(order) if remaining else order:
-            velu = _edge(entry, i, ell, False)[0]
-            if remaining <= b and velu.codomain.jkey not in layers[remaining]:
+            edge = _edge(entry, i, ell, False)
+            if remaining <= b and edge[0].codomain.jkey not in layers[remaining]:
                 continue
-            if remaining == b and carried is not None and _iso_invariant(
-                    velu.codomain, velu._image(carried)) not in keys:
+            if remaining == b and carried is not None and _key(
+                    edge, edge[0]._image(carried), p) not in keys(edge[0].codomain.jkey):
                 continue
             if not remaining:
                 yield _chain_of(e0, path[:-1] + ((entry, s, i),), ell)
                 continue
-            _, step, target, c, dual = _edge(entry, i, ell, True)
+            _, step, target, c, dual, _ = _edge(entry, i, ell, True)
             # [ell^b]point is carried only down to the meet.
             moved = step._image(carried) if remaining > b and carried is not None else None
             stack.append((path[:-1] + ((entry, s, i), (target, _mul(s, c, p), dual)), moved))

@@ -14,7 +14,7 @@ import math
 
 from .codec import decode_point, encode_point, min_encoding_length
 from .codes import ERASED, BinaryExpandedCode, erase_damaged_blocks
-from .curves import CurvePoint, CurveSpec, is_supersingular, point_order
+from .curves import CurvePoint, CurveSpec, _checked, _has_order, is_supersingular
 from .errors import (
     Ambiguous,
     DuplicateShare,
@@ -245,7 +245,7 @@ def share_isogeny_path(
         raise InvalidParams(
             f"chain degree {secret.degree} != ell^e = {params.isogeny_degree}"
         )
-    if point_order(params.curve, point) != params.torsion_order:
+    if not _has_order(params.curve, _checked(params.curve, point), params.torsion_order):
         raise InvalidParams("torsion point does not have the declared order")
     e1 = secret.codomain
     image = evaluate_chain(secret, point)
@@ -279,24 +279,6 @@ def _check_shares(shares, params: SchemeParams) -> dict[int, tuple[int, ...]]:
     return by_index
 
 
-def _erasure_word(by_index, params: SchemeParams):
-    missing = (ERASED,) * params.gamma
-    word = []
-    for i in range(params.n):
-        word.extend(by_index.get(i, missing))
-    return word
-
-
-def _finish(message_bits, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
-    half = params.code.dimension // 2
-    point = decode_point(params.curve, message_bits[:half])
-    image = decode_point(e1, message_bits[half:])
-    chain = recover_isogeny(
-        params.curve, e1, point, image, params.ell_iso, params.e_iso
-    )
-    return RecoveryResult(chain=chain, point=point, image=image)
-
-
 def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
     """Rebuild the codeword from >= t shares and recover the secret chain.
 
@@ -305,7 +287,9 @@ def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> Recover
     bit costs an RS symbol instead of making the word inconsistent.
     """
     by_index = _check_shares(shares, params)
-    word = _erasure_word(by_index, params)
+    # The blocks in index order, a missing one erased whole.
+    missing = (ERASED,) * params.gamma
+    word = [bit for i in range(params.n) for bit in by_index.get(i, missing)]
     if not burst_violations(params):
         erase_damaged_blocks(word, params.code.r)
     try:
@@ -316,7 +300,13 @@ def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> Recover
         ) from amb
     # A decoded word is a codeword: read its message, no checks re-run.
     message_bits = tuple(codeword[j] for j in params.code.info_positions)
-    return _finish(message_bits, params, e1)
+    half = params.code.dimension // 2
+    point = decode_point(params.curve, message_bits[:half])
+    image = decode_point(e1, message_bits[half:])
+    chain = recover_isogeny(
+        params.curve, e1, point, image, params.ell_iso, params.e_iso
+    )
+    return RecoveryResult(chain=chain, point=point, image=image)
 
 
 def burst_recover(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:

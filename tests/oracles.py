@@ -35,7 +35,6 @@ from isoshare.errors import Ambiguous, Inconsistent, IsoshareError
 from isoshare.fields import PRIMITIVE_POLY, Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
-    _iso_invariant,
     _multiples,
     ell_torsion_subgroups,
     evaluate_chain,
@@ -188,18 +187,36 @@ def _walk_images(e0: CurveSpec, ell: int, e: int, point: CurvePoint):
     return [(w, evaluate_chain(w, point)) for w in exhaustive_walks(e0, ell, e)]
 
 
+def iso_key(e: CurveSpec, pt: CurvePoint):
+    """The key of pt's x on e that every isomorphism (x, y) -> (u^2 x,
+    u^3 y) out of e keeps, by division on Fp2 objects: x a/b, or x^2/a at
+    j = 1728 (b = 0), or x^3/b at j = 0 (a = 0), as a (c0, c1) pair; ()
+    for O."""
+    if pt.is_infinity:
+        return ()
+    x, a, b = pt.x, e.a, e.b
+    if not a:
+        return (x * x * x / b).key()
+    if not b:
+        return (x * x / a).key()
+    return (x * a / b).key()
+
+
 def enumerated_meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
     """isogeny._meet by enumeration, as the search computed it on every
     recovery before it kept its walks per cache entry: each
     non-backtracking b-walk out of target, built step by step, with its
     full image of image.  (layers, keys): layers[r] the j keys the r-walks
-    reach, keys the _iso_invariant of each b-walk's codomain and image
-    (None at b = 0)."""
+    reach, keys a dict from each j of layers[b] to the iso_key's of the
+    images on the b-walks' codomains of that j (None at b = 0)."""
     if not b:
         return [{target.jkey}], None
     walks = _walk_images(target, ell, b, image)
     layers = [{target.jkey}] + [{w.steps[r].codomain.jkey for w, _ in walks} for r in range(b)]
-    return layers, {_iso_invariant(w.codomain, mapped.xy) for w, mapped in walks}
+    keys = {j: set() for j in layers[b]}
+    for w, mapped in walks:
+        keys[w.codomain.jkey].add(iso_key(w.codomain, mapped))
+    return layers, keys
 
 
 def smallest_matching_walk(e0, e1, point, image, ell: int, e: int):

@@ -88,30 +88,51 @@ def test_point_order_exact(e0):
             assert not scalar_mul(e0, m // prime, q).is_infinity
 
 
-@pytest.mark.parametrize("p", [P, 59])
-def test_point_order_matches_brute_force(p):
-    # p + 1 = 432 = 2^4 * 3^3 and 60 = 2^2 * 3 * 5: the order of each point,
-    # and of multiples of it that drop each prime power in turn, is the
-    # first n with nP = O, found by adding P to itself.
+def _brute_force_points(p):
+    """(e, rng, points): y^2 = x^3 + x over GF(p^2), six random points and
+    their multiples that drop each prime power of p + 1 in turn, and the
+    rng that drew them."""
     e = CurveSpec(fp2_from_int(1, p), fp2_from_int(0, p), p)
     rng = random.Random(f"order-{p}")
+    points = []
     for _ in range(6):
         q = random_point(e, rng)
-        for d in (1, 2, 3, 4, 5, 6, 8, 9, 27, 30, 144):
-            if (p + 1) % d:
-                continue
-            pt = scalar_mul(e, d, q)
-            n, acc = 1, pt
-            while not acc.is_infinity:
-                acc, n = point_add(e, acc, pt), n + 1
-            assert point_order(e, pt) == n, (p, d)
+        points += [scalar_mul(e, d, q) for d in (1, 2, 3, 4, 5, 6, 8, 9, 27, 30, 144)
+                   if (p + 1) % d == 0]
+    return e, rng, points
+
+
+@pytest.mark.parametrize("p", [P, 59])
+def test_point_order_matches_brute_force(p):
+    # p + 1 = 432 = 2^4 * 3^3 and 60 = 2^2 * 3 * 5: the order of each point
+    # is the first n with nP = O, found by adding P to itself.
+    e, rng, points = _brute_force_points(p)
+    for pt in points:
+        n, acc = 1, pt
+        while not acc.is_infinity:
+            acc, n = point_add(e, acc, pt), n + 1
+        assert point_order(e, pt) == n, (p, pt)
     # On a curve whose group exponent does not divide p + 1, a point with
-    # (p + 1) P != O is refused.
+    # (p + 1) P != O lies on its curve, and is refused as having no order
+    # the exponent of a supersingular curve allows.
     ordinary = CurveSpec(fp2_from_int(1, p), Fp2(1, 1, p), p)
     pt = next(pt for pt in (random_point(ordinary, rng) for _ in range(100))
               if not scalar_mul(ordinary, p + 1, pt).is_infinity)
-    with pytest.raises(NotOnCurve):
+    with pytest.raises(NoSuchOrder):
         point_order(ordinary, pt)
+
+
+@pytest.mark.parametrize("p", [P, 59])
+def test_has_order_is_the_exact_order(p):
+    # The deal's one exact-order test, nP = O and (n/q)P != O for each
+    # prime q | n, agrees with point_order on every point of the brute-force
+    # test, for each n dividing p + 1 and for some that do not.
+    e, _, points = _brute_force_points(p)
+    candidates = [n for n in range(1, p + 2) if (p + 1) % n == 0] + [7, 11, 2 * (p + 1)]
+    for pt in points:
+        order = point_order(e, pt)
+        for n in candidates:
+            assert curves._has_order(e, pt.xy, n) == (order == n), (p, pt, n)
 
 
 def test_random_point_of_order(e0):
@@ -124,6 +145,13 @@ def test_random_point_of_order(e0):
         random_point_of_order(e0, 5, "s")  # 5 does not divide 432
     with pytest.raises(NoSuchOrder):
         random_point_of_order(e0, 0, "s")
+    # On a curve that is not supersingular, a candidate Q = ((p+1)/n) R
+    # with nQ != O ends the search, where an exact-order test alone could
+    # draw candidates forever; n = 1 included.
+    ordinary = CurveSpec(fp2_from_int(1, P), Fp2(1, 1, P), P)
+    for n in (1, 4, 16, 27):
+        with pytest.raises(NoSuchOrder):
+            random_point_of_order(ordinary, n, "s")
 
 
 def test_j_invariant_special_values(e0):

@@ -11,6 +11,7 @@ from oracles import (
     cube_table,
     enumerated_meet,
     exhaustive_walks,
+    iso_key,
     smallest_matching_walk,
     torsion_subgroups,
     translation_codomain,
@@ -43,7 +44,8 @@ from isoshare.isogeny import (
     IsogenyChain,
     IsogenyStep,
     _cube_roots,
-    _iso_invariant,
+    _invariant,
+    _key,
     _meet,
     _multiples,
     _torsion_cache,
@@ -540,12 +542,15 @@ def test_pruned_walks_are_the_oracle_walks_ending_at_the_target(e0):
 
 def test_cached_meet_is_the_enumerated_meet(e0):
     # _meet keeps one tree of b-walks per cache entry and carries only the
-    # x of the image down it; the reference enumerates every b-walk with
-    # its full image on each call.  Each target of the pruning test, at
-    # ell = 2 and 3 and b = 0..3, with image O, a random point and a point
-    # of order ell, which some first steps kill.  The cache is cleared per
-    # ell, so the first model of each j builds its trees, and another model
-    # (a target reached twice, or a scaled one) reads them.
+    # x of the image down it, to the leaves of each j asked for; the
+    # reference enumerates every b-walk with its full image on each call
+    # and keys it by division.  Each target of the pruning test, at ell = 2
+    # and 3 and b = 0..3, with image O, a random point and a point of order
+    # ell, which some first steps kill.  The cache is cleared per ell, so
+    # the first model of each j builds its trees, and another model (a
+    # target reached twice, or a scaled one) reads them.  Every j of the
+    # last layer is asked for, some twice, and a j the walks miss has no
+    # keys.
     targets = {t.key(): t for _, _, ts in _pruning_targets(e0) for t in ts}
     for ell in (2, 3):
         _torsion_cache.clear()
@@ -554,24 +559,34 @@ def test_cached_meet_is_the_enumerated_meet(e0):
                       random_point_of_order(target, ell, "meet-ell")]
             for b in (0, 1, 2, 3):
                 for image in images:
-                    assert _meet(target, ell, b, image) == enumerated_meet(target, ell, b, image)
+                    layers, keys = _meet(target, ell, b, image)
+                    expected_layers, expected_keys = enumerated_meet(target, ell, b, image)
+                    assert [set(layer) for layer in layers] == expected_layers
+                    if not b:
+                        assert keys is expected_keys is None
+                        continue
+                    for j in sorted(layers[b]) + sorted(layers[b])[:2]:
+                        assert keys(j) == expected_keys[j], (ell, b, j)
+                    assert keys((-1, -1)) == set()
 
 
 def test_meet_on_another_model_builds_nothing(e0, monkeypatch):
     # The walks out of a target depend on its j's cache entry alone: once
     # one model's meet has built them, another model of that j only carries
     # its image, with no Velu step and no children listed, and finds the
-    # same keys, which are isomorphism invariants.
+    # same keys for every j, as the keys are isomorphism invariants.
     target = random_walk(e0, 3, 4, "other-model").codomain
     u = Fp2(5, 7, e0.p)
     image = random_point(target, random.Random("other-model"))
     _torsion_cache.clear()
-    first = _meet(target, 3, 3, image)
+    layers, keys = _meet(target, 3, 3, image)
     built = _counting_steps(monkeypatch)
     listed = []
     children = isogeny._children
     monkeypatch.setattr(isogeny, "_children", lambda *args: listed.append(1) or children(*args))
-    assert _meet(_scaled(target, u), 3, 3, _moved(image, u)) == first
+    other_layers, other_keys = _meet(_scaled(target, u), 3, 3, _moved(image, u))
+    assert other_layers == layers
+    assert all(other_keys(j) == keys(j) for j in layers[3])
     assert not built and not listed
 
 
@@ -642,22 +657,41 @@ def _moved(pt, u):
 
 
 def test_iso_invariant_is_kept_by_isomorphisms(e0):
+    # A key reads the codomain of its edge's step through the invariant
+    # factor it keeps on the edge.  On steps into j = 1728, j = 0 (y^2 =
+    # x^3 + 1 has a 3-isogeny to itself) and a generic j, the key of a
+    # point's x is the division reference's, and it is kept by every
+    # automorphism and by the isomorphisms onto other models, which rescale
+    # the step: each edge below has its own factor made on first use.
     p = e0.p
-    j0 = CurveSpec(fp2_from_int(0, p), fp2_from_int(1, p), p)
-    generic = random_walk(e0, 3, 1, "inv").codomain
-    assert j_invariant(generic) not in (fp2_from_int(0, p), fp2_from_int(1728, p))
-    for curve, automorphisms in ((e0, 4), (j0, 6), (generic, 2)):
+    zero = fp2_from_int(0, p)
+    j0 = CurveSpec(zero, fp2_from_int(1, p), p)
+    to_1728 = velu_step(e0, CurvePoint(zero, zero), 2)
+    to_0 = next(step for step in (velu_step(j0, g, 3) for g in ell_torsion_subgroups(j0, 3))
+                if j_invariant(step.codomain) == zero)
+    generic = velu_step(e0, ell_torsion_subgroups(e0, 3)[0], 3)
+    assert j_invariant(to_1728.codomain) == fp2_from_int(1728, p)
+    assert j_invariant(generic.codomain) not in (zero, fp2_from_int(1728, p))
+
+    def edge(step):
+        return [step] + [None] * 5
+
+    for step, automorphisms in ((to_1728, 4), (to_0, 6), (generic, 2)):
+        curve = step.codomain
         assert len(isomorphism_scales(curve, curve)) == automorphisms
         keys = set()
         for i in range(6):
             pt = random_point(curve, random.Random(i))
-            key = _iso_invariant(curve, pt.xy)
+            key = _key(edge(step), pt.xy[:2], p)
+            assert key == iso_key(curve, pt)
             keys.add(key)
             # Every automorphism, and the isomorphisms onto other models.
             for u in isomorphism_scales(curve, curve) + [Fp2(5, 7, p), Fp2(0, 3, p)]:
-                assert _iso_invariant(_scaled(curve, u), _moved(pt, u).xy) == key, (curve, u)
+                moved = edge(step.with_scale(u))
+                assert _key(moved, _moved(pt, u).xy[:2], p) == key, (curve, u)
+                assert moved[5] == _invariant(_scaled(curve, u))
         assert len(keys) > 1
-        assert _iso_invariant(curve, INFINITY.xy) == (curve.jkey, ())
+        assert _key(edge(step), INFINITY.xy, p) == ()
 
 
 def test_recovery_is_the_brute_force_smallest_walk(e0):
@@ -880,6 +914,62 @@ def test_search_work_is_bounded(e0, monkeypatch):
     assert evaluate_chain(found, q) == image
     assert len(smuls) == 1
     assert len(built) <= 5, len(built)
+
+
+def test_search_images_and_keys_are_bounded(e0, monkeypatch):
+    # Warm e = 6 recoveries at p = 431 over 20 seeded deals.  Imaging the
+    # image's x down the whole tree of 3-walks out of the target and keying
+    # all 36 leaves, and keying each child at the meet by division, took a
+    # mean of 71.85 x-only images and 45.7 keys a recovery; imaging only
+    # along the paths to the leaves of the j the search asks about takes
+    # 39.0 and 18.75.  Each bound is that mean plus 10%.
+    deals = []
+    for i in range(20):
+        secret = random_walk(e0, 3, 6, f"mean-{i}")
+        q = random_point_of_order(e0, 16, f"mean-{i}p")
+        deals.append((secret.codomain, q, evaluate_chain(secret, q)))
+    for e1, q, image in deals:
+        recover_isogeny(e0, e1, q, image, 3, 6)
+    images, keys = [], []
+    image_fn, key_fn = IsogenyStep._image, isogeny._key
+    monkeypatch.setattr(IsogenyStep, "_image",
+                        lambda self, xy: images.append(len(xy) == 2) or image_fn(self, xy))
+    monkeypatch.setattr(isogeny, "_key", lambda *args: keys.append(1) or key_fn(*args))
+    for e1, q, image in deals:
+        recover_isogeny(e0, e1, q, image, 3, 6)
+    monkeypatch.undo()
+    assert sum(images) / len(deals) <= 43, sum(images) / len(deals)
+    assert len(keys) / len(deals) <= 21, len(keys) / len(deals)
+
+
+def test_memoized_child_orders_are_fresh_sorts(e0):
+    # _children keeps each node's order on its entry per (s, dual).  After
+    # seeded recoveries and walks, each kept order is the one a fresh sort
+    # gives: the subgroups by their smallest point on psi_s(R), less the
+    # one holding dual.  Walks reach psi_s(R) at s or at -s, the same curve;
+    # an entry reached at s is asked at -s too, and keeps the same order.
+    p = e0.p
+    _torsion_cache.clear()
+    for e in (2, 4, 6):
+        for i in range(4):
+            secret = random_walk(e0, 3, e, f"orders-{e}-{i}")
+            q = random_point_of_order(e0, 16, f"orders-{e}-{i}p")
+            recover_isogeny(e0, secret.codomain, q, evaluate_chain(secret, q), 3, e)
+    entry, (s, dual) = next((entry, node) for entry in _torsion_cache.values()
+                            for node in entry[5] if node[0] != (1, 0))
+    minus = (-s[0] % p, -s[1] % p)
+    assert isogeny._children((entry, minus, dual), 3) == entry[5][s, dual]
+    assert (minus, dual) in entry[5]
+    kept = 0
+    for entry in _torsion_cache.values():
+        for (s, dual), order in entry[5].items():
+            u = Fp2(*s, p)
+            smallest = [min(_moved(CurvePoint(Fp2(*q[:2], p), Fp2(*q[2:], p)), u).key()
+                            for q in pts) for pts in entry[1]]
+            assert order == [k for k in sorted(range(4), key=smallest.__getitem__)
+                             if dual not in entry[1][k]], (s, dual)
+            kept += 1
+    assert kept > len(_torsion_cache)
 
 
 def test_warm_recovery_builds_no_fp2(e0, monkeypatch):
