@@ -268,10 +268,9 @@ def cmd_deal(args) -> int:
     _print_findings(report)
     if not report.ok and not args.force:
         raise CliError(EXIT_INVALID, "parameter validation failed")
-    import hashlib
     seed = args.seed or config.get("seed", "0")
-    walk_seed = hashlib.sha256(f"{seed}/walk".encode()).hexdigest()
-    point_seed = hashlib.sha256(f"{seed}/point".encode()).hexdigest()
+    walk_seed = context_digest([f"{seed}/walk"])
+    point_seed = context_digest([f"{seed}/point"])
     secret = random_walk(params.curve, params.ell_iso, params.e_iso, walk_seed)
     point = random_point_of_order(params.curve, params.torsion_order, point_seed)
     deal = share_isogeny_path(secret, point, params, force=args.force)
@@ -341,10 +340,9 @@ def cmd_recover(args) -> int:
         print(f"step_{i}_j: {_fp2_str(j_invariant(step.codomain))}")
     print(f"codomain_a: {_fp2_str(result.chain.codomain.a)}")
     print(f"codomain_b: {_fp2_str(result.chain.codomain.b)}")
-    print(f"point_x: {_fp2_str(result.point.x)}")
-    print(f"point_y: {_fp2_str(result.point.y)}")
-    print(f"image_x: {_fp2_str(result.image.x)}")
-    print(f"image_y: {_fp2_str(result.image.y)}")
+    for name, pt in (("point", result.point), ("image", result.image)):
+        print(f"{name}_x: {_fp2_str(pt.x)}")
+        print(f"{name}_y: {_fp2_str(pt.y)}")
     return EXIT_OK
 
 

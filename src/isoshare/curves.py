@@ -217,15 +217,16 @@ def random_point_of_order(e: CurveSpec, n: int, seed) -> CurvePoint:
 
 def _of_order(e: CurveSpec, n: int, rng: random.Random):
     """The xy tuple of a point of exact order n, n | p+1: ((p+1)/n) R for
-    random points R drawn from rng until one has it.  A candidate with
-    nP != O, which no supersingular curve has, ends the search with
-    NoSuchOrder."""
+    random points R drawn from rng until one has it, by _has_order's test
+    with n factored once.  A candidate with nP != O, which no
+    supersingular curve has, ends the search with NoSuchOrder."""
+    primes = factorize(n)
     while True:
         xy = _times(e, (e.p + 1) // n, random_point(e, rng).xy)
-        if _has_order(e, xy, n):
-            return xy
         if _times(e, n, xy):
             raise NoSuchOrder(f"{e} has points whose order does not divide p+1")
+        if all(_times(e, n // q, xy) for q in primes):
+            return xy
 
 
 def j_invariant(e: CurveSpec) -> Fp2:

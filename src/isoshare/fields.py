@@ -7,7 +7,6 @@ value type users build and read.  GF(2^r) computes on ints too, modulo a
 fixed primitive polynomial per degree, so its generator tau = x (1 for
 r = 1) is the same in every run."""
 
-import functools
 import math
 
 
@@ -72,13 +71,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@functools.cache
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization in increasing order ({} for n < 2).
 
     Small primes go by trial division and the rest by Pollard's rho; every
-    factor is confirmed by is_prime.  Kept per n, as an exact-order test
-    factors its n once per candidate point; callers do not change the dict.
+    factor is confirmed by is_prime.
     """
     if n < 2:
         return {}

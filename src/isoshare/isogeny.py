@@ -9,18 +9,17 @@ lets a recovered chain land exactly on a prescribed target curve; a step
 keeps u, u^2 and u^3, so it costs an image one product a coordinate.
 Velu's X is a function of x alone, so a step also images an x-only pair
 (x-only Velu, as in Costello and Hisil, ASIACRYPT 2017), skipping the Y
-sum.  The
-search meets in the middle: the walks of half the length out of the target
-give the j-invariants each depth reaches and the keys at the middle, and
-these decide which walks out of the start are extended (see _walks).  Those
-walks depend on the target's j alone, so they are kept as a tree on its
-cache entry, its leaves listed by j, and a recovery carries only the x of
-its image down the tree (see _meet), as the keys read x alone, and only
-along the paths to the leaves of the j the search asks about, each node's
-x imaged once.  A key is x^n times its curve's invariant factor (a/b, or
-1/a at j = 1728, or 1/b at j = 0), kept on an edge of the cache once a
-key on the edge's codomain is made, so a key costs n products and no
-inversion.  The start's side carries only the x
+sum.  The search meets in the middle: the walks of half the length out of
+the target give the j-invariants each depth reaches and the keys at the
+middle, and these decide which walks out of the start are extended (see
+_walks).  Those walks depend on the target's j alone, so they are kept as
+a tree on its cache entry, its leaves listed by j, and a recovery carries
+only the x of its image down the tree (see _meet), as the keys read x
+alone, and only along the paths to the leaves of the j the search asks
+about, each node's x imaged once.  A key is x^n times its curve's
+invariant factor (a/b, or 1/a at j = 1728, or 1/b at j = 0), kept on an
+edge of the cache once a key on the edge's codomain is made, so a key
+costs n products and no inversion.  The start's side carries only the x
 of [ell^b]P, down to the middle; a walk that passes every prune is then
 evaluated on P in full for the final match.
 
@@ -34,9 +33,11 @@ codomain's j.  A walk's node is an entry and a scale s, the curve
 psi_s(R), with its points held in R's coordinates; a step along an edge
 multiplies s by the edge's scale and images the points, and pruning by j
 reads the edge's codomain.  A node's children, in kernel order, are
-sorted once per (s, dual) and kept on its entry.  Only the walks the
-search yields, and random_walk's, are built as chains of Velu steps on the
-actual models (a step out of R itself is its edge's).
+sorted once per (s, dual) and kept on its entry, at most _ORDERS_KEPT
+orders an entry, so a node expanded again within one process reads its
+order.  Only the walks the search yields, and random_walk's, are built as
+chains of Velu steps on the actual models (a step out of R itself is its
+edge's).
 The cache holds per (p, ell) at most one entry and ell+1 edges for each
 j-invariant (about p/12 of them for supersingular curves) and isomorphism
 class met, each edge a step of ell // 2 kernel pairs.  An entry that has
@@ -91,16 +92,15 @@ class IsogenyStep:
         p = domain.p
         (a0, a1), (b0, b1) = domain.akey, domain.bkey
         g = 1 if ell == 2 else 2
-        pairs = []
+        self._pairs = []
         t0 = t1 = w0 = w1 = 0
         for x0, x1, y0, y1 in points[: ell // 2]:
             v0 = g * (3 * (x0 * x0 - x1 * x1) + a0) % p
             v1 = g * (6 * x0 * x1 + a1) % p
             u0, u1 = 4 * (y0 * y0 - y1 * y1) % p, 8 * y0 * y1 % p
-            pairs.append((x0, x1, v0, v1, u0, u1))
+            self._pairs.append((x0, x1, v0, v1, u0, u1))
             t0, t1 = t0 + v0, t1 + v1
             w0, w1 = w0 + u0 + x0 * v0 - x1 * v1, w1 + u1 + x0 * v1 + x1 * v0
-        self._pairs = pairs
         # The codomain (a - 5t, b - 7w).
         a = (a0 - 5 * t0) % p, (a1 - 5 * t1) % p
         b = (b0 - 7 * w0) % p, (b1 - 7 * w1) % p
@@ -241,23 +241,29 @@ def _step(domain: CurveSpec, points, ell: int) -> IsogenyStep:
 # subgroups holds the xy tuples of the ell-1 nonzero points of each of R's
 # ell+1 cyclic subgroups of E[ell], each list in _multiples order, sampled
 # when first needed.  edges[i] is the ell-step out of R with kernel
-# subgroup i and, once a key on it is made, its codomain's invariant factor
-# (see _edge), or None until a walk takes it.  twist is the entry of the next model of that j found
-# with no isomorphism onto R, or None.  trees maps b to the layers and
-# b-walks out of R as _meet builds them, once per b > 0 that a recovery
-# onto this j meets at, and stays empty for every other entry; a tree holds
-# (ell+1) * (ell^b - 1) / (ell - 1) pairs of an int and an edge of the
-# cache, each also listed under its codomain's j in the layer of its depth
-# (the leaves by j, which the meet reads), so at b = 5, ell = 3 (e = 10)
-# it holds 484, and the cache grows by at most that per j.  orders maps
-# (s, dual) to the child order _children gave the node (entry, s, dual), at
-# most one per scale and dual kernel a walk reaches the entry at: 647
-# orders over the 37 entries at p = 431 after 6,000 search-deep ops of
-# perfbench (ell = 3, e = 6).  The curves of
-# one j that walks out of a supersingular E0 reach are all isomorphic over
-# GF(p^2), so such walks fill at most ell+1 edges per supersingular
-# j-invariant.
+# subgroup i and, once a key on it is made, its codomain's invariant
+# factor (see _edge), or None until a walk takes it.  twist is the entry
+# of the next model of that j found with no isomorphism onto R, or None.
+# trees maps b to the layers and b-walks out of R as _meet builds them,
+# once per b > 0 that a recovery onto this j meets at, and stays empty for
+# every other entry; a tree holds (ell+1) * (ell^b - 1) / (ell - 1) pairs
+# of an int and an edge of the cache, each also listed under its
+# codomain's j in the layer of its depth (the leaves by j, which the meet
+# reads), so at b = 5, ell = 3 (e = 10) it holds 484, and the cache grows
+# by at most that per j.  orders maps (s, dual) to the child order
+# _children gave the node (entry, s, dual); it pays only when a node is
+# expanded again within one process.  Distinct walks out of a start reach
+# an entry at distinct scales, so the nodes a process expands are bounded
+# only by the non-backtracking walks out of each start it searches, about
+# (ell+1) * ell^(e-1) per start and length e; so an entry keeps at most
+# _ORDERS_KEPT orders, lists of at most ell+1 ints, and drops them all
+# when full.  After 6,000 search-deep ops of perfbench (p = 431, ell = 3,
+# e = 6) the 37 entries kept 648 orders, 28 on the busiest, none full.  The
+# curves of one j that walks out of a supersingular E0 reach are all
+# isomorphic over GF(p^2), so such walks fill at most ell+1 edges per
+# supersingular j-invariant.
 _torsion_cache: dict[tuple, list] = {}
+_ORDERS_KEPT = 64
 
 
 def _entry(e: CurveSpec, ell: int):
@@ -281,14 +287,16 @@ def _children(node, ell: int) -> list[int]:
     kernel of the edge into node; None at a walk's start).  Points with
     one x are +-Q, so no two subgroups share an x, and the smallest s^2 x
     among the first ell // 2 points (one of each pair) decides.  The list
-    is kept on the entry per (s, dual); callers do not change it."""
+    is kept on the entry per (s, dual), so a node expanded again in the
+    process reads it; an entry keeps at most _ORDERS_KEPT lists and drops
+    them all when full.  Callers do not change a list."""
     entry, s, dual = node
     if (s, dual) not in entry[5]:
-        p = entry[0].p
+        if len(entry[5]) == _ORDERS_KEPT:
+            entry[5].clear()
         if entry[1] is None:
             entry[1] = _sample_subgroups(entry[0], ell)
-        s2 = _mul(s, s, p)
-        keys = [min([_mul(s2, q[:2], p) for q in pts[: ell // 2]]) for pts in entry[1]]
+        keys = [min([_moved(q[:2], s, entry[0].p) for q in pts[: ell // 2]]) for pts in entry[1]]
         entry[5][s, dual] = [k for k in sorted(range(ell + 1), key=keys.__getitem__)
                              if dual not in entry[1][k]]
     return entry[5][s, dual]
@@ -299,10 +307,10 @@ def _edge(entry, i: int, ell: int, resolve: bool) -> list:
     first use.  velu is Velu's step out of R with kernel subgroup i; its
     codomain's j is all that pruning by j reads, and invariant, its
     codomain's _invariant (None until _key first needs it), all that a key
-    on it needs, so a walk's last step needs no more.  Once resolved, target is the entry of that j,
-    whose R' gives velu's codomain = psi_c(R'), and step is velu followed
-    by psi_c^-1, so that it
-    lands on R' and images come in its coordinates; a step out of psi_s(R)
+    on it needs, so a walk's last step needs no more.  Once resolved,
+    target is the entry of that j, whose R' gives velu's codomain =
+    psi_c(R'), and step is velu followed by psi_c^-1, so that it lands on
+    R' and images come in its coordinates; a step out of psi_s(R)
     is psi_s o velu o psi_s^-1, as Velu's sums t and w scale by s^4 and
     s^6, so it lands on psi_sc(R').  dual is step's image of a point of
     E[ell] outside kernel i: it generates the dual step's kernel."""
@@ -369,9 +377,8 @@ def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
     rng = random.Random(("walk", repr(seed)).__repr__())
     path = [(*_entry(e0, ell), None)]
     for _ in range(e):
-        allowed = _children(path[-1], ell)
+        i = rng.choice(_children(path[-1], ell))
         entry, s, _ = path[-1]
-        i = allowed[rng.randrange(len(allowed))]
         _, _, target, c, dual, _ = _edge(entry, i, ell, True)
         path[-1:] = [(entry, s, i), (target, _mul(s, c, e0.p), dual)]
     return _chain_of(e0, path[:-1], ell)
@@ -496,26 +503,24 @@ def _meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
         return [{target.jkey}], None
     entry, s = _entry(target, ell)
     if b not in entry[4]:
-        levels, layers, nodes = [], [{target.jkey: []}], [(entry, None)]
+        levels, layers, nodes = [], [{target.jkey: []}] + [{} for _ in range(b)], [(entry, None)]
         for r in range(b):
             levels.append([(k, _edge(parent, i, ell, r < b - 1))
                            for k, (parent, dual) in enumerate(nodes)
                            for i in _children((parent, (1, 0), dual), ell)])
             nodes = [(edge[2], edge[4]) for _, edge in levels[-1]]
-            layers.append({})
             for k, edge in levels[-1]:
-                layers[-1].setdefault(edge[0].codomain.jkey, []).append((k, edge))
+                layers[r + 1].setdefault(edge[0].codomain.jkey, []).append((k, edge))
         entry[4][b] = layers, levels
     layers, levels = entry[4][b]
-    x = _moved(image.xy[:2], _inv(s, target.p), target.p)
+    xs = {(0, 0): _moved(image.xy[:2], _inv(s, target.p), target.p)}
 
-    @functools.cache
     def x_of(r, k):
-        """The x at the k-th r-walk."""
-        if not r:
-            return x
-        parent, edge = levels[r - 1][k]
-        return edge[1]._image(x_of(r - 1, parent))
+        """The x at the k-th r-walk, imaged on first use."""
+        if (r, k) not in xs:
+            parent, edge = levels[r - 1][k]
+            xs[r, k] = edge[1]._image(x_of(r - 1, parent))
+        return xs[r, k]
 
     return layers, functools.cache(lambda j: {
         _key(edge, edge[0]._image(x_of(b - 1, k)), target.p)

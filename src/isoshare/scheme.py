@@ -279,6 +279,24 @@ def _check_shares(shares, params: SchemeParams) -> dict[int, tuple[int, ...]]:
     return by_index
 
 
+def _erasure_word(by_index, params: SchemeParams):
+    missing = (ERASED,) * params.gamma
+    word = []
+    for i in range(params.n):
+        word.extend(by_index.get(i, missing))
+    return word
+
+
+def _finish(message_bits, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
+    half = params.code.dimension // 2
+    point = decode_point(params.curve, message_bits[:half])
+    image = decode_point(e1, message_bits[half:])
+    chain = recover_isogeny(
+        params.curve, e1, point, image, params.ell_iso, params.e_iso
+    )
+    return RecoveryResult(chain=chain, point=point, image=image)
+
+
 def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
     """Rebuild the codeword from >= t shares and recover the secret chain.
 
@@ -287,9 +305,7 @@ def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> Recover
     bit costs an RS symbol instead of making the word inconsistent.
     """
     by_index = _check_shares(shares, params)
-    # The blocks in index order, a missing one erased whole.
-    missing = (ERASED,) * params.gamma
-    word = [bit for i in range(params.n) for bit in by_index.get(i, missing)]
+    word = _erasure_word(by_index, params)
     if not burst_violations(params):
         erase_damaged_blocks(word, params.code.r)
     try:
@@ -300,13 +316,7 @@ def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> Recover
         ) from amb
     # A decoded word is a codeword: read its message, no checks re-run.
     message_bits = tuple(codeword[j] for j in params.code.info_positions)
-    half = params.code.dimension // 2
-    point = decode_point(params.curve, message_bits[:half])
-    image = decode_point(e1, message_bits[half:])
-    chain = recover_isogeny(
-        params.curve, e1, point, image, params.ell_iso, params.e_iso
-    )
-    return RecoveryResult(chain=chain, point=point, image=image)
+    return _finish(message_bits, params, e1)
 
 
 def burst_recover(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:

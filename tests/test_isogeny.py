@@ -1085,3 +1085,36 @@ def test_cached_edges_are_bounded_by_the_graph(e0, ell):
     entries, edges = _cached_edges(e0.p, ell)
     assert entries <= 37
     assert 0 < edges <= (ell + 1) * 37, edges
+
+
+def test_kept_child_orders_are_capped(e0, monkeypatch):
+    # Distinct walks out of a start reach an entry at distinct scales, so
+    # the child orders are not bounded by the graph: _children keeps at most
+    # _ORDERS_KEPT a cache entry and drops them all when full.  With the cap
+    # at 3, no entry holds more, and the seeded recoveries return the chains
+    # they return under the default cap.
+    deals = []
+    for k in range(12):
+        e = 2 + k % 5
+        secret = random_walk(e0, 3, e, f"cap-{k}")
+        q = random_point_of_order(e0, 16, f"cap-{k}p")
+        deals.append((secret.codomain, q, evaluate_chain(secret, q), 3, e))
+    _torsion_cache.clear()
+    expected = [recover_isogeny(e0, *deal).sort_key() for deal in deals]
+    assert max(_kept_orders(e0.p)) > 3
+    _torsion_cache.clear()
+    monkeypatch.setattr(isogeny, "_ORDERS_KEPT", 3)
+    for deal, key in zip(deals, expected):
+        assert recover_isogeny(e0, *deal).sort_key() == key
+        assert max(_kept_orders(e0.p)) <= 3
+
+
+def _kept_orders(p):
+    """The number of child orders each entry for (p, 3) keeps, twists of a
+    j included."""
+    kept = []
+    for key, entry in _torsion_cache.items():
+        while key[:2] == (p, 3) and entry is not None:
+            kept.append(len(entry[5]))
+            entry = entry[3]
+    return kept
