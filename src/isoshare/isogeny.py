@@ -9,45 +9,26 @@ lets a recovered chain land exactly on a prescribed target curve; a step
 keeps u, u^2 and u^3, so it costs an image one product a coordinate.
 Velu's X is a function of x alone, so a step also images an x-only pair
 (x-only Velu, as in Costello and Hisil, ASIACRYPT 2017), skipping the Y
-sum.  The search meets in the middle: the walks of half the length out of
-the target give the j-invariants each depth reaches and the keys at the
-middle, and these decide which walks out of the start are extended (see
-_walks).  Those walks depend on the target's j alone, so they are kept as
-a tree on its cache entry, its leaves listed by j, and a recovery carries
-only the x of its image down the tree (see _meet), as the keys read x
-alone, and only along the paths to the leaves of the j the search asks
-about, each node's x imaged once.  A key is x^n times its curve's
-invariant factor (a/b, or 1/a at j = 1728, or 1/b at j = 0), kept on an
-edge of the cache once a key on the edge's codomain is made, so a key
-costs n products and no inversion.  The start's side carries only the x
-of [ell^b]P, down to the middle; a walk that passes every prune is then
-evaluated on P in full for the final match.
+sum.
 
 Walks follow a cache of the ell-isogeny graph (_torsion_cache).  Velu's
 sums are homogeneous: under psi_s: (x, y) -> (s^2 x, s^3 y), t scales by
 s^4 and w by s^6, so the step out of psi_s(E) with kernel psi_s(K) is
 psi_s o phi_K o psi_s^-1, and its codomain has phi_K's j.  So each
-j-invariant keeps one model R, its E[ell] sampled once, and ell+1 edges,
-each Velu's step out of R computed once and moved onto the R' of its
-codomain's j.  A walk's node is an entry and a scale s, the curve
-psi_s(R), with its points held in R's coordinates; a step along an edge
-multiplies s by the edge's scale and images the points, and pruning by j
-reads the edge's codomain.  A node's children, in kernel order, are
-sorted once per (s, dual) and kept on its entry, at most _ORDERS_KEPT
-orders an entry, so a node expanded again within one process reads its
-order.  Only the walks the search yields, and random_walk's, are built as
-chains of Velu steps on the actual models (a step out of R itself is its
-edge's).
-The cache holds per (p, ell) at most one entry and ell+1 edges for each
-j-invariant (about p/12 of them for supersingular curves) and isomorphism
-class met, each edge a step of ell // 2 kernel pairs.  An entry that has
-been the target of a recovery with b > 0 also holds, per such b, its tree
-of b-walks: one (parent index, edge) pair per r-walk, 1 <= r <= b, that is
-(ell+1) * (ell^b - 1) / (ell - 1) pairs of edges the cache holds, each
-listed again under its codomain's j in the layer of its depth.  The tree
-saves work only when a process recovers onto a j whose tree an earlier
-recovery built; a cold recovery builds it at about the cost of one
-enumeration of the b-walks.
+j-invariant and isomorphism class met is one _Vertex: a model R, its
+E[ell] sampled once, and ell+1 _Edge's, each Velu's step out of R computed
+once and moved onto the model of its codomain's vertex.  A walk's node is
+a vertex and a scale s, the curve psi_s(R), with its points held in R's
+coordinates; only the walks the search yields, and random_walk's, are
+built as chains of Velu steps on the actual models.
+
+The search meets in the middle: the walks of half the length out of the
+target, kept as a tree on its vertex (see _meet), give the j-invariants
+each depth reaches and the keys at the middle, and these decide which
+walks out of the start are extended (see _walks).  A key is x^n times
+its curve's invariant factor, kept on the edge, so it costs n products
+and no inversion.  A walk that passes every prune is evaluated on P in
+full for the final match.
 
 All of it runs on the ints of isoshare.curves, scales u as (c0, c1) pairs;
 an Fp2 or CurvePoint is built only for a caller that reads one.
@@ -236,105 +217,115 @@ def _step(domain: CurveSpec, points, ell: int) -> IsogenyStep:
     return object.__new__(IsogenyStep)._velu(domain, _point(min(points), domain.p), ell, points)
 
 
-# (p, ell, j) -> the entry [R, subgroups, edges, twist, trees, orders] of
-# that j-invariant.  R is the first model of it that was looked up.
-# subgroups holds the xy tuples of the ell-1 nonzero points of each of R's
-# ell+1 cyclic subgroups of E[ell], each list in _multiples order, sampled
-# when first needed.  edges[i] is the ell-step out of R with kernel
-# subgroup i and, once a key on it is made, its codomain's invariant
-# factor (see _edge), or None until a walk takes it.  twist is the entry
-# of the next model of that j found with no isomorphism onto R, or None.
-# trees maps b to the layers and b-walks out of R as _meet builds them,
-# once per b > 0 that a recovery onto this j meets at, and stays empty for
-# every other entry; a tree holds (ell+1) * (ell^b - 1) / (ell - 1) pairs
-# of an int and an edge of the cache, each also listed under its
-# codomain's j in the layer of its depth (the leaves by j, which the meet
-# reads), so at b = 5, ell = 3 (e = 10) it holds 484, and the cache grows
-# by at most that per j.  orders maps (s, dual) to the child order
-# _children gave the node (entry, s, dual); it pays only when a node is
-# expanded again within one process.  Distinct walks out of a start reach
-# an entry at distinct scales, so the nodes a process expands are bounded
-# only by the non-backtracking walks out of each start it searches, about
-# (ell+1) * ell^(e-1) per start and length e; so an entry keeps at most
-# _ORDERS_KEPT orders, lists of at most ell+1 ints, and drops them all
-# when full.  After 6,000 search-deep ops of perfbench (p = 431, ell = 3,
-# e = 6) the 37 entries kept 648 orders, 28 on the busiest, none full.  The
-# curves of one j that walks out of a supersingular E0 reach are all
-# isomorphic over GF(p^2), so such walks fill at most ell+1 edges per
-# supersingular j-invariant.
-_torsion_cache: dict[tuple, list] = {}
+class _Vertex:
+    """One model of a j-invariant in the cache of the ell-isogeny graph.
+
+    subgroups holds the xy tuples of the ell-1 nonzero points of each of
+    model's ell+1 cyclic subgroups of E[ell], in _multiples order, sampled
+    when first needed; edges[i] is the _Edge with kernel subgroup i, or None
+    until a walk takes it.  trees maps b to the (layers, levels) of b-walks
+    out of model that _meet builds for a recovery onto this j.  orders maps
+    (s, dual) to the child order children gave; distinct walks out of a
+    start reach a vertex at distinct scales, so it keeps at most
+    _ORDERS_KEPT and drops them all when full."""
+
+    __slots__ = ("model", "ell", "subgroups", "edges", "trees", "orders")
+
+    def __init__(self, model: CurveSpec, ell: int):
+        self.model, self.ell, self.subgroups = model, ell, None
+        self.edges, self.trees, self.orders = [None] * (ell + 1), {}, {}
+
+    def children(self, s, dual) -> list[int]:
+        """The indices of the subgroups of psi_s(model), in the order of
+        their smallest point on it, the order of ell_torsion_subgroups, less
+        the one holding the point dual (the dual's kernel of the edge into
+        this node; None at a walk's start).  Points with one x are +-Q, so
+        no two subgroups share an x, and the smallest s^2 x among the first
+        ell // 2 points (one of each pair) decides.  Callers do not change
+        the list."""
+        if (s, dual) not in self.orders:
+            if len(self.orders) == _ORDERS_KEPT:
+                self.orders.clear()
+            self.subgroups = self.subgroups or _sample_subgroups(self.model, self.ell)
+            half, p = self.ell // 2, self.model.p
+            keys = [min([_moved(q[:2], s, p) for q in pts[:half]]) for pts in self.subgroups]
+            self.orders[s, dual] = [k for k in sorted(range(self.ell + 1), key=keys.__getitem__)
+                                    if dual not in self.subgroups[k]]
+        return self.orders[s, dual]
+
+    def edge(self, i: int, resolve: bool) -> "_Edge":
+        """Edge i, its Velu step made on first use, and its target, scale and
+        dual too if resolve (a walk's last step needs none of them)."""
+        edge = self.edges[i] = self.edges[i] or _Edge(_step(self.model, self.subgroups[i], self.ell))
+        if resolve and edge.target is None:
+            edge.target, edge.scale = _vertex(edge.velu.codomain, self.ell)
+            edge.step = edge.velu._scaled(_inv(edge.scale, self.model.p))
+            edge.dual = edge.step._image(self.subgroups[i - 1][0])
+        return edge
+
+    def child(self, s, i: int):
+        """The node that edge i leads to out of the node (self, s, _)."""
+        edge = self.edge(i, True)
+        return edge.target, _mul(s, edge.scale, self.model.p), edge.dual
+
+
+class _Edge:
+    """Velu's step velu out of a vertex's model R with one kernel subgroup.
+    Its codomain's j is all that pruning by j reads.  Once resolved, target
+    is the vertex of that j with velu's codomain = psi_scale(target.model),
+    step is velu followed by psi_scale^-1, so that images land on
+    target.model, and dual is step's image of a point of E[ell] outside the
+    kernel: it generates the dual step's kernel.  The step out of psi_s(R)
+    is psi_s o velu o psi_s^-1, as Velu's sums t and w scale by s^4 and
+    s^6.  invariant is velu's codomain's _invariant, made by the first
+    key."""
+
+    __slots__ = ("velu", "step", "target", "scale", "dual", "invariant")
+
+    def __init__(self, velu: IsogenyStep):
+        self.velu = velu
+        self.step = self.target = self.scale = self.dual = self.invariant = None
+
+    def key(self, x):
+        """The key of x, a point's x-only (x0, x1) pair (or its xy tuple),
+        on velu's codomain; () for O."""
+        if not x:
+            return ()
+        n, k = self.invariant = self.invariant or _invariant(self.velu.codomain)
+        for _ in range(n):
+            k = _mul(k, x, self.velu.domain.p)
+        return k
+
+
+# (p, ell, j) -> the _Vertex of each isomorphism class of that j met, in
+# the order first met.  Walks out of a supersingular E0 reach one class per
+# j, so one vertex.
+_torsion_cache: dict[tuple, list[_Vertex]] = {}
 _ORDERS_KEPT = 64
 
 
-def _entry(e: CurveSpec, ell: int):
-    """(entry, s) with e = psi_s(R) for the cached entry's R, psi_s the
-    isomorphism (x, y) -> (s^2 x, s^3 y); a new entry with R = e when e's j
-    has none onto which e is isomorphic."""
-    new = [e, None, [None] * (ell + 1), None, {}, {}]
-    entry = _torsion_cache.setdefault((e.p, ell, e.jkey), new)
-    while True:
-        scales = [(1, 0)] if entry[0] == e else _scales(entry[0], e)
+def _vertex(e: CurveSpec, ell: int):
+    """(vertex, s) with e = psi_s(vertex.model), psi_s the isomorphism
+    (x, y) -> (s^2 x, s^3 y); a new vertex with model e when no vertex of
+    e's j has an isomorphism onto e."""
+    vertices = _torsion_cache.setdefault((e.p, ell, e.jkey), [])
+    for vertex in vertices:
+        scales = [(1, 0)] if vertex.model == e else _scales(vertex.model, e)
         if scales:
-            return entry, scales[0]
-        entry[3] = entry[3] or new
-        entry = entry[3]
+            return vertex, scales[0]
+    vertices.append(_Vertex(e, ell))
+    return vertices[-1], (1, 0)
 
 
-def _children(node, ell: int) -> list[int]:
-    """The indices of the subgroups of node = (entry, s, dual), the curve
-    psi_s(R), in the order of their smallest point on it, the order of
-    ell_torsion_subgroups, less the one holding the point dual (the dual's
-    kernel of the edge into node; None at a walk's start).  Points with
-    one x are +-Q, so no two subgroups share an x, and the smallest s^2 x
-    among the first ell // 2 points (one of each pair) decides.  The list
-    is kept on the entry per (s, dual), so a node expanded again in the
-    process reads it; an entry keeps at most _ORDERS_KEPT lists and drops
-    them all when full.  Callers do not change a list."""
-    entry, s, dual = node
-    if (s, dual) not in entry[5]:
-        if len(entry[5]) == _ORDERS_KEPT:
-            entry[5].clear()
-        if entry[1] is None:
-            entry[1] = _sample_subgroups(entry[0], ell)
-        keys = [min([_moved(q[:2], s, entry[0].p) for q in pts[: ell // 2]]) for pts in entry[1]]
-        entry[5][s, dual] = [k for k in sorted(range(ell + 1), key=keys.__getitem__)
-                             if dual not in entry[1][k]]
-    return entry[5][s, dual]
-
-
-def _edge(entry, i: int, ell: int, resolve: bool) -> list:
-    """entry's edge i, [velu, step, target, c, dual, invariant], made on
-    first use.  velu is Velu's step out of R with kernel subgroup i; its
-    codomain's j is all that pruning by j reads, and invariant, its
-    codomain's _invariant (None until _key first needs it), all that a key
-    on it needs, so a walk's last step needs no more.  Once resolved,
-    target is the entry of that j, whose R' gives velu's codomain =
-    psi_c(R'), and step is velu followed by psi_c^-1, so that it lands on
-    R' and images come in its coordinates; a step out of psi_s(R)
-    is psi_s o velu o psi_s^-1, as Velu's sums t and w scale by s^4 and
-    s^6, so it lands on psi_sc(R').  dual is step's image of a point of
-    E[ell] outside kernel i: it generates the dual step's kernel."""
-    edge = entry[2][i]
-    if edge is None:
-        velu = _step(entry[0], entry[1][i], ell)
-        edge = entry[2][i] = [velu, velu, None, None, None, None]
-    if resolve and edge[2] is None:
-        edge[2], edge[3] = _entry(edge[0].codomain, ell)
-        if edge[3] != (1, 0):
-            edge[1] = edge[0]._scaled(_inv(edge[3], entry[0].p))
-        edge[4] = edge[1]._image(entry[1][i - 1][0])
-    return edge
-
-
-def _chain_of(e0: CurveSpec, path, ell: int) -> IsogenyChain:
-    """The chain out of e0 along path, a tuple of (entry, s, i) whose edges
+def _chain_of(e0: CurveSpec, path) -> IsogenyChain:
+    """The chain out of e0 along path, a tuple of (vertex, s, i) whose edges
     exist: each step is Velu's on psi_s(R) with kernel psi_s of subgroup i."""
     steps = []
-    for entry, s, i in path:
+    for vertex, s, i in path:
         domain = steps[-1].codomain if steps else e0
         # At scale 1 the domain is R, and edge i holds the step.
-        steps.append(entry[2][i][0] if s == (1, 0) else
-                     _step(domain, [_moved(q, s, e0.p) for q in entry[1][i]], ell))
+        steps.append(vertex.edges[i].velu if s == (1, 0) else
+                     _step(domain, [_moved(q, s, e0.p) for q in vertex.subgroups[i]], vertex.ell))
     return IsogenyChain(e0, steps)
 
 
@@ -349,9 +340,9 @@ def ell_torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
     but no isomorphism over GF(p^2) (a twist) is sampled itself.
     """
     require_rational_ell(e.p, ell)
-    entry, s = _entry(e, ell)
-    return [_point(min([_moved(q, s, e.p) for q in entry[1][i]]), e.p)
-            for i in _children((entry, s, None), ell)]
+    vertex, s = _vertex(e, ell)
+    return [_point(min([_moved(q, s, e.p) for q in vertex.subgroups[i]]), e.p)
+            for i in vertex.children(s, None)]
 
 
 def _sample_subgroups(e: CurveSpec, ell: int) -> list[list[tuple]]:
@@ -369,28 +360,24 @@ def _sample_subgroups(e: CurveSpec, ell: int) -> list[list[tuple]]:
 
 def random_walk(e0: CurveSpec, ell: int, e: int, seed) -> IsogenyChain:
     """Non-backtracking walk of e steps of degree ell, deterministic per seed:
-    each step is drawn among the kernels of _children, along cached edges."""
+    each step is drawn among a node's children, along cached edges."""
+    if e < 0:
+        raise ValueError("walk length must be nonnegative")
     require_rational_ell(e0.p, ell)
     if not is_supersingular(e0):
         # Isogenous curves share the point count, so one check covers the walk.
         raise NoSuchOrder(f"{e0} is not supersingular")
     rng = random.Random(("walk", repr(seed)).__repr__())
-    path = [(*_entry(e0, ell), None)]
+    path = [(*_vertex(e0, ell), None)]
     for _ in range(e):
-        i = rng.choice(_children(path[-1], ell))
-        entry, s, _ = path[-1]
-        _, _, target, c, dual, _ = _edge(entry, i, ell, True)
-        path[-1:] = [(entry, s, i), (target, _mul(s, c, e0.p), dual)]
-    return _chain_of(e0, path[:-1], ell)
-
-
-def isomorphism_scales(src: CurveSpec, dst: CurveSpec) -> list[Fp2]:
-    """All u with (u^4 a, u^6 b) = (a', b'), sorted: see _scales."""
-    return [Fp2(*u, src.p) for u in _scales(src, dst)]
+        vertex, s, dual = path[-1]
+        i = rng.choice(vertex.children(s, dual))
+        path[-1:] = [(vertex, s, i), vertex.child(s, i)]
+    return _chain_of(e0, path[:-1])
 
 
 def _scales(src: CurveSpec, dst: CurveSpec) -> list[tuple]:
-    """isomorphism_scales as sorted (c0, c1) pairs.
+    """All u with (u^4 a, u^6 b) = (a', b'), as sorted (c0, c1) pairs.
 
     The candidates v for u^2 are a b'/(a' b), or the square roots of a'/a
     when b = 0 (j = 1728), or the cube roots of b'/b when a = 0 (j = 0);
@@ -465,66 +452,51 @@ def _invariant(e: CurveSpec):
     return 1, _div(a, b, p)
 
 
-def _key(edge, x, p: int):
-    """The key of x, a point's x-only (x0, x1) pair (or its xy tuple), on
-    the codomain of the edge's Velu step; () for O.  The codomain's
-    _invariant is made on the first key and kept on the edge."""
-    if not x:
-        return ()
-    if edge[5] is None:
-        edge[5] = _invariant(edge[0].codomain)
-    n, k = edge[5]
-    for _ in range(n):
-        k = _mul(k, x, p)
-    return k
-
-
 def _meet(target: CurveSpec, ell: int, b: int, image: CurvePoint):
     """(layers, keys) from the b-walks out of target: layers[r], r <= b,
-    holds the j keys its r-walks reach; keys(j) is the set of _key's of
-    the images of `image` on the b-walks' codomains of that j (empty for a
-    j not in layers[b]), or keys is None if b = 0.  Raises NoSuchOrder if
+    holds the j keys its r-walks reach; keys(j) is the set of _Edge.key's
+    of the images of `image` on the b-walks' codomains of that j (empty for
+    a j not in layers[b]), or keys is None if b = 0.  Raises NoSuchOrder if
     E[ell] of the target is not rational (b > 0).
 
-    The walks depend on the target's cache entry alone, not on its model
-    or on image, so they are built once per entry and b and kept on the
-    entry with the layers, as levels: levels[r] holds a (k, edge) for each
+    The walks depend on the target's vertex alone, not on its model or on
+    image, so they are built once per vertex and b and kept in its trees
+    with the layers, as levels: levels[r] holds a (k, edge) for each
     (r+1)-walk, the k-th r-walk (k = 0 at r = 0) followed by edge, the
     children taken as _walks takes them but in any order, as the keys and
     layers are isomorphism invariants.  Each layer maps each of its j to
     the (k, edge) of the walks that end there (none at r = 0).  A call
-    moves image into R's coordinates, and keys carries its x alone down
-    the levels to the b-walks of each j asked for: each inner edge's step
-    images it once per node, kept for every later walk through that node,
-    landing on the next entry's R, and each last edge's Velu step gives a
-    key on its codomain (a last edge is left unresolved, as a leaf of
-    _walks is).  keys remembers the set of each j it was asked for."""
+    moves image into the vertex's model's coordinates, and keys carries its
+    x alone down the levels to the b-walks of each j asked for: each inner
+    edge's step images it once per node, kept for every later walk through
+    that node, and each last edge's velu gives a key on its codomain (a
+    last edge is left unresolved, as a leaf of _walks is).  keys remembers
+    the set of each j it was asked for."""
     if not b:
         return [{target.jkey}], None
-    entry, s = _entry(target, ell)
-    if b not in entry[4]:
-        levels, layers, nodes = [], [{target.jkey: []}] + [{} for _ in range(b)], [(entry, None)]
+    vertex, s = _vertex(target, ell)
+    if b not in vertex.trees:
+        levels, layers, nodes = [], [{target.jkey: []}] + [{} for _ in range(b)], [(vertex, None)]
         for r in range(b):
-            levels.append([(k, _edge(parent, i, ell, r < b - 1))
+            levels.append([(k, parent.edge(i, r < b - 1))
                            for k, (parent, dual) in enumerate(nodes)
-                           for i in _children((parent, (1, 0), dual), ell)])
-            nodes = [(edge[2], edge[4]) for _, edge in levels[-1]]
+                           for i in parent.children((1, 0), dual)])
+            nodes = [(edge.target, edge.dual) for _, edge in levels[-1]]
             for k, edge in levels[-1]:
-                layers[r + 1].setdefault(edge[0].codomain.jkey, []).append((k, edge))
-        entry[4][b] = layers, levels
-    layers, levels = entry[4][b]
+                layers[r + 1].setdefault(edge.velu.codomain.jkey, []).append((k, edge))
+        vertex.trees[b] = layers, levels
+    layers, levels = vertex.trees[b]
     xs = {(0, 0): _moved(image.xy[:2], _inv(s, target.p), target.p)}
 
     def x_of(r, k):
         """The x at the k-th r-walk, imaged on first use."""
         if (r, k) not in xs:
             parent, edge = levels[r - 1][k]
-            xs[r, k] = edge[1]._image(x_of(r - 1, parent))
+            xs[r, k] = edge.step._image(x_of(r - 1, parent))
         return xs[r, k]
 
     return layers, functools.cache(lambda j: {
-        _key(edge, edge[0]._image(x_of(b - 1, k)), target.p)
-        for k, edge in layers[b].get(j, ())})
+        edge.key(edge.velu._image(x_of(b - 1, k))) for k, edge in layers[b].get(j, ())})
 
 
 def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet):
@@ -534,55 +506,55 @@ def _walks(e0: CurveSpec, ell: int, e: int, point: CurvePoint, meet):
     kernel key order, so the walks come out in strictly increasing sort_key
     order.
 
-    A node is (entry, s, dual), the curve psi_s(R) for entry's R, its
-    point held in R's coordinates (see _children); a path lists a walk's
-    steps, each (entry, s, i): out of psi_s(R), with kernel (psi_s of)
-    subgroup i.  A node's child i is its entry's edge i, with scale s*c and
-    its point's image under the edge's step, so no Velu step is built once
-    the edges are; a leaf child is psi_s of Velu's codomain.
+    A node is (vertex, s, dual), the curve psi_s(R) for the vertex's model
+    R, its point held in R's coordinates (see _Vertex.children); a path
+    lists a walk's steps, each (vertex, s, i): out of psi_s(R), with kernel
+    (psi_s of) subgroup i.  A node's child i is _Vertex.child, with its
+    point's image under the edge's step, so no Velu step is built once the
+    edges are; a leaf child is psi_s of velu's codomain.
 
     meet = _meet(target, ell, b, image), b = e // 2, prunes the walks that
     cannot end on target with point sent to image.  A child with r <= b
     steps still to take is skipped before it is expanded when its j is not
     in layers[r]; at r = b > 0 also when no b-walk psi' out of target sends
     image to the child's image of [ell^b]point up to isomorphism (judged by
-    _key, among the keys of the child's j alone, as a curve of another j is
-    not isomorphic to it).  Any walk psi o F, psi its last r steps, that
-    maps point to image passes: the dual of psi, after the isomorphism onto
-    target, is such an r-walk psi' out of target, ending on j(codomain of
-    F).  [ell^b]point is computed once on e0 and the x of its image carried
-    down each walk to that depth, as F([ell^b]P) = [ell^b]F(P) and the key
-    reads x alone; it is the one point a node carries.  An edge's target,
-    scale and dual are resolved only for an inner child that passes, and a
-    target's E[ell] is sampled only once a walk expands it.
+    _Edge.key, among the keys of the child's j alone, as a curve of another
+    j is not isomorphic to it).  Any walk psi o F, psi its last r steps,
+    that maps point to image passes: the dual of psi, after the isomorphism
+    onto target, is such an r-walk psi' out of target, ending on
+    j(codomain of F).  [ell^b]point is computed once on e0 and the x of its
+    image carried down each walk to that depth, as F([ell^b]P) =
+    [ell^b]F(P) and the key reads x alone; it is the one point a node
+    carries.  An edge is resolved only for an inner child that passes, and
+    a vertex's E[ell] is sampled only once a walk expands it.
     """
     layers, keys = meet
     b, p = len(layers) - 1, e0.p
-    entry, s = _entry(e0, ell)
+    vertex, s = _vertex(e0, ell)
     carried = None if keys is None else _moved(scalar_mul(e0, ell**b, point).xy[:2], _inv(s, p), p)
-    stack = [(((entry, s, None),), carried)]
+    stack = [(((vertex, s, None),), carried)]
     while stack:
         path, carried = stack.pop()
-        entry, s, _ = path[-1]
+        vertex, s, dual = path[-1]
         # Steps a child still has to take after its own.  Leaf children come
         # out at once, smallest first; inner ones go on the stack, smallest
         # on top.
         remaining = e - len(path)
-        order = _children(path[-1], ell)
+        order = vertex.children(s, dual)
         for i in reversed(order) if remaining else order:
-            edge = _edge(entry, i, ell, False)
-            if remaining <= b and edge[0].codomain.jkey not in layers[remaining]:
+            edge = vertex.edge(i, False)
+            if remaining <= b and edge.velu.codomain.jkey not in layers[remaining]:
                 continue
-            if remaining == b and carried is not None and _key(
-                    edge, edge[0]._image(carried), p) not in keys(edge[0].codomain.jkey):
+            if remaining == b and carried is not None and edge.key(
+                    edge.velu._image(carried)) not in keys(edge.velu.codomain.jkey):
                 continue
             if not remaining:
-                yield _chain_of(e0, path[:-1] + ((entry, s, i),), ell)
+                yield _chain_of(e0, path[:-1] + ((vertex, s, i),))
                 continue
-            _, step, target, c, dual, _ = _edge(entry, i, ell, True)
+            node = vertex.child(s, i)
             # [ell^b]point is carried only down to the meet.
-            moved = step._image(carried) if remaining > b and carried is not None else None
-            stack.append((path[:-1] + ((entry, s, i), (target, _mul(s, c, p), dual)), moved))
+            moved = edge.step._image(carried) if remaining > b and carried is not None else None
+            stack.append((path[:-1] + ((vertex, s, i), node), moved))
 
 
 def recover_isogeny(e0: CurveSpec, e1: CurveSpec, point: CurvePoint, image: CurvePoint,
@@ -627,6 +599,5 @@ def recover_isogeny(e0: CurveSpec, e1: CurveSpec, point: CurvePoint, image: Curv
         # Codomains of another j have no isomorphism onto e1.
         for u in _scales(chain.codomain, e1):
             if _moved(mapped, u, e0.p) == image.xy:
-                last = chain.steps[-1]._scaled(u)
-                return IsogenyChain(e0, chain.steps[:-1] + (last,))
+                return IsogenyChain(e0, chain.steps[:-1] + (chain.steps[-1]._scaled(u),))
     raise NoIsogenyFound(f"no degree {ell}^{e} chain maps the torsion point as required")

@@ -287,16 +287,6 @@ def _erasure_word(by_index, params: SchemeParams):
     return word
 
 
-def _finish(message_bits, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
-    half = params.code.dimension // 2
-    point = decode_point(params.curve, message_bits[:half])
-    image = decode_point(e1, message_bits[half:])
-    chain = recover_isogeny(
-        params.curve, e1, point, image, params.ell_iso, params.e_iso
-    )
-    return RecoveryResult(chain=chain, point=point, image=image)
-
-
 def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
     """Rebuild the codeword from >= t shares and recover the secret chain.
 
@@ -316,7 +306,13 @@ def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> Recover
         ) from amb
     # A decoded word is a codeword: read its message, no checks re-run.
     message_bits = tuple(codeword[j] for j in params.code.info_positions)
-    return _finish(message_bits, params, e1)
+    half = params.code.dimension // 2
+    point = decode_point(params.curve, message_bits[:half])
+    image = decode_point(e1, message_bits[half:])
+    chain = recover_isogeny(
+        params.curve, e1, point, image, params.ell_iso, params.e_iso
+    )
+    return RecoveryResult(chain=chain, point=point, image=image)
 
 
 def burst_recover(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:

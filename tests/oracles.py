@@ -36,9 +36,9 @@ from isoshare.fields import PRIMITIVE_POLY, Fp2, fp2_from_int
 from isoshare.isogeny import (
     IsogenyChain,
     _multiples,
+    _scales,
     ell_torsion_subgroups,
     evaluate_chain,
-    isomorphism_scales,
     velu_step,
 )
 
@@ -187,6 +187,12 @@ def _walk_images(e0: CurveSpec, ell: int, e: int, point: CurvePoint):
     return [(w, evaluate_chain(w, point)) for w in exhaustive_walks(e0, ell, e)]
 
 
+def fp2_scales(src: CurveSpec, dst: CurveSpec) -> list[Fp2]:
+    """isogeny._scales(src, dst) as Fp2 values: every u, sorted, with
+    (u^4 a, u^6 b) = (a', b')."""
+    return [Fp2(*u, src.p) for u in _scales(src, dst)]
+
+
 def iso_key(e: CurveSpec, pt: CurvePoint):
     """The key of pt's x on e that every isomorphism (x, y) -> (u^2 x,
     u^3 y) out of e keeps, by division on Fp2 objects: x a/b, or x^2/a at
@@ -228,7 +234,7 @@ def smallest_matching_walk(e0, e1, point, image, ell: int, e: int):
     for walk, mapped in _walk_images(e0, ell, e, point):
         if j_invariant(walk.codomain) != j_invariant(e1):
             continue
-        for u in isomorphism_scales(walk.codomain, e1):
+        for u in fp2_scales(walk.codomain, e1):
             if mapped.is_infinity:
                 moved = INFINITY
             else:

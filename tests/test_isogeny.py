@@ -11,6 +11,7 @@ from oracles import (
     cube_table,
     enumerated_meet,
     exhaustive_walks,
+    fp2_scales,
     iso_key,
     smallest_matching_walk,
     torsion_subgroups,
@@ -44,15 +45,15 @@ from isoshare.isogeny import (
     IsogenyChain,
     IsogenyStep,
     _cube_roots,
+    _Edge,
     _invariant,
-    _key,
     _meet,
     _multiples,
     _torsion_cache,
+    _scales,
     _walks,
     ell_torsion_subgroups,
     evaluate_chain,
-    isomorphism_scales,
     random_walk,
     recover_isogeny,
     velu_step,
@@ -295,13 +296,13 @@ def test_transported_torsion_matches_sampling(e0):
         for rep in models.values():
             for u in scales:
                 model = _scaled(rep, u)
-                assert isomorphism_scales(rep, model)
+                assert fp2_scales(rep, model)
                 _torsion_cache.clear()
                 sampled = ell_torsion_subgroups(model, ell)
                 _torsion_cache.clear()
                 ell_torsion_subgroups(rep, ell)
                 transported = ell_torsion_subgroups(model, ell)
-                assert _torsion_cache[(p, ell, j_invariant(model).key())][0] is rep
+                assert _torsion_cache[(p, ell, j_invariant(model).key())][0].model is rep
                 assert transported == sampled, (ell, model)
             assert ell_torsion_subgroups(rep, ell) == torsion_subgroups(rep, ell)
 
@@ -310,7 +311,7 @@ def test_twist_of_cached_j_still_refused(e0):
     p = e0.p
     twist = CurveSpec(Fp2(2, 1, p), fp2_from_int(0, p), p)
     assert j_invariant(twist) == j_invariant(e0)
-    assert isomorphism_scales(e0, twist) == []
+    assert fp2_scales(e0, twist) == []
     _torsion_cache.clear()
     ell_torsion_subgroups(e0, 3)
     with pytest.raises(NoSuchOrder):
@@ -329,6 +330,8 @@ def test_chain_checks_each_link(e0):
 
 def test_random_walk_shape_and_determinism(e0):
     assert len(random_walk(e0, 3, 0, "z")) == 0
+    with pytest.raises(ValueError):
+        random_walk(e0, 3, -2, "s")
     walk = random_walk(e0, 3, 3, "w")
     assert walk.degree == 27
     assert len(walk.steps) == 3
@@ -360,24 +363,24 @@ def test_walk_never_backtracks(e0):
 def test_isomorphism_scales_roundtrip(e0):
     walk = random_walk(e0, 3, 1, "iso")
     e1 = walk.codomain
-    scales = isomorphism_scales(e1, e1)
+    scales = fp2_scales(e1, e1)
     assert scales, "identity isomorphism must be found"
     one = [u for u in scales if u.c0 == 1 and u.c1 == 0]
     assert one
-    assert isomorphism_scales(e0, e0)  # j = 1728 branch
+    assert fp2_scales(e0, e0)  # j = 1728 branch
 
 
 def test_isomorphism_scales_j0():
     p = 431
     e = CurveSpec(fp2_from_int(0, p), fp2_from_int(1, p), p)
-    scales = isomorphism_scales(e, e)
+    scales = fp2_scales(e, e)
     # The automorphisms of y^2 = x^3 + 1 are the six u with u^6 = 1.
     assert len(scales) == 6
     assert scales == sorted(scales, key=Fp2.key)
     assert all(u**6 == fp2_from_int(1, p) for u in scales)
     u = Fp2(5, 7, p)
     twisted = CurveSpec(fp2_from_int(0, p), u**6, p)
-    assert u in isomorphism_scales(e, twisted)
+    assert u in fp2_scales(e, twisted)
 
 
 @pytest.mark.parametrize("p", [3, 7, 11, 19, 23])
@@ -410,7 +413,7 @@ def test_isomorphism_scales_match_brute_force(p):
             brute.setdefault(image, []).append(u.key())
         found = twists = 0
         for key, dst in targets.items():
-            scales = [u.key() for u in isomorphism_scales(src, dst)]
+            scales = [u.key() for u in fp2_scales(src, dst)]
             assert scales == sorted(brute.get(key, [])), (src, dst)
             found += bool(scales)
             twists += not scales and dst.j == src.j
@@ -582,8 +585,9 @@ def test_meet_on_another_model_builds_nothing(e0, monkeypatch):
     layers, keys = _meet(target, 3, 3, image)
     built = _counting_steps(monkeypatch)
     listed = []
-    children = isogeny._children
-    monkeypatch.setattr(isogeny, "_children", lambda *args: listed.append(1) or children(*args))
+    children = isogeny._Vertex.children
+    monkeypatch.setattr(isogeny._Vertex, "children",
+                        lambda *args: listed.append(1) or children(*args))
     other_layers, other_keys = _meet(_scaled(target, u), 3, 3, _moved(image, u))
     assert other_layers == layers
     assert all(other_keys(j) == keys(j) for j in layers[3])
@@ -629,7 +633,7 @@ def test_twist_target_is_never_matched(e0, e0_large, monkeypatch):
     # not a fourth power), whose E[3] is not rational.
     for start, twist_a in ((e0, Fp2(2, 1, e0.p)), (e0_large, Fp2(1, 4, P_LARGE))):
         twist = CurveSpec(twist_a, fp2_from_int(0, start.p), start.p)
-        assert not isomorphism_scales(start, twist)
+        assert not fp2_scales(start, twist)
         q = random_point_of_order(start, 16, "twistp")
         image = random_point(twist, random.Random(1))
         # No walk leaves the twist, and every curve isogenous to E0 has
@@ -639,7 +643,7 @@ def test_twist_target_is_never_matched(e0, e0_large, monkeypatch):
         with pytest.raises(NoSuchOrder):
             _meet(twist, 3, 1, INFINITY)
         # Nor does it keep a tree of walks for the twist.
-        assert not isogeny._entry(twist, 3)[0][4]
+        assert not isogeny._vertex(twist, 3)[0].trees
         built = _counting_steps(monkeypatch)
         for e in (1, 2, 5):
             with pytest.raises(NoIsogenyFound):
@@ -673,25 +677,22 @@ def test_iso_invariant_is_kept_by_isomorphisms(e0):
     assert j_invariant(to_1728.codomain) == fp2_from_int(1728, p)
     assert j_invariant(generic.codomain) not in (zero, fp2_from_int(1728, p))
 
-    def edge(step):
-        return [step] + [None] * 5
-
     for step, automorphisms in ((to_1728, 4), (to_0, 6), (generic, 2)):
         curve = step.codomain
-        assert len(isomorphism_scales(curve, curve)) == automorphisms
+        assert len(fp2_scales(curve, curve)) == automorphisms
         keys = set()
         for i in range(6):
             pt = random_point(curve, random.Random(i))
-            key = _key(edge(step), pt.xy[:2], p)
+            key = _Edge(step).key(pt.xy[:2])
             assert key == iso_key(curve, pt)
             keys.add(key)
             # Every automorphism, and the isomorphisms onto other models.
-            for u in isomorphism_scales(curve, curve) + [Fp2(5, 7, p), Fp2(0, 3, p)]:
-                moved = edge(step.with_scale(u))
-                assert _key(moved, _moved(pt, u).xy[:2], p) == key, (curve, u)
-                assert moved[5] == _invariant(_scaled(curve, u))
+            for u in fp2_scales(curve, curve) + [Fp2(5, 7, p), Fp2(0, 3, p)]:
+                moved = _Edge(step.with_scale(u))
+                assert moved.key(_moved(pt, u).xy[:2]) == key, (curve, u)
+                assert moved.invariant == _invariant(_scaled(curve, u))
         assert len(keys) > 1
-        assert _key(edge(step), INFINITY.xy, p) == ()
+        assert _Edge(step).key(INFINITY.xy) == ()
 
 
 def test_recovery_is_the_brute_force_smallest_walk(e0):
@@ -931,10 +932,10 @@ def test_search_images_and_keys_are_bounded(e0, monkeypatch):
     for e1, q, image in deals:
         recover_isogeny(e0, e1, q, image, 3, 6)
     images, keys = [], []
-    image_fn, key_fn = IsogenyStep._image, isogeny._key
+    image_fn, key_fn = IsogenyStep._image, _Edge.key
     monkeypatch.setattr(IsogenyStep, "_image",
                         lambda self, xy: images.append(len(xy) == 2) or image_fn(self, xy))
-    monkeypatch.setattr(isogeny, "_key", lambda *args: keys.append(1) or key_fn(*args))
+    monkeypatch.setattr(_Edge, "key", lambda *args: keys.append(1) or key_fn(*args))
     for e1, q, image in deals:
         recover_isogeny(e0, e1, q, image, 3, 6)
     monkeypatch.undo()
@@ -943,11 +944,12 @@ def test_search_images_and_keys_are_bounded(e0, monkeypatch):
 
 
 def test_memoized_child_orders_are_fresh_sorts(e0):
-    # _children keeps each node's order on its entry per (s, dual).  After
-    # seeded recoveries and walks, each kept order is the one a fresh sort
-    # gives: the subgroups by their smallest point on psi_s(R), less the
-    # one holding dual.  Walks reach psi_s(R) at s or at -s, the same curve;
-    # an entry reached at s is asked at -s too, and keeps the same order.
+    # _Vertex.children keeps each node's order on its vertex per (s, dual).
+    # After seeded recoveries and walks, each kept order is the one a fresh
+    # sort gives: the subgroups by their smallest point on psi_s(R), less
+    # the one holding dual.  Walks reach psi_s(R) at s or at -s, the same
+    # curve; a vertex reached at s is asked at -s too, and keeps the same
+    # order.
     p = e0.p
     _torsion_cache.clear()
     for e in (2, 4, 6):
@@ -955,19 +957,20 @@ def test_memoized_child_orders_are_fresh_sorts(e0):
             secret = random_walk(e0, 3, e, f"orders-{e}-{i}")
             q = random_point_of_order(e0, 16, f"orders-{e}-{i}p")
             recover_isogeny(e0, secret.codomain, q, evaluate_chain(secret, q), 3, e)
-    entry, (s, dual) = next((entry, node) for entry in _torsion_cache.values()
-                            for node in entry[5] if node[0] != (1, 0))
+    vertices = [vertex for vertices in _torsion_cache.values() for vertex in vertices]
+    vertex, (s, dual) = next((vertex, node) for vertex in vertices
+                             for node in vertex.orders if node[0] != (1, 0))
     minus = (-s[0] % p, -s[1] % p)
-    assert isogeny._children((entry, minus, dual), 3) == entry[5][s, dual]
-    assert (minus, dual) in entry[5]
+    assert vertex.children(minus, dual) == vertex.orders[s, dual]
+    assert (minus, dual) in vertex.orders
     kept = 0
-    for entry in _torsion_cache.values():
-        for (s, dual), order in entry[5].items():
+    for vertex in vertices:
+        for (s, dual), order in vertex.orders.items():
             u = Fp2(*s, p)
             smallest = [min(_moved(CurvePoint(Fp2(*q[:2], p), Fp2(*q[2:], p)), u).key()
-                            for q in pts) for pts in entry[1]]
+                            for q in pts) for pts in vertex.subgroups]
             assert order == [k for k in sorted(range(4), key=smallest.__getitem__)
-                             if dual not in entry[1][k]], (s, dual)
+                             if dual not in vertex.subgroups[k]], (s, dual)
             kept += 1
     assert kept > len(_torsion_cache)
 
@@ -1057,16 +1060,17 @@ def test_edge_search_matches_the_oracle_cold_and_warm(p):
     assert ends == special
 
 
+def _vertices(p, ell):
+    """The vertices in the torsion cache for (p, ell), twists of a j
+    included."""
+    return [vertex for key, vertices in _torsion_cache.items() if key[:2] == (p, ell)
+            for vertex in vertices]
+
+
 def _cached_edges(p, ell):
-    """Entries and filled edges in the torsion cache for (p, ell), twists
-    of a j included."""
-    entries = edges = 0
-    for key, entry in _torsion_cache.items():
-        while key[:2] == (p, ell) and entry is not None:
-            entries += 1
-            edges += sum(edge is not None for edge in entry[2])
-            entry = entry[3]
-    return entries, edges
+    """Vertices and filled edges in the torsion cache for (p, ell)."""
+    vertices = _vertices(p, ell)
+    return len(vertices), sum(edge is not None for v in vertices for edge in v.edges)
 
 
 @pytest.mark.parametrize("ell", [2, 3])
@@ -1087,12 +1091,53 @@ def test_cached_edges_are_bounded_by_the_graph(e0, ell):
     assert 0 < edges <= (ell + 1) * 37, edges
 
 
+@pytest.mark.parametrize("p, ell", [(431, 2), (431, 3), (P_LARGE, 3)])
+def test_cache_records_keep_their_invariants(p, ell):
+    # After seeded recoveries, and a twist of E0's j looked up, every vertex
+    # and filled edge of the cache holds what the search reads off it.
+    start = CurveSpec(fp2_from_int(1, p), fp2_from_int(0, p), p)
+    twist = CurveSpec(Fp2(2, 1, p) if p == 431 else Fp2(1, 4, p), fp2_from_int(0, p), p)
+    _torsion_cache.clear()
+    for k in range(8):
+        e = 2 + k % 4
+        secret = random_walk(start, ell, e, f"records-{p}-{ell}-{k}")
+        q = random_point_of_order(start, 16 if ell == 3 else 27, f"records-{p}-{ell}-{k}p")
+        recover_isogeny(start, secret.codomain, q, evaluate_chain(secret, q), ell, e)
+    isogeny._vertex(twist, ell)
+    assert len(_torsion_cache[p, ell, twist.jkey]) == 2
+    resolved = keyed = leaves = 0
+    for (_, _, j), vertices in _torsion_cache.items():
+        assert all(not _scales(v.model, w.model) for v in vertices for w in vertices if v is not w)
+        for vertex in vertices:
+            assert vertex.model.jkey == j and vertex.ell == ell
+            assert len(vertex.orders) <= isogeny._ORDERS_KEPT
+            for edge in filter(None, vertex.edges):
+                assert edge.velu.domain is vertex.model
+                if edge.target is not None:
+                    target, resolved = edge.target.model, resolved + 1
+                    assert edge.step.codomain == target
+                    assert edge.velu.codomain == _scaled(target, Fp2(*edge.scale, p))
+                    dual = CurvePoint(Fp2(*edge.dual[:2], p), Fp2(*edge.dual[2:], p))
+                    assert is_on_curve(target, dual) and scalar_mul(target, ell, dual).is_infinity
+                if edge.invariant is not None:
+                    keyed += 1
+                    assert edge.invariant == _invariant(edge.velu.codomain)
+            for layers, levels in vertex.trees.values():
+                for layer, level in zip(layers[1:], levels):
+                    listed = [(k, id(edge)) for ends in layer.values() for k, edge in ends]
+                    assert sorted(listed) == sorted((k, id(edge)) for k, edge in level)
+                    for leaf_j, ends in layer.items():
+                        assert all(edge.velu.codomain.jkey == leaf_j for _, edge in ends)
+                    leaves += len(listed)
+    assert resolved and keyed and leaves
+
+
 def test_kept_child_orders_are_capped(e0, monkeypatch):
-    # Distinct walks out of a start reach an entry at distinct scales, so
-    # the child orders are not bounded by the graph: _children keeps at most
-    # _ORDERS_KEPT a cache entry and drops them all when full.  With the cap
-    # at 3, no entry holds more, and the seeded recoveries return the chains
-    # they return under the default cap.
+    # Distinct walks out of a start reach a vertex at distinct scales, so
+    # the child orders are not bounded by the graph: _Vertex.children keeps
+    # at most _ORDERS_KEPT a vertex and drops them all when full.  With the
+    # cap at 3, no vertex holds more, and the seeded recoveries return the
+    # chains they return under the default cap.
     deals = []
     for k in range(12):
         e = 2 + k % 5
@@ -1110,11 +1155,5 @@ def test_kept_child_orders_are_capped(e0, monkeypatch):
 
 
 def _kept_orders(p):
-    """The number of child orders each entry for (p, 3) keeps, twists of a
-    j included."""
-    kept = []
-    for key, entry in _torsion_cache.items():
-        while key[:2] == (p, 3) and entry is not None:
-            kept.append(len(entry[5]))
-            entry = entry[3]
-    return kept
+    """The number of child orders each vertex for (p, 3) keeps."""
+    return [len(vertex.orders) for vertex in _vertices(p, 3)]
