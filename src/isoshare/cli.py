@@ -93,17 +93,15 @@ class CliError(Exception):
 def bits_to_hex(bits) -> str:
     """MSB-first nibble packing, zero fill in the final nibble."""
     bits = tuple(bits)
-    bits += (0,) * (-len(bits) % 4)
-    return "".join(
-        f"{bits_to_int(bits[i:i + 4]):x}" for i in range(0, len(bits), 4)
-    )
+    digits = -(-len(bits) // 4)
+    return format(bits_to_int(bits) << -len(bits) % 4, f"0{digits}x") if bits else ""
 
 
 def hex_to_bits(text: str, nbits: int) -> tuple[int, ...]:
     digits = -(-nbits // 4)
     if len(text) != digits or not HEX_DIGITS.issuperset(text):
         raise ValueError(f"expected {digits} hex digits")
-    bits = tuple(b for ch in text for b in int_to_bits(int(ch, 16), 4))
+    bits = int_to_bits(int(text or "0", 16), 4 * digits)
     if any(bits[nbits:]):
         raise ValueError("nonzero fill bits")
     return bits[:nbits]

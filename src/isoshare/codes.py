@@ -17,6 +17,19 @@ early), then fills in each erased check bit by the parity of its check.
 It works uniformly for every code here and succeeds on any pattern that
 pins the codeword down uniquely, not just the worst-case d - 1 bound.
 
+A coalition too small to rebuild the codeword is refused without the
+solve when the code declares itself MDS over blocks of s bits as
+`_mds = (s, k_sym)`: only BinaryExpandedCode does, with s = r + 1 (an RS
+symbol's r data bits and their parity bit) and k_sym the RS dimension.
+If every erased bit lies in a wholly erased block, every other block has
+even parity, and fewer than k_sym blocks are known, then each known block
+is a valid RS symbol, and any k_sym symbols of an MDS code form an
+information set (McEliece-Sarwate, CACM 1981): the known symbols,
+whatever their values, extend to exactly 2^(r (k_sym - known)) codewords,
+the count the solve would find.  Any other word (a partly erased block,
+an odd-parity block, k_sym or more known blocks) goes to the solve, so
+Inconsistent is raised wherever the solve raises it.
+
 The paper's burst decoding runs at bit level too: once
 erase_damaged_blocks has erased the damaged blocks of a binary-expanded
 word, its decode succeeds, fails or counts solutions exactly as the base
@@ -34,6 +47,9 @@ from .errors import (
 from .fields import GF2, BinaryField
 
 ERASED = None
+# _pack's erased mask from its digit string, and _unpack's bits from theirs.
+_ERASED_DIGITS = str.maketrans("1x", "01")
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def rs_generator_poly(r: int, d: int, m: int = 0) -> list[int]:
@@ -111,19 +127,28 @@ class LinearCode:
         # each has one bit off the pivots, its own check bit.
         self._par_bits = linalg.nullspace(reduced, pivots, r * length)
         self._info_bits = sum(1 << pc for pc in pivots)
+        # _pack's digits of each symbol, and (s, k_sym) for a code that is
+        # MDS over blocks of s bits (see the module docstring), else None.
+        self._digits = {v: format(v, f"0{r}b") for v in range(field.size)} | {ERASED: "x" * r}
+        self._mds = None
 
     def _pack(self, word, erased=False):
-        """A word as an int, symbol j at bits r*j on; ERASED, allowed only
-        where `erased`, packs as 0.  A symbol outside the field would carry
-        into its neighbour's bits, so it is refused."""
+        """A word as two ints, symbol j at bits r*j on: its known bits, each
+        ERASED (allowed only where `erased`) as 0, and the mask of its
+        erased bits.  Both are read from one string of binary digits, the
+        symbols high to low, each ERASED an "x".  A symbol outside the field
+        would carry into its neighbour's bits, so it is refused."""
         if not self.field._are_elements(word, erased):
             raise ValueError(f"symbols must be ints in 0..{self.field.size - 1}")
-        r = self.field.r
-        return sum(s << r * j for j, s in enumerate(word) if s)
+        digits = "".join(map(self._digits.__getitem__, reversed(word)))
+        return int(digits.replace("x", "0"), 2), int(digits.translate(_ERASED_DIGITS), 2)
 
     def _unpack(self, bits):
-        """Inverse of _pack, as a tuple of `length` symbols."""
+        """Inverse of _pack's known bits, as a tuple of `length` symbols: a
+        binary word is the binary digits of `bits` read from the low end."""
         r, mask = self.field.r, self.field.size - 1
+        if r == 1:
+            return tuple(format(bits, f"0{self.length}b")[::-1].encode().translate(_BITS))
         return tuple(bits >> i & mask for i in range(0, r * self.length, r))
 
     def encode(self, msg):
@@ -141,13 +166,17 @@ class LinearCode:
         return self._unpack(bits)
 
     def contains(self, cw) -> bool:
-        bits = self._pack(cw)
+        """Whether the sequence `cw` is a codeword: `length` symbols that
+        pass every parity check."""
+        if len(cw) != self.length:
+            return False
+        bits = self._pack(cw)[0]
         return not any((h & bits).bit_count() & 1 for h in self._par_bits)
 
     def extract(self, cw):
         """Inverse of encode; rejects vectors outside the code."""
         cw = tuple(cw)
-        if len(cw) != self.length or not self.contains(cw):
+        if not self.contains(cw):
             raise NotACodeword("vector fails the parity checks")
         return tuple(cw[j] for j in self.info_positions)
 
@@ -164,12 +193,23 @@ class LinearCode:
         word = list(word)
         if len(word) != self.length:
             raise LengthMismatch(f"word length {len(word)} != {self.length}")
-        r, full = self.field.r, self.field.size - 1
-        ncols = r * self.length
-        erased = sum(full << r * j for j, s in enumerate(word) if s is ERASED)
+        ncols = self.field.r * self.length
+        known, erased = self._pack(word, erased=True)
+        if self._mds:
+            # Per block, at its lowest bit: whether it is wholly erased
+            # (`whole`) and the parity of its bits (`odd`); see the module
+            # docstring for why this count is exact.
+            s, k_sym = self._mds
+            whole, odd, lows = erased, known, ((1 << ncols) - 1) // ((1 << s) - 1)
+            for i in range(1, s):
+                whole &= erased >> i
+                odd ^= known >> i
+            whole &= lows
+            found = self.length // s - whole.bit_count()
+            if found < k_sym and not odd & lows and erased == whole * ((1 << s) - 1):
+                raise Ambiguous(2 ** ((s - 1) * (k_sym - found)))
         unknown = erased & self._info_bits
         erased_checks = erased ^ unknown
-        known = self._pack(word, erased=True)
         rows, rhs, deferred = [], [], []
         for h in self._par_bits:
             if h & erased_checks:
@@ -303,13 +343,10 @@ class BinaryExpandedCode(LinearCode):
                          design_distance=2 * d)
         self.base = base
         self.r = r
+        self._mds = (r + 1, base.dimension)
 
     def block_symbol_spans(self, block_bits: int, n_blocks: int) -> list[int]:
         """RS symbols hit by each of n_blocks consecutive share blocks."""
         block = self.r + 1
-        spans = []
-        for i in range(n_blocks):
-            start = i * block_bits
-            end = start + block_bits - 1
-            spans.append(end // block - start // block + 1)
-        return spans
+        starts = range(0, n_blocks * block_bits, block_bits)
+        return [(start + block_bits - 1) // block - start // block + 1 for start in starts]

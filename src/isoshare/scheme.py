@@ -158,15 +158,11 @@ def validate_params(params: SchemeParams) -> ValidationReport:
     if not 1 <= t <= n:
         report.violations.append(f"threshold t = {t} outside [1, {n}]")
     if params.code.length != gamma * n:
-        report.violations.append(
-            f"code length {params.code.length} != gamma*n = {gamma * n}"
-        )
+        report.violations.append(f"code length {params.code.length} != gamma*n = {gamma * n}")
     if t < lower:
         report.violations.append(f"t = {t} < ceil(k/gamma) = {lower}")
     if t > upper:
-        report.violations.append(
-            f"t = {t} > n - {params.security_bits}/gamma + 1 = {upper}"
-        )
+        report.violations.append(f"t = {t} > n - {params.security_bits}/gamma + 1 = {upper}")
     if not _erasure_capability_ok(params):
         report.violations.append(
             f"code cannot correct {gamma * (n - t)} erased bits from "
@@ -179,9 +175,7 @@ def validate_params(params: SchemeParams) -> ValidationReport:
             f"degree {params.ell_iso}^{params.e_iso}"
         )
     if (params.curve.p + 1) % params.torsion_order != 0:
-        report.violations.append(
-            f"torsion order {params.torsion_order} does not divide p+1"
-        )
+        report.violations.append(f"torsion order {params.torsion_order} does not divide p+1")
     elif all(e == 1 for e in factorize(params.torsion_order).values()):
         report.warnings.append(
             "torsion order has no nontrivial square factor; the polynomial "
@@ -227,9 +221,7 @@ def distribute_bits(bits, gamma: int, n: int) -> tuple[Share, ...]:
     bits = tuple(bits)
     if len(bits) != gamma * n:
         raise LengthMismatch(f"expected {gamma * n} bits, got {len(bits)}")
-    return tuple(
-        Share(i, bits[i * gamma : (i + 1) * gamma]) for i in range(n)
-    )
+    return tuple(Share(i, bits[i * gamma : (i + 1) * gamma]) for i in range(n))
 
 
 def share_isogeny_path(
@@ -279,14 +271,6 @@ def _check_shares(shares, params: SchemeParams) -> dict[int, tuple[int, ...]]:
     return by_index
 
 
-def _erasure_word(by_index, params: SchemeParams):
-    missing = (ERASED,) * params.gamma
-    word = []
-    for i in range(params.n):
-        word.extend(by_index.get(i, missing))
-    return word
-
-
 def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> RecoveryResult:
     """Rebuild the codeword from >= t shares and recover the secret chain.
 
@@ -295,7 +279,8 @@ def recover_isogeny_path(shares, params: SchemeParams, e1: CurveSpec) -> Recover
     bit costs an RS symbol instead of making the word inconsistent.
     """
     by_index = _check_shares(shares, params)
-    word = _erasure_word(by_index, params)
+    missing = (ERASED,) * params.gamma
+    word = [b for i in range(params.n) for b in by_index.get(i, missing)]
     if not burst_violations(params):
         erase_damaged_blocks(word, params.code.r)
     try:

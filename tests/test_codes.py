@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -156,6 +157,21 @@ def test_extract_rejects_noncodewords():
     cw[0] ^= 1
     with pytest.raises(NotACodeword):
         code.extract(cw)
+
+
+def test_words_of_another_length_are_no_codewords():
+    # Packing zero-fills a short word and the checks read no bit past the
+    # code, so the length is checked first.
+    binary = BinaryExpandedCode(4, 6)
+    cw = list(binary.encode([1] * binary.dimension))
+    rs = ReedSolomonCode(4, 6)
+    rs_cw = list(rs.encode(list(range(rs.dimension))))
+    assert binary.contains(cw) and rs.contains(rs_cw)
+    for code, word in ((binary, []), (binary, cw + [0, 0, 0]), (binary, cw + [1, 1, 0]),
+                       (rs, rs_cw + [0]), (rs, rs_cw[:-1])):
+        assert not code.contains(word), (code, len(word))
+        with pytest.raises(NotACodeword):
+            code.extract(word)
 
 
 def test_symbols_outside_the_field_are_refused():
@@ -573,9 +589,11 @@ def test_solve_checks_the_rows_after_full_rank():
 
 def test_decode_solves_only_for_erased_information_bits(monkeypatch):
     # A 13-share coalition of the [186,80] code (gamma = 6), as perfbench's
-    # decode-wide rejects, and a 24-share one: the solve gets one row per
-    # check whose own bit is known, at most, and no column but the erased
-    # information bits.
+    # decode-wide rejects, and a 24-share one.  The 13 shares know 13 of
+    # the 31 blocks, fewer than k_rs = 16, so the MDS count refuses them
+    # with no solve at all; the 24-share solve gets one row per check whose
+    # own bit is known, at most, and no column but the erased information
+    # bits.
     code = BinaryExpandedCode(5, 16)
     info = set(code.info_positions)
     systems = []
@@ -593,18 +611,76 @@ def test_decode_solves_only_for_erased_information_bits(monkeypatch):
         word = [s if j // 6 in coalition else ERASED for j, s in enumerate(cw)]
         erased = {j for j, s in enumerate(word) if s is ERASED}
         if size == 13:
-            with pytest.raises(Ambiguous):
+            with pytest.raises(Ambiguous) as exc:
                 code.erasure_decode(word)
-        else:
-            assert code.erasure_decode(word) == cw
+            assert exc.value.count == 2 ** (5 * (16 - 13))
+            assert systems == []
+            continue
+        assert code.erasure_decode(word) == cw
         (rows,) = systems
-        systems.clear()
         known_checks = code.length - len(info) - len(erased - info)
         assert len(rows) <= known_checks, size
         support = 0
         for row in rows:
             support |= row
         assert support & ~sum(1 << j for j in erased & info) == 0, size
+
+
+@pytest.mark.parametrize("r, distances", [
+    pytest.param(2, (2, 3), id="2"),
+    pytest.param(3, (2, 4, 6), id="3"),
+    pytest.param(4, (3, 6, 11), id="4"),
+    pytest.param(5, (4, 16, 25), id="5"),
+])
+def test_mds_count_matches_the_solve(monkeypatch, r, distances):
+    # A word whose erasures are whole blocks, whose other blocks have even
+    # parity and which knows fewer than k_rs blocks is refused by the MDS
+    # count, with no solve; any other word goes to the solve.  Each outcome
+    # must equal the plain solve's (the same code with no MDS declaration),
+    # so a count taken at k_rs - 1 or k_rs + 1 fails here.
+    solves = []
+    solve_packed = linalg.solve
+
+    def counting(rows, rhs, ncols):
+        solves.append(ncols)
+        return solve_packed(rows, rhs, ncols)
+
+    monkeypatch.setattr(linalg, "solve", counting)
+    rng = random.Random(53 + r)
+    block = r + 1
+    certified = 0
+    for d in distances:
+        code = BinaryExpandedCode(r, d)
+        plain = copy.copy(code)
+        plain._mds = None
+        n, k = code.base.length, code.base.dimension
+        for known in range(n + 1):
+            for _ in range(3):
+                cw = code.encode([rng.getrandbits(1) for _ in range(code.dimension)])
+                kept = rng.sample(range(n), known)
+                clean = [s if j // block in kept else ERASED for j, s in enumerate(cw)]
+                words = {"clean": clean}
+                if kept:
+                    # One flipped bit (odd parity), two flipped bits in the
+                    # same block (parity kept), one more erased bit.
+                    start = rng.choice(kept) * block
+                    one, two = rng.sample(range(start, start + block), 2)
+                    odd, partial = list(clean), list(clean)
+                    odd[one] ^= 1
+                    even = list(odd)
+                    even[two] ^= 1
+                    partial[one] = ERASED
+                    words.update(odd=odd, even=even, partial=partial)
+                for kind, word in words.items():
+                    solves.clear()
+                    outcome = erasure_outcome(code, word)
+                    took = not solves
+                    assert outcome == erasure_outcome(plain, word), (d, known, word)
+                    assert took == (known < k and kind in ("clean", "even")), (d, known, kind)
+                    certified += took
+                assert erasure_outcome(code, clean) == (
+                    ("ambiguous", 2 ** (r * (k - known))) if known < k else ("unique", cw))
+    assert certified
 
 
 def _check_decodes(code, generic, words):
