@@ -1,15 +1,24 @@
 """Command-line surface: deal shares to files, recover from share files,
 and audit parameters.
 
-Exit codes: 0 ok, 2 invalid config, params, input file or share set, 3 I/O
-failure, 4 not enough shares, 5 digest mismatch, 6 corrupted share or
-codeword.  The commands raise library errors as they come; main maps each
-through ERROR_EXITS.
+Exit codes: 0 ok, 2 malformed command line or invalid config, params, input
+file or share set, 3 I/O failure, 4 not enough shares, 5 digest mismatch,
+6 corrupted share or codeword.  The commands raise library errors as they
+come; main maps each through ERROR_EXITS.  The command line is read from
+one table, COMMANDS, without argparse, whose import and first parse cost a
+cold process some 4 ms.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
+
+# CPython's builtin sha256, as random.py takes sha512: hashlib's OpenSSL
+# set-up costs a cold process some 3 ms.  Same digests.
+try:
+    sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:  # a CPython built without its own sha256
+    from hashlib import sha256
 
 from .codec import bits_to_int, int_to_bits
 from .codes import BinaryExpandedCode
@@ -141,14 +150,6 @@ def _fp2_str(el: Fp2) -> str:
     return f"{el.c0},{el.c1}"
 
 
-def build_code(kind: str, fields: dict[str, str]):
-    if kind == "binary-expanded-rs":
-        return BinaryExpandedCode(
-            int(fields["code.r"]), int(fields["code.d"]), int(fields["code.m"])
-        )
-    raise ValueError(f"unknown code.kind {kind!r}")
-
-
 def build_params(fields: dict[str, str], source: str) -> SchemeParams:
     """The scheme parameters named by a config or a public file.
 
@@ -163,6 +164,8 @@ def build_params(fields: dict[str, str], source: str) -> SchemeParams:
     try:
         if int(fields["code.r"]) > MAX_CODE_R:
             raise ValueError(f"code.r = {fields['code.r']} exceeds {MAX_CODE_R}")
+        if fields["code.kind"] != "binary-expanded-rs":
+            raise ValueError(f"unknown code.kind {fields['code.kind']!r}")
         p = int(fields["p"])
         check_field_prime(p)
         params = SchemeParams(
@@ -173,7 +176,8 @@ def build_params(fields: dict[str, str], source: str) -> SchemeParams:
             torsion_order=int(fields["N"]),
             ell_iso=int(fields["ell_iso"]),
             e_iso=int(fields["e_iso"]),
-            code=build_code(fields["code.kind"], fields),
+            code=BinaryExpandedCode(
+                int(fields["code.r"]), int(fields["code.d"]), int(fields["code.m"])),
             security_bits=int(fields["lambda"]),
         )
         if params.n > params.code.length:
@@ -194,32 +198,18 @@ def build_params(fields: dict[str, str], source: str) -> SchemeParams:
 
 
 def _context_lines(params: SchemeParams, e1: CurveSpec) -> list[str]:
-    code = params.code
-    return [
-        f"p {params.curve.p}",
-        f"a {_fp2_str(params.curve.a)}",
-        f"b {_fp2_str(params.curve.b)}",
-        f"e1_a {_fp2_str(e1.a)}",
-        f"e1_b {_fp2_str(e1.b)}",
-        f"n {params.n}",
-        f"t {params.t}",
-        f"gamma {params.gamma}",
-        f"lambda {params.security_bits}",
-        f"N {params.torsion_order}",
-        f"ell_iso {params.ell_iso}",
-        f"e_iso {params.e_iso}",
-        f"code.kind {code.kind}",
-        f"code.r {code.r}",
-        f"code.d {code.base.d}",
-        f"code.m {code.base.m}",
-    ]
+    """The public context, one `key value` line a field, in the order dealt."""
+    curve, code = params.curve, params.code
+    return [f"p {curve.p}", f"a {_fp2_str(curve.a)}", f"b {_fp2_str(curve.b)}",
+            f"e1_a {_fp2_str(e1.a)}", f"e1_b {_fp2_str(e1.b)}", f"n {params.n}",
+            f"t {params.t}", f"gamma {params.gamma}", f"lambda {params.security_bits}",
+            f"N {params.torsion_order}", f"ell_iso {params.ell_iso}",
+            f"e_iso {params.e_iso}", f"code.kind {code.kind}", f"code.r {code.r}",
+            f"code.d {code.base.d}", f"code.m {code.base.m}"]
 
 
 def context_digest(lines: list[str]) -> str:
-    # hashlib is imported where a digest is made: `check` makes none, and
-    # _hashlib's OpenSSL set-up costs a cold process some 4 ms.
-    import hashlib
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return sha256("\n".join(lines).encode()).hexdigest()
 
 
 def _atomic_write(path: str, lines: list[str]) -> None:
@@ -243,13 +233,8 @@ def _parse_kv_file(path: str, magic: str) -> tuple[dict[str, str], list[str]]:
     lines = read_lines(path)
     if not lines or lines[0] != magic:
         raise CliError(EXIT_INVALID, f"{path}: missing {magic!r} header")
-    fields = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        key, _, value = line.partition(" ")
-        fields[key] = value.strip()
-    return fields, lines
+    pairs = (line.partition(" ") for line in lines[1:] if line.strip())
+    return {key: value.strip() for key, _, value in pairs}, lines
 
 
 def _print_findings(report) -> None:
@@ -281,13 +266,8 @@ def cmd_deal(args) -> int:
     public_path = os.path.join(args.output, "public.isoshare")
     _atomic_write(public_path, [PUBLIC_MAGIC, f"digest {digest}"] + context)
     for share in deal.shares:
-        body = [
-            SHARE_MAGIC,
-            f"digest {digest}",
-            f"index {share.index}",
-            f"gamma {params.gamma}",
-            f"bits {bits_to_hex(share.bits)}",
-        ]
+        body = [SHARE_MAGIC, f"digest {digest}", f"index {share.index}",
+                f"gamma {params.gamma}", f"bits {bits_to_hex(share.bits)}"]
         _atomic_write(os.path.join(args.output, f"share_{share.index}.isoshare"), body)
     print(f"dealt: {params.n}")
     print(f"output: {args.output}")
@@ -363,36 +343,66 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isoshare",
-        description="Threshold sharing of a secret isogeny path",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """usage: isoshare deal -c CONFIG -o OUTPUT [--seed SEED] [--force]
+       isoshare check -c CONFIG
+       isoshare recover -p PUBLIC SHARE [SHARE ...]"""
 
-    deal = sub.add_parser("deal", help="deal shares to files")
-    deal.add_argument("-c", "--config", required=True)
-    deal.add_argument("-o", "--output", required=True)
-    deal.add_argument("--seed", default=None)
-    deal.add_argument("--force", action="store_true",
-                      help="deal even if validation reports violations")
-    deal.set_defaults(func=cmd_deal)
+# Each command's function, options (one field's spellings joined by "/";
+# --force the one that takes no value) and required fields.  Only recover
+# requires `shares`, and only it takes operands, its share files.
+COMMANDS = {
+    "deal": (cmd_deal, "-c/--config -o/--output --seed --force", ("config", "output")),
+    "check": (cmd_check, "-c/--config", ("config",)),
+    "recover": (cmd_recover, "-p/--public", ("public", "shares")),
+}
 
-    recover = sub.add_parser("recover", help="recover the secret from shares")
-    recover.add_argument("-p", "--public", required=True)
-    recover.add_argument("shares", nargs="+")
-    recover.set_defaults(func=cmd_recover)
 
-    check = sub.add_parser("check", help="audit scheme parameters")
-    check.add_argument("-c", "--config", required=True)
-    check.set_defaults(func=cmd_check)
-    return parser
+def _is_option(word: str) -> bool:
+    """Whether a word is read as an option, not as a value or operand: a
+    dash not followed by a number, as in argparse."""
+    return word[:1] == "-" and not word[1:].replace(".", "", 1).isdigit()
+
+
+def parse_args(argv: list[str]):
+    """The command's function and its fields, from argv without the program
+    name.  An option's value is the next word, which may not be empty or
+    an option.  A usage error is CliError(EXIT_INVALID) carrying USAGE."""
+    def refuse(message):
+        return CliError(EXIT_INVALID, f"{message}\n{USAGE}")
+    if not argv or argv[0] not in COMMANDS:
+        raise refuse(f"unknown command {argv[0]!r}" if argv else "no command given")
+    func, options, required = COMMANDS[argv[0]]
+    fields = {word: group.rpartition("-")[2] for group in options.split()
+              for word in group.split("/")}
+    args = SimpleNamespace(seed=None, force=False, shares=[])
+    words = iter(argv[1:])
+    for word in words:
+        name = fields.get(word)
+        if name == "force":
+            args.force = True
+        elif name:
+            value = next(words, "")
+            if not value or _is_option(value):
+                raise refuse(f"{word} needs a value")
+            setattr(args, name, value)
+        elif _is_option(word) or "shares" not in required:
+            raise refuse(f"{argv[0]}: unrecognized argument {word!r}")
+        else:
+            args.shares.append(word)
+    for name in required:
+        if not getattr(args, name, None):
+            raise refuse(f"{argv[0]}: missing {name}")
+    return func, args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return EXIT_OK
     try:
-        return args.func(args)
+        func, args = parse_args(argv)
+        return func(args)
     except CliError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return ex.code

@@ -265,9 +265,11 @@ def _check_shares(shares, params: SchemeParams) -> dict[int, tuple[int, ...]]:
                 f"share {share.index} has {len(share.bits)} bits, "
                 f"expected {params.gamma}"
             )
-        if not GF2._are_elements(share.bits):
-            raise InvalidParams(f"share {share.index} has a bit other than the int 0 or 1")
         by_index[share.index] = tuple(share.bits)
+    # One check over every bit; only a failure looks for the share at fault.
+    if not GF2._are_elements([bit for bits in by_index.values() for bit in bits]):
+        index = next(i for i, bits in by_index.items() if not GF2._are_elements(bits))
+        raise InvalidParams(f"share {index} has a bit other than the int 0 or 1")
     return by_index
 
 

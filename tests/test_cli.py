@@ -1,6 +1,7 @@
 import contextlib
 import filecmp
 import hashlib
+import importlib.util
 import io
 import itertools
 import os
@@ -25,6 +26,7 @@ from isoshare.cli import (
     MAX_CODE_R,
     MAX_E_ISO,
     MAX_ELL_ISO,
+    USAGE,
     bits_to_hex,
     context_digest,
     hex_to_bits,
@@ -272,6 +274,72 @@ def test_deal_seed_changes_output(config_path, tmp_path):
         os.path.join(b, "public.isoshare"),
         shallow=False,
     )
+
+
+def test_empty_seed_is_refused(config_path, tmp_path, capsys):
+    """An empty --seed is a usage error, not a deal with the config's seed."""
+    outdir = tmp_path / "deal"
+    assert _deal(config_path, str(outdir), "--seed", "") == EXIT_INVALID
+    assert not outdir.exists()
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.endswith(USAGE + "\n")
+
+
+def test_repeated_option_keeps_the_last_value(config_path, tmp_path, capsys):
+    assert main(["check", "-c", str(tmp_path / "nope.cfg"), "-c", config_path]) == EXIT_OK
+    assert "valid: yes" in capsys.readouterr().out.splitlines()
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert _deal(config_path, a) == EXIT_OK
+    assert _deal(config_path, b, "--seed", "other", "--seed", "demo") == EXIT_OK
+    assert filecmp.cmp(os.path.join(a, "public.isoshare"),
+                       os.path.join(b, "public.isoshare"), shallow=False)
+
+
+def test_main_without_argv_reads_sys_argv(config_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["isoshare", "check", "-c", config_path])
+    assert main() == EXIT_OK
+    assert "valid: yes" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["deal", "-h"],
+                                  ["recover", "-p", "x", "--help"]])
+def test_help_prints_the_usage(argv, capsys):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == (USAGE + "\n", "")
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["demo/walk"], ["p 431", "a 1,0", "b 0,0"],
+                                   ["code.kind \u00e9t\u00e9", "\u65e5\u672c \U0001d54a"]])
+def test_context_digest_is_sha256(lines):
+    expected = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert context_digest(lines) == expected
+
+
+def test_cold_deal_and_recover_load_no_argparse_gettext_or_openssl(config_path, tmp_path):
+    """A demo deal and recover in one fresh interpreter load none of
+    argparse, gettext or (where CPython's own sha256 exists) _hashlib
+    beyond what a bare interpreter loads through `site`."""
+    listing = "import sys; print(*sorted(sys.modules))"
+    outdir = str(tmp_path / "deal")
+    run = (
+        "import contextlib, io\n"
+        "from isoshare.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['deal', '-c', {config_path!r}, '-o', {outdir!r}]) == 0\n"
+        f"    assert main(['recover', '-p', {outdir!r} + '/public.isoshare',\n"
+        f"                 {outdir!r} + '/share_0.isoshare', {outdir!r} + '/share_2.isoshare']) == 0\n"
+    )
+
+    def loaded(code):
+        done = subprocess.run([sys.executable, "-c", f"{code}\n{listing}"],
+                              env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True, check=True, timeout=60)
+        return set(done.stdout.split())
+    added = loaded(run) - loaded("pass")
+    assert "isoshare.scheme" in added
+    assert not added & {"argparse", "gettext"}
+    if importlib.util.find_spec("_sha256") or importlib.util.find_spec("_sha2"):
+        assert "_hashlib" not in added
 
 
 def test_recover_with_too_few_shares(config_path, tmp_path, capsys):
@@ -535,6 +603,11 @@ MALFORMED = {
         lambda d, tmp: ["deal", "-o", str(tmp / "out"),
                         "-c", _wide_config(tmp, 9623, 401, 2)],
         EXIT_INVALID, None),
+    "no-command": (lambda d, tmp: [], EXIT_INVALID, None),
+    "empty-seed": (
+        lambda d, tmp: ["deal", "-c", os.path.join(os.path.dirname(d), "demo.cfg"),
+                        "-o", str(tmp / "out"), "--seed", ""],
+        EXIT_INVALID, None),
     "hyperoval-deal-force": (
         lambda d, tmp: ["deal", "--force", "-o", str(tmp / "out"), "-c", _config(
             tmp, "code.kind = binary-expanded-rs", "code.kind = subfield-hyperoval")],
@@ -575,6 +648,35 @@ def test_refused_inputs_exit_invalid(case, dealt, tmp_path, capsys):
     assert main(REFUSED[case](dealt, tmp_path)) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
+
+
+# Malformed command lines: each is refused with exit 2, the usage on stderr
+# and nothing on stdout.
+USAGE_ERRORS = {
+    "no-command": lambda d, cfg: [],
+    "unknown-command": lambda d, cfg: ["audit", "-c", cfg],
+    "unknown-option": lambda d, cfg: ["check", "-c", cfg, "--verbose"],
+    "prefix-abbreviation": lambda d, cfg: ["check", "--conf", cfg],
+    "joined-value": lambda d, cfg: ["check", f"--config={cfg}"],
+    "option-of-another-command": lambda d, cfg: ["check", "-c", cfg, "-o", "out"],
+    "missing-value": lambda d, cfg: ["check", "-c"],
+    "option-as-value": lambda d, cfg: ["deal", "-c", cfg, "-o", "--force"],
+    "empty-value": lambda d, cfg: ["check", "-c", ""],
+    "missing-required-option": lambda d, cfg: ["deal", "-c", cfg],
+    "missing-public": lambda d, cfg: ["recover", _share(d, 0), _share(d, 1)],
+    "recover-without-share": lambda d, cfg: _recover(d),
+    "operand-to-check": lambda d, cfg: ["check", "-c", cfg, cfg],
+    "force-with-value": lambda d, cfg: ["deal", "-c", cfg, "-o", "out", "--force", "yes"],
+    "force-joined-value": lambda d, cfg: ["deal", "-c", cfg, "-o", "out", "--force=yes"],
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_errors_exit_invalid_with_the_usage(case, dealt, config_path, capsys):
+    assert main(USAGE_ERRORS[case](dealt, config_path)) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: ") and captured.err.endswith(USAGE + "\n")
 
 
 def test_check_reports_a_curve_that_is_not_supersingular(tmp_path, capsys):

@@ -247,6 +247,9 @@ def test_share_bits_other_than_0_or_1_are_refused(e0):
         bits = s0.bits[:3] + (bad,) + s0.bits[4:]
         with pytest.raises(InvalidParams, match="share 0"):
             recover_isogeny_path([Share(0, bits), s1], params, deal.e1)
+        # The one-pass check still names the share that holds the bad bit.
+        with pytest.raises(InvalidParams, match="share 1 has a bit"):
+            recover_isogeny_path([s0, Share(1, bits)], params, deal.e1)
 
 
 def test_float_share_bits_are_refused(e0):
