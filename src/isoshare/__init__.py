@@ -18,7 +18,6 @@ from .codec import decode_point, encode_point
 from .curves import (
     CurvePoint,
     CurveSpec,
-    INFINITY,
     is_supersingular,
     j_invariant,
     point_add,
@@ -53,7 +52,7 @@ __all__ = [
     "BinaryExpandedCode", "LinearCode", "ReedSolomonCode", "hyperoval_code",
     "subfield_code",
     "decode_point", "encode_point",
-    "CurvePoint", "CurveSpec", "INFINITY", "is_supersingular", "j_invariant",
+    "CurvePoint", "CurveSpec", "is_supersingular", "j_invariant",
     "point_add", "point_order", "random_point_of_order", "scalar_mul",
     "BinaryField", "Fp2", "fp2_sqrt",
     "IsogenyChain", "IsogenyStep", "evaluate_chain", "random_walk",

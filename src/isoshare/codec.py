@@ -5,6 +5,11 @@ Layout of an encoding of length L:
 where each prime-field component occupies ceil(log2 p) bits.  The sign bit
 is 1 iff y is the canonical square root of x^3 + a x + b, so decoding is
 unambiguous.  Padding must be zero, making corruption detectable.
+
+int_to_bits and bits_to_int are the package's one conversion between a
+sequence of bits, MSB first, and an int; the codes, the share files and
+this layout all use them.  Only LinearCode._pack packs otherwise, as the
+one packer of words that hold ERASED or r-bit symbols.
 """
 
 from .curves import CurvePoint, CurveSpec, _checked, _point
@@ -22,18 +27,23 @@ def min_encoding_length(p: int) -> int:
     return 2 * component_bits(p) + 1
 
 
+# Swaps each binary digit with the byte of its bit, b"0" with 0 and b"1"
+# with 1, so the helpers below convert through one string of digits.
+_BITS = bytes.maketrans(b"01\x00\x01", b"\x00\x01" b"01")
+
+
 def int_to_bits(value: int, width: int) -> tuple[int, ...]:
-    """Fixed-width big-endian bit vector."""
+    """Fixed-width big-endian bit vector: MSB first."""
     if value < 0 or value >> width:
         raise ValueError(f"{value} does not fit in {width} bits")
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+    # A leading 1 keeps the width's leading zeros, and width 0, in bin's digits.
+    return tuple(bin(value | 1 << width)[3:].encode().translate(_BITS))
 
 
 def bits_to_int(bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
+    """Inverse of int_to_bits: the int of a sequence of bits, MSB first
+    (0 for none)."""
+    return int(b"0" + bytes(bits).translate(_BITS), 2)
 
 
 def encode_point(e: CurveSpec, pt: CurvePoint, length: int) -> tuple[int, ...]:

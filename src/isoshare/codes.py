@@ -37,6 +37,7 @@ RS code's decode of the contracted symbols (contract_binary) would.
 """
 
 from . import linalg
+from .codec import bits_to_int, int_to_bits
 from .errors import (
     Ambiguous,
     BadDistance,
@@ -47,9 +48,8 @@ from .errors import (
 from .fields import GF2, BinaryField
 
 ERASED = None
-# _pack's erased mask from its digit string, and _unpack's bits from theirs.
+# _pack's erased mask from its digit string.
 _ERASED_DIGITS = str.maketrans("1x", "01")
-_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def rs_generator_poly(r: int, d: int, m: int = 0) -> list[int]:
@@ -148,7 +148,7 @@ class LinearCode:
         binary word is the binary digits of `bits` read from the low end."""
         r, mask = self.field.r, self.field.size - 1
         if r == 1:
-            return tuple(format(bits, f"0{self.length}b")[::-1].encode().translate(_BITS))
+            return int_to_bits(bits, self.length)[::-1]
         return tuple(bits >> i & mask for i in range(0, r * self.length, r))
 
     def encode(self, msg):
@@ -314,8 +314,7 @@ def contract_binary(base: ReedSolomonCode, word):
     if not GF2._are_elements(word, erased=True):
         raise ValueError("bits must be ints 0 or 1, or ERASED")
     erase_damaged_blocks(word, r)
-    return [ERASED if word[i] is ERASED else
-            sum(b << j for j, b in enumerate(word[i : i + r]))
+    return [ERASED if word[i] is ERASED else bits_to_int(word[i : i + r][::-1])
             for i in range(0, len(word), block)]
 
 

@@ -97,9 +97,6 @@ class CurvePoint:
         return f"CurvePoint(x={self.x}, y={self.y})" if self.xy else "CurvePoint(O)"
 
 
-INFINITY = CurvePoint()
-
-
 def _point(xy, p: int) -> CurvePoint:
     """The CurvePoint of an xy tuple with coordinates mod p."""
     pt = object.__new__(CurvePoint)

@@ -52,8 +52,8 @@ class Inconsistent(IsoshareError):
 class Ambiguous(IsoshareError):
     """More than one codeword agrees with the known symbols."""
 
-    def __init__(self, count, message=None):
-        super().__init__(message or f"{count} consistent codewords")
+    def __init__(self, count):
+        super().__init__(f"{count} consistent codewords")
         self.count = count
 
 

@@ -111,19 +111,12 @@ def _rho_divisor(n: int) -> int:
         c += 1
 
 
-# Moduli check_field_prime has accepted, so each p pays for one test.
-_field_primes: set[int] = set()
-
-
 def check_field_prime(p: int) -> None:
     """Reject moduli where GF(p)(i) with i^2 = -1 is not a field."""
-    if p in _field_primes:
-        return
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % 4 != 3:
         raise ValueError(f"p = {p} must be 3 (mod 4)")
-    _field_primes.add(p)
 
 
 def sqrt_mod_p(u: int, p: int):

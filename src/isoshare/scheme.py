@@ -106,11 +106,10 @@ class RecoveryResult(_Record):
     __slots__ = ("chain", "point", "image")
 
 
-class ValidationReport:
-    def __init__(self):
-        self.violations: list[str] = []
-        self.warnings: list[str] = []
-        self.t_interval: tuple[int, int] | None = None
+class ValidationReport(_Record):
+    """What validate_params found: tuples of `violations` and `warnings`, one
+    message each, and `t_interval`, the inclusive [t_min, t_max]."""
+    __slots__ = ("violations", "warnings", "t_interval")
 
     @property
     def ok(self) -> bool:
@@ -148,51 +147,50 @@ def _erasure_capability_ok(params: SchemeParams) -> bool:
 
 
 def validate_params(params: SchemeParams) -> ValidationReport:
-    report = ValidationReport()
+    violations, warnings = [], []
     n, t, gamma = params.n, params.t, params.gamma
     k = params.code.dimension
     lower, upper = admissible_t_interval(n, gamma, k, params.security_bits)
-    report.t_interval = (lower, upper)
     if n < 2:
-        report.violations.append(f"need at least 2 participants, got n = {n}")
+        violations.append(f"need at least 2 participants, got n = {n}")
     if not 1 <= t <= n:
-        report.violations.append(f"threshold t = {t} outside [1, {n}]")
+        violations.append(f"threshold t = {t} outside [1, {n}]")
     if params.code.length != gamma * n:
-        report.violations.append(f"code length {params.code.length} != gamma*n = {gamma * n}")
+        violations.append(f"code length {params.code.length} != gamma*n = {gamma * n}")
     if t < lower:
-        report.violations.append(f"t = {t} < ceil(k/gamma) = {lower}")
+        violations.append(f"t = {t} < ceil(k/gamma) = {lower}")
     if t > upper:
-        report.violations.append(f"t = {t} > n - {params.security_bits}/gamma + 1 = {upper}")
+        violations.append(f"t = {t} > n - {params.security_bits}/gamma + 1 = {upper}")
     if not _erasure_capability_ok(params):
-        report.violations.append(
+        violations.append(
             f"code cannot correct {gamma * (n - t)} erased bits from "
             f"{n - t} missing blocks"
         )
     # The degree ell^e is coprime to N iff ell is, unless e = 0 (degree 1).
     if params.e_iso >= 1 and math.gcd(params.torsion_order, params.ell_iso) != 1:
-        report.violations.append(
+        violations.append(
             f"torsion order {params.torsion_order} not coprime to isogeny "
             f"degree {params.ell_iso}^{params.e_iso}"
         )
     if (params.curve.p + 1) % params.torsion_order != 0:
-        report.violations.append(f"torsion order {params.torsion_order} does not divide p+1")
+        violations.append(f"torsion order {params.torsion_order} does not divide p+1")
     elif all(e == 1 for e in factorize(params.torsion_order).values()):
-        report.warnings.append(
+        warnings.append(
             "torsion order has no nontrivial square factor; the polynomial "
             "recovery algorithm this oracle stands in for needs one"
         )
     try:
         require_rational_ell(params.curve.p, params.ell_iso)
     except NoSuchOrder as ex:
-        report.violations.append(str(ex))
+        violations.append(str(ex))
     if k % 2 != 0 or k // 2 < min_encoding_length(params.curve.p):
-        report.violations.append(
+        violations.append(
             f"code dimension {k} cannot carry two point encodings of "
             f">= {min_encoding_length(params.curve.p)} bits each"
         )
     if not is_supersingular(params.curve):
-        report.violations.append("starting curve is not supersingular")
-    return report
+        violations.append("starting curve is not supersingular")
+    return ValidationReport(tuple(violations), tuple(warnings), (lower, upper))
 
 
 def burst_violations(params: SchemeParams) -> dict[str, str]:
@@ -256,6 +254,9 @@ def share_isogeny_path(
 def _check_shares(shares, params: SchemeParams) -> dict[int, tuple[int, ...]]:
     by_index: dict[int, tuple[int, ...]] = {}
     for share in shares:
+        # A float index would pass the range check and match no block.
+        if not isinstance(share.index, int):
+            raise InvalidParams(f"share index {share.index!r} is not an int")
         if not 0 <= share.index < params.n:
             raise InvalidParams(f"share index {share.index} outside [0, {params.n})")
         if share.index in by_index:

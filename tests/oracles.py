@@ -23,7 +23,6 @@ import functools
 from isoshare.codes import ERASED, LinearCode
 
 from isoshare.curves import (
-    INFINITY,
     CurvePoint,
     CurveSpec,
     j_invariant,
@@ -86,7 +85,7 @@ def torsion_subgroups(e: CurveSpec, ell: int) -> list[CurvePoint]:
     for a in range(ell):
         for b in range(ell):
             r = point_add(e, scalar_mul(e, a, p1), scalar_mul(e, b, p2))
-            if r != INFINITY:
+            if r != CurvePoint():
                 subgroups.add(frozenset(scalar_mul(e, i, r) for i in range(1, ell)))
     assert len(subgroups) == ell + 1
     return sorted((min(s, key=CurvePoint.key) for s in subgroups), key=CurvePoint.key)
@@ -100,7 +99,7 @@ def chord_tangent_add(e: CurveSpec, p1: CurvePoint, p2: CurvePoint) -> CurvePoin
         return p1
     if p1.x == p2.x:
         if p1.y != p2.y or not p1.y:
-            return INFINITY
+            return CurvePoint()
         # Tangent line at a doubling.
         three = fp2_from_int(3, e.p)
         two = fp2_from_int(2, e.p)
@@ -142,7 +141,7 @@ def translation_image(step, pt: CurvePoint) -> CurvePoint:
     (x(P + Q) - x(Q), y(P + Q) - y(Q)), the sums by chord_tangent_add; then
     scaled by (u^2, u^3)."""
     if pt.is_infinity or pt in step.kernel_points:
-        return INFINITY
+        return CurvePoint()
     x, y = pt.x, pt.y
     for q in step.kernel_points:
         shifted = chord_tangent_add(step.domain, pt, q)
@@ -236,7 +235,7 @@ def smallest_matching_walk(e0, e1, point, image, ell: int, e: int):
             continue
         for u in fp2_scales(walk.codomain, e1):
             if mapped.is_infinity:
-                moved = INFINITY
+                moved = CurvePoint()
             else:
                 moved = CurvePoint(u * u * mapped.x, u * u * u * mapped.y)
             if moved == image:
@@ -247,7 +246,7 @@ def smallest_matching_walk(e0, e1, point, image, ell: int, e: int):
 def point_neg(pt: CurvePoint) -> CurvePoint:
     """-P: (x, y) -> (x, -y)."""
     if pt.is_infinity:
-        return INFINITY
+        return CurvePoint()
     return CurvePoint(pt.x, -pt.y)
 
 

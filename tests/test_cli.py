@@ -828,3 +828,22 @@ def test_mutated_config_and_public_end_in_documented_exit(dealt, data):
         paths.append(os.path.join(work, "fuzz_" + name))
         Path(paths[-1]).write_text("\n".join(lines) + "\n")
     assert _run_bounded(["recover", "-p", *paths]) in DOCUMENTED_EXITS
+
+
+def test_deal_into_a_regular_file_is_an_io_error(config_path, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert _deal(config_path, str(taken)) == EXIT_IO
+    assert "cannot create" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_recover_refuses_a_singular_e1_with_a_recomputed_digest(dealt, tmp_path, capsys):
+    # y^2 = x^3 is singular; the digest alone cannot catch a forger who
+    # recomputes it, so the E1 build refuses it before any decode.
+    public = Path(dealt, "public.isoshare").read_text()
+    e1 = public[public.index("\ne1_a "):public.index("\nn ") + 1]
+    argv = _redigested(dealt, tmp_path, e1, "\ne1_a 0,0\ne1_b 0,0\n")
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "bad E1: 4a^3 + 27b^2 = 0" in captured.err and not captured.out

@@ -10,7 +10,7 @@ from isoshare.codec import (
     int_to_bits,
     min_encoding_length,
 )
-from isoshare.curves import INFINITY, random_point
+from isoshare.curves import CurvePoint, random_point
 from isoshare.errors import (
     IdentityNotEncodable,
     InvalidEncoding,
@@ -66,7 +66,7 @@ def test_injectivity_sampled(e0):
 
 def test_identity_not_encodable(e0):
     with pytest.raises(IdentityNotEncodable):
-        encode_point(e0, INFINITY, 19)
+        encode_point(e0, CurvePoint(), 19)
 
 
 def test_length_too_small(e0):
@@ -134,3 +134,25 @@ def test_sign_bit_distinguishes_negatives(e0):
         e_neg = encode_point(e0, neg, 19)
         assert e_pos[1:] == e_neg[1:]
         assert e_pos[0] != e_neg[0]
+
+
+def test_int_bit_helpers_match_the_per_bit_reference():
+    # The helpers convert through one string of digits; the per-bit loops
+    # are the reference, widths 0 and 1 and bools as bits included.
+    rng = random.Random(27)
+    for width in [*range(20), 63, 64, 65, 186, 441]:
+        for value in {0, (1 << width) - 1, rng.getrandbits(width)}:
+            bits = tuple(value >> (width - 1 - i) & 1 for i in range(width))
+            assert int_to_bits(value, width) == bits
+            assert bits_to_int(bits) == bits_to_int(list(map(bool, bits))) == value
+    with pytest.raises(ValueError):
+        int_to_bits(-1, 4)
+
+
+def test_decode_rejects_sign_bit_0_on_a_two_torsion_abscissa(e0):
+    # (0, 0) has y = 0, so its one encoding carries sign bit 1.
+    two_torsion = CurvePoint(Fp2(0, 0, P), Fp2(0, 0, P))
+    bits = encode_point(e0, two_torsion, 19)
+    assert bits[0] == 1 and decode_point(e0, bits) == two_torsion
+    with pytest.raises(InvalidEncoding, match="two-torsion"):
+        decode_point(e0, (0,) + bits[1:])

@@ -816,3 +816,15 @@ def test_gf2r_codes_match_generic():
             )
             kinds.update(pair)
     assert kinds == {"unique", "ambiguous", "inconsistent"}
+
+
+def test_erasure_decode_refuses_a_word_of_the_wrong_length():
+    code = ReedSolomonCode(3, 5)
+    for length in (code.length - 1, code.length + 1):
+        with pytest.raises(LengthMismatch):
+            code.erasure_decode([ERASED] * length)
+
+
+def test_hyperoval_code_needs_r_at_least_2():
+    with pytest.raises(ValueError, match="r >= 2"):
+        hyperoval_code(1)

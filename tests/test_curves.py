@@ -8,7 +8,6 @@ from oracles import chord_tangent_add, count_points, fp2_j_invariant, point_neg
 
 from isoshare import curves
 from isoshare.curves import (
-    INFINITY,
     CurvePoint,
     CurveSpec,
     is_on_curve,
@@ -35,8 +34,8 @@ def test_group_identity_and_inverse(e0):
     rng = random.Random(10)
     for _ in range(20):
         q = random_point(e0, rng)
-        assert point_add(e0, q, INFINITY) == q
-        assert point_add(e0, q, point_neg(q)) == INFINITY
+        assert point_add(e0, q, CurvePoint()) == q
+        assert point_add(e0, q, point_neg(q)) == CurvePoint()
 
 
 def test_group_associativity_random(e0):
@@ -68,11 +67,11 @@ def test_point_add_rejects_foreign_points(e0):
     bogus = CurvePoint(fp2_from_int(1, P), fp2_from_int(1, P))
     assert not is_on_curve(e0, bogus)
     with pytest.raises(NotOnCurve):
-        point_add(e0, bogus, INFINITY)
+        point_add(e0, bogus, CurvePoint())
 
 
 def test_point_order_basics(e0):
-    assert point_order(e0, INFINITY) == 1
+    assert point_order(e0, CurvePoint()) == 1
     # (0, 0) lies on y^2 = x^3 + x and has y = 0, so it is two-torsion.
     two_torsion = CurvePoint(fp2_from_int(0, P), fp2_from_int(0, P))
     assert point_order(e0, two_torsion) == 2
@@ -136,7 +135,7 @@ def test_has_order_is_the_exact_order(p):
 
 
 def test_random_point_of_order(e0):
-    assert random_point_of_order(e0, 1, "s") == INFINITY
+    assert random_point_of_order(e0, 1, "s") == CurvePoint()
     q = random_point_of_order(e0, 16, "s")
     assert point_order(e0, q) == 16
     # Same seed, same point.
@@ -212,15 +211,15 @@ def test_group_law_matches_the_fp2_oracle(p):
     for e, two_torsion in _kernel_curves(p):
         assert is_on_curve(e, two_torsion)
         pts = [random_point(e, rng) for _ in range(12)]
-        pairs = [(INFINITY, INFINITY), (two_torsion, two_torsion)] + list(zip(pts, pts[1:]))
+        pairs = [(CurvePoint(), CurvePoint()), (two_torsion, two_torsion)] + list(zip(pts, pts[1:]))
         for q in pts:
-            pairs += [(INFINITY, q), (q, INFINITY), (q, point_neg(q)), (q, q),
+            pairs += [(CurvePoint(), q), (q, CurvePoint()), (q, point_neg(q)), (q, q),
                       (two_torsion, q), (q, two_torsion)]
         for p1, p2 in pairs:
             expected = chord_tangent_add(e, p1, p2)
             assert curves._add(e, p1.xy, p2.xy) == expected.xy, (e, p1, p2)
             assert point_add(e, p1, p2) == expected, (e, p1, p2)
-        assert curves._add(e, two_torsion.xy, two_torsion.xy) == INFINITY.xy
+        assert curves._add(e, two_torsion.xy, two_torsion.xy) == CurvePoint().xy
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -254,7 +253,7 @@ def test_fp2_boundary_round_trips():
                 assert curve == twin and hash(curve) == hash(twin) == hash(curve.key())
                 assert (curve == e) == ((a, b) == (e.a, e.b))
                 lines.append(f"{curve!r} {curve.key()}")
-                pts = [INFINITY, random_point(curve, rng), random_point(curve, rng)]
+                pts = [CurvePoint(), random_point(curve, rng), random_point(curve, rng)]
                 if (a, b) == (e.a, e.b):
                     pts.append(two_torsion)
                 for pt in pts:
@@ -342,3 +341,9 @@ def test_is_supersingular_repeats_across_fresh_caches(monkeypatch):
         monkeypatch.setattr(curves, "_supersingular_cache", {})
         assert [is_supersingular(e) for e in grid] == first
 
+
+
+def test_scalar_mul_refuses_a_negative_scalar(e0):
+    q = random_point(e0, random.Random(14))
+    with pytest.raises(ValueError, match="nonnegative"):
+        scalar_mul(e0, -1, q)

@@ -248,3 +248,9 @@ def test_factorize_matches_trial_division():
     assert factorize(n) == big
     assert factorize(2**61) == {2: 61}
     assert factorize(2**61 - 1) == {2**61 - 1: 1}
+
+
+def test_binary_field_without_a_primitive_polynomial_is_refused():
+    assert 17 not in PRIMITIVE_POLY
+    with pytest.raises(ValueError, match="r = 17"):
+        BinaryField(17)

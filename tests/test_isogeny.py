@@ -22,7 +22,6 @@ from oracles import (
 from isoshare import isogeny
 from isoshare.codec import encode_point
 from isoshare.curves import (
-    INFINITY,
     CurvePoint,
     CurveSpec,
     is_on_curve,
@@ -79,9 +78,9 @@ def _some_kernel(e, ell, seed="k"):
 def test_step_kills_exactly_its_kernel(e0):
     kernel = _some_kernel(e0, 3)
     step = velu_step(e0, kernel, 3)
-    assert step.evaluate(INFINITY) == INFINITY
-    assert step.evaluate(kernel) == INFINITY
-    assert step.evaluate(scalar_mul(e0, 2, kernel)) == INFINITY
+    assert step.evaluate(CurvePoint()) == CurvePoint()
+    assert step.evaluate(kernel) == CurvePoint()
+    assert step.evaluate(scalar_mul(e0, 2, kernel)) == CurvePoint()
     other = random_point_of_order(e0, 16, "q")
     assert not step.evaluate(other).is_infinity
 
@@ -117,7 +116,7 @@ def test_kernel_order_validated(e0):
     with pytest.raises(BadKernel):
         velu_step(e0, q16, 3)
     with pytest.raises(BadKernel):
-        velu_step(e0, INFINITY, 3)
+        velu_step(e0, CurvePoint(), 3)
     q3 = _some_kernel(e0, 3)
     with pytest.raises(BadKernel):
         velu_step(e0, q3, 4)  # composite degree
@@ -136,7 +135,7 @@ def test_kernel_order_check_is_exact(e0):
                     with pytest.raises(BadKernel):
                         velu_step(curve, random_point_of_order(curve, d, f"ord-{d}"), ell)
             for gen in ell_torsion_subgroups(curve, ell):
-                assert velu_step(curve, gen, ell).evaluate(gen) == INFINITY
+                assert velu_step(curve, gen, ell).evaluate(gen) == CurvePoint()
 
 
 @pytest.mark.parametrize(
@@ -163,7 +162,7 @@ def test_pair_sums_match_the_translation_sum(p, ell):
             for scaled in (step, step.with_scale(u), twice):
                 assert scaled.codomain == translation_codomain(scaled)
                 for q in scaled.kernel_points:
-                    assert scaled.evaluate(q) == INFINITY
+                    assert scaled.evaluate(q) == CurvePoint()
                 for pt in points + gens:
                     assert scaled.evaluate(pt) == translation_image(scaled, pt), (gen, pt)
 
@@ -535,8 +534,8 @@ def test_pruned_walks_are_the_oracle_walks_ending_at_the_target(e0):
             assert expected
             # With point and image O, the meet keeps every walk whose depth-a
             # curve a b-walk out of the target reaches, so it prunes by j alone.
-            meet = _meet(target, 3, e // 2, INFINITY)
-            pruned = [w.sort_key() for w in _walks(e0, 3, e, INFINITY, meet)]
+            meet = _meet(target, 3, e // 2, CurvePoint())
+            pruned = [w.sort_key() for w in _walks(e0, 3, e, CurvePoint(), meet)]
             assert pruned == expected, (e, target)
             # The walks come in strictly increasing key order, so recovery's
             # first match is its smallest.
@@ -558,7 +557,7 @@ def test_cached_meet_is_the_enumerated_meet(e0):
     for ell in (2, 3):
         _torsion_cache.clear()
         for target in targets.values():
-            images = [INFINITY, random_point(target, random.Random("meet")),
+            images = [CurvePoint(), random_point(target, random.Random("meet")),
                       random_point_of_order(target, ell, "meet-ell")]
             for b in (0, 1, 2, 3):
                 for image in images:
@@ -641,7 +640,7 @@ def test_twist_target_is_never_matched(e0, e0_large, monkeypatch):
         # before it builds a single step, unless e = 1 leaves no walk out
         # of the twist to take.
         with pytest.raises(NoSuchOrder):
-            _meet(twist, 3, 1, INFINITY)
+            _meet(twist, 3, 1, CurvePoint())
         # Nor does it keep a tree of walks for the twist.
         assert not isogeny._vertex(twist, 3)[0].trees
         built = _counting_steps(monkeypatch)
@@ -656,7 +655,7 @@ def test_twist_target_is_never_matched(e0, e0_large, monkeypatch):
 def _moved(pt, u):
     """The image of pt under (x, y) -> (u^2 x, u^3 y)."""
     if pt.is_infinity:
-        return INFINITY
+        return CurvePoint()
     return CurvePoint(u * u * pt.x, u * u * u * pt.y)
 
 
@@ -692,7 +691,7 @@ def test_iso_invariant_is_kept_by_isomorphisms(e0):
                 assert moved.key(_moved(pt, u).xy[:2]) == key, (curve, u)
                 assert moved.invariant == _invariant(_scaled(curve, u))
         assert len(keys) > 1
-        assert _Edge(step).key(INFINITY.xy) == ()
+        assert _Edge(step).key(CurvePoint().xy) == ()
 
 
 def test_recovery_is_the_brute_force_smallest_walk(e0):

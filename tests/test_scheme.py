@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from isoshare.codes import BinaryExpandedCode, hyperoval_code
+from isoshare.codes import BinaryExpandedCode, LinearCode, hyperoval_code
 from isoshare.curves import random_point_of_order
 from isoshare.errors import (
     DuplicateShare,
@@ -12,6 +12,7 @@ from isoshare.errors import (
     LengthMismatch,
     NotEnoughShares,
 )
+from isoshare.fields import GF2
 from isoshare.isogeny import evaluate_chain, random_walk
 from isoshare.scheme import (
     SchemeParams,
@@ -297,3 +298,50 @@ def test_burst_recovery_guards(e0):
     # gamma = 25 violates the narrow-share condition r > gamma - 2.
     with pytest.raises(InvalidParams):
         burst_recover(list(deal.shares[:2]), params, deal.e1)
+
+
+@pytest.mark.parametrize("index", [1.5, "1", None])
+def test_share_index_that_is_not_an_int_is_refused(e0, index):
+    # A float index would pass the range check and match no block, and a
+    # str or None would end in a bare TypeError.
+    params = _params(e0, 3, 2, 25, 6)
+    _, _, deal = _deal(e0, params)
+    s0, s1 = deal.shares[:2]
+    with pytest.raises(InvalidParams, match=f"share index {index!r} is not an int"):
+        recover_isogeny_path([s0, s1, Share(index, deal.shares[2].bits)], params, deal.e1)
+
+
+def test_validate_rejects_a_single_participant(e0):
+    report = validate_params(_params(e0, 1, 1, 75, 6))
+    assert "need at least 2 participants, got n = 1" in report.violations
+
+
+def test_validation_report_is_a_read_only_record(e0):
+    report = validate_params(_params(e0, 3, 4, 25, 6))
+    assert type(report.violations) is tuple and type(report.warnings) is tuple
+    assert report.t_interval == (2, 3) and not report.ok
+    assert report == validate_params(_params(e0, 3, 4, 25, 6))
+    assert hash(report) == hash(validate_params(_params(e0, 3, 4, 25, 6)))
+    with pytest.raises(AttributeError):
+        report.t_interval = None
+
+
+def test_deal_rejects_a_secret_off_the_scheme_curve(e0):
+    params = _params(e0, 3, 2, 25, 6)
+    elsewhere = random_walk(e0, 3, 1, "elsewhere").codomain
+    secret = random_walk(elsewhere, 3, 2, "x")
+    point = random_point_of_order(e0, N_TORSION, "x-pt")
+    with pytest.raises(InvalidParams, match="does not start on the scheme curve"):
+        share_isogeny_path(secret, point, params)
+
+
+def test_code_without_blocks_or_design_distance(e0):
+    # Neither binary-expanded nor carrying a design distance: validation
+    # cannot vouch for its erasure capability, and burst recovery refuses it.
+    code = LinearCode(GF2, 6, [0b000011, 0b001100])
+    params = SchemeParams(n=3, t=2, gamma=2, curve=e0, torsion_order=N_TORSION,
+                          ell_iso=3, e_iso=2, code=code, security_bits=2)
+    report = validate_params(params)
+    assert any("cannot correct 2 erased bits" in v for v in report.violations)
+    with pytest.raises(InvalidParams, match="binary-expanded RS code"):
+        burst_recover([], params, e0)
